@@ -91,7 +91,8 @@ uint64_t RuleTableHash() {
   // stale caches from older binaries are discarded.
   // Epoch 2: blocking-in-hot-path learned the ResolveKernelOps cold-init
   // seam and view-invalidation learned PostBin::PushBatch.
-  constexpr uint64_t kAnalyzerCacheEpoch = 2;
+  // Epoch 3: view-invalidation dropped PostBin::PushBatch (deleted).
+  constexpr uint64_t kAnalyzerCacheEpoch = 3;
   uint64_t hash = HashBytes(std::to_string(kAnalyzerCacheEpoch));
   for (const RegisteredPass& pass : PassRegistry()) {
     hash = HashBytes(pass.check.name, hash);

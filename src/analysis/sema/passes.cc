@@ -40,7 +40,7 @@ const std::vector<ViewRule>& ViewRules() {
       {"PostBin",
        {"LaneSpan", "LaneSpans"},
        {"Segments"},
-       {"Push", "PushBatch", "EvictOlderThan", "Load", "Grow"}},
+       {"Push", "EvictOlderThan", "Load", "Grow"}},
   };
   return kRules;
 }

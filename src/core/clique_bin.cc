@@ -10,25 +10,7 @@ CliqueBinDiversifier::CliqueBinDiversifier(
     const DiversityThresholds& thresholds, const CliqueCover* cover)
     : thresholds_(thresholds), cover_(cover) {}
 
-bool CliqueBinDiversifier::Offer(const Post& post) { return OfferOne(post); }
-
-size_t CliqueBinDiversifier::OfferBatch(std::span<const Post> posts,
-                                        std::vector<uint8_t>* admitted) {
-  // One virtual call per burst; each post still runs the identical
-  // per-clique evict → scan → insert sequence, so the timeline, stats and
-  // snapshot bytes match per-post Offer exactly.
-  if (admitted != nullptr) admitted->assign(posts.size(), 0);
-  size_t delivered = 0;
-  for (size_t i = 0; i < posts.size(); ++i) {
-    if (OfferOne(posts[i])) {
-      ++delivered;
-      if (admitted != nullptr) (*admitted)[i] = 1;
-    }
-  }
-  return delivered;
-}
-
-bool CliqueBinDiversifier::OfferOne(const Post& post) {
+bool CliqueBinDiversifier::Offer(const Post& post) {
   ++stats_.posts_in;
   const int64_t cutoff = post.time_ms - thresholds_.lambda_t_ms;
   const std::vector<CliqueId>& cliques = cover_->CliquesOf(post.author);

@@ -25,8 +25,6 @@ class CliqueBinDiversifier final : public Diversifier {
                        const CliqueCover* cover);
 
   bool Offer(const Post& post) override;
-  size_t OfferBatch(std::span<const Post> posts,
-                    std::vector<uint8_t>* admitted = nullptr) override;
   const IngestStats& stats() const override { return stats_; }
   size_t ApproxBytes() const override;
   BinOccupancy bin_occupancy() const override;
@@ -42,7 +40,6 @@ class CliqueBinDiversifier final : public Diversifier {
   }
 
  private:
-  bool OfferOne(const Post& post);
   bool LoadStatePayload(BinaryReader& in);
 
   const DiversityThresholds thresholds_;

@@ -15,26 +15,6 @@ CosineUniBinDiversifier::CosineUniBinDiversifier(
       graph_(graph) {}
 
 bool CosineUniBinDiversifier::Offer(const Post& post) {
-  return OfferOne(post);
-}
-
-size_t CosineUniBinDiversifier::OfferBatch(std::span<const Post> posts,
-                                           std::vector<uint8_t>* admitted) {
-  // One virtual call per burst; each post still runs the identical
-  // evict → vectorize → scan → push sequence, so the timeline, stats and
-  // snapshot bytes match per-post Offer exactly.
-  if (admitted != nullptr) admitted->assign(posts.size(), 0);
-  size_t delivered = 0;
-  for (size_t i = 0; i < posts.size(); ++i) {
-    if (OfferOne(posts[i])) {
-      ++delivered;
-      if (admitted != nullptr) (*admitted)[i] = 1;
-    }
-  }
-  return delivered;
-}
-
-bool CosineUniBinDiversifier::OfferOne(const Post& post) {
   ++stats_.posts_in;
   const int64_t cutoff = post.time_ms - thresholds_.lambda_t_ms;
   const size_t evicted = bin_.EvictOlderThan(cutoff);

@@ -38,8 +38,6 @@ class CosineUniBinDiversifier final : public Diversifier {
   /// Offer() tokenizes and vectorizes `post.text` (the `simhash` field is
   /// ignored — this baseline has no fingerprints).
   bool Offer(const Post& post) override;
-  size_t OfferBatch(std::span<const Post> posts,
-                    std::vector<uint8_t>* admitted = nullptr) override;
   const IngestStats& stats() const override { return stats_; }
   size_t ApproxBytes() const override;
   BinOccupancy bin_occupancy() const override;
@@ -48,7 +46,6 @@ class CosineUniBinDiversifier final : public Diversifier {
   bool LoadState(BinaryReader& in) override;
 
  private:
-  bool OfferOne(const Post& post);
   bool LoadStatePayload(BinaryReader& in);
   static size_t VectorBytes(const TfVector& vector) {
     return sizeof(TfVector) + vector.size() * 12;  // hash + count approx

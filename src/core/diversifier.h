@@ -3,9 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include <string>
 
@@ -45,26 +43,6 @@ class Diversifier {
   /// non-redundant and belongs to Z; false when an earlier post in Z
   /// covers it.
   virtual bool Offer(const Post& post) = 0;
-
-  /// Offers a burst of posts (same ordering contract as Offer, including
-  /// relative to earlier Offer calls) and returns how many were admitted.
-  /// When `admitted` is non-null it is resized to posts.size() with
-  /// admitted[i] = 1 iff posts[i] entered Z. Semantically identical to
-  /// calling Offer per post — same timeline, same stats — but overrides
-  /// amortize per-call work (virtual dispatch, eviction, bin routing)
-  /// across the burst.
-  virtual size_t OfferBatch(std::span<const Post> posts,
-                            std::vector<uint8_t>* admitted = nullptr) {
-    if (admitted != nullptr) admitted->assign(posts.size(), 0);
-    size_t delivered = 0;
-    for (size_t i = 0; i < posts.size(); ++i) {
-      if (Offer(posts[i])) {
-        ++delivered;
-        if (admitted != nullptr) (*admitted)[i] = 1;
-      }
-    }
-    return delivered;
-  }
 
   /// Counters accumulated so far.
   virtual const IngestStats& stats() const = 0;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/core/component_table.h"
 #include "src/util/hash.h"
 
 namespace firehose {
@@ -14,31 +15,6 @@ namespace {
 std::string EngineName(const char* prefix, Algorithm algorithm) {
   return std::string(prefix) + std::string(AlgorithmName(algorithm));
 }
-
-/// One diversifier together with the structures it borrows from.
-struct OwnedDiversifier {
-  AuthorGraph graph;
-  std::unique_ptr<CliqueCover> cover;  // only for CliqueBin
-  std::unique_ptr<Diversifier> diversifier;
-
-  OwnedDiversifier() = default;
-  OwnedDiversifier(OwnedDiversifier&&) = delete;  // pointers into members
-
-  void Init(Algorithm algorithm, const DiversityThresholds& t,
-            AuthorGraph subgraph) {
-    graph = std::move(subgraph);
-    if (algorithm == Algorithm::kCliqueBin) {
-      cover = std::make_unique<CliqueCover>(CliqueCover::Greedy(graph));
-    }
-    diversifier = MakeDiversifier(algorithm, t, &graph, cover.get());
-  }
-
-  size_t ApproxBytes() const {
-    size_t bytes = diversifier->ApproxBytes() + graph.ApproxBytes();
-    if (cover != nullptr) bytes += cover->ApproxBytes();
-    return bytes;
-  }
-};
 
 /// M_*: independent per-user diversifiers.
 class MUserEngine final : public MultiUserEngine {
@@ -55,9 +31,9 @@ class MUserEngine final : public MultiUserEngine {
     user_ids_.resize(users.size());
     for (size_t u = 0; u < users.size(); ++u) {
       user_ids_[u] = users[u].id;
-      engines_[u] = std::make_unique<OwnedDiversifier>();
-      engines_[u]->Init(algorithm, users[u].custom_thresholds.value_or(t),
-                        graph.InducedSubgraph(users[u].subscriptions));
+      engines_[u] = std::make_unique<OwnedDiversifier>(
+          algorithm, users[u].custom_thresholds.value_or(t),
+          graph.InducedSubgraph(users[u].subscriptions));
       for (AuthorId a : engines_[u]->graph.vertices()) {
         subscribers_[a].push_back(u);
       }
@@ -78,23 +54,6 @@ class MUserEngine final : public MultiUserEngine {
     }
     peak_live_bytes_ = std::max(peak_live_bytes_, live_bin_bytes_);
     std::sort(delivered->begin(), delivered->end());
-  }
-
-  size_t OfferBatch(std::span<const Post> posts,
-                    std::vector<BatchDelivery>* deliveries) override {
-    // Devirtualized per-post Offer (this class is final) with one scratch
-    // vector for the burst. Each post still updates live_bin_bytes_ and
-    // the engine-wide peak individually, so AggregateStats().peak_bytes
-    // matches the per-post path bit for bit.
-    deliveries->clear();
-    std::vector<UserId> scratch;
-    for (size_t i = 0; i < posts.size(); ++i) {
-      Offer(posts[i], &scratch);
-      for (UserId user : scratch) {
-        deliveries->push_back({static_cast<uint32_t>(i), user});
-      }
-    }
-    return deliveries->size();
   }
 
   IngestStats AggregateStats() const override {
@@ -157,35 +116,14 @@ class SUserEngine final : public MultiUserEngine {
  public:
   SUserEngine(Algorithm algorithm, const DiversityThresholds& t,
               const AuthorGraph& graph, const std::vector<User>& users)
-      : name_(EngineName("S_", algorithm)) {
-    AuthorId max_author = 0;
-    for (SharedComponent& shared :
-         ComputeSharedComponents(t, graph, users)) {
-      for (AuthorId a : shared.authors) max_author = std::max(max_author, a);
-      components_.push_back({});
-      Component& c = components_.back();
-      c.authors = std::move(shared.authors);
-      c.users = std::move(shared.users);
-      c.thresholds = shared.thresholds;
-      c.engine = std::make_unique<OwnedDiversifier>();
-      c.engine->Init(algorithm, c.thresholds,
-                     graph.InducedSubgraph(c.authors));
-    }
-    // Route authors to the components containing them.
-    author_components_.assign(static_cast<size_t>(max_author) + 1, {});
-    for (size_t i = 0; i < components_.size(); ++i) {
-      for (AuthorId a : components_[i].authors) {
-        author_components_[a].push_back(i);
-      }
-    }
-  }
+      : name_(EngineName("S_", algorithm)),
+        table_(algorithm, graph, ComputeSharedComponents(t, graph, users)) {}
 
   void Offer(const Post& post, std::vector<UserId>* delivered) override {
     delivered->clear();
-    if (post.author >= author_components_.size()) return;
-    for (size_t index : author_components_[post.author]) {
-      Component& c = components_[index];
-      Diversifier& diversifier = *c.engine->diversifier;
+    for (size_t index : table_.ComponentsOf(post.author)) {
+      ComponentTable::Component& c = table_.component(index);
+      Diversifier& diversifier = c.diversifier();
       const size_t before = diversifier.ApproxBytes();
       if (diversifier.Offer(post)) {
         delivered->insert(delivered->end(), c.users.begin(), c.users.end());
@@ -197,26 +135,8 @@ class SUserEngine final : public MultiUserEngine {
     std::sort(delivered->begin(), delivered->end());
   }
 
-  size_t OfferBatch(std::span<const Post> posts,
-                    std::vector<BatchDelivery>* deliveries) override {
-    // See MUserEngine::OfferBatch: devirtualized per-post Offer, one
-    // scratch vector, per-post peak accounting preserved.
-    deliveries->clear();
-    std::vector<UserId> scratch;
-    for (size_t i = 0; i < posts.size(); ++i) {
-      Offer(posts[i], &scratch);
-      for (UserId user : scratch) {
-        deliveries->push_back({static_cast<uint32_t>(i), user});
-      }
-    }
-    return deliveries->size();
-  }
-
   IngestStats AggregateStats() const override {
-    IngestStats total;
-    for (const Component& c : components_) {
-      total.MergeFrom(c.engine->diversifier->stats());
-    }
+    IngestStats total = table_.MergedStats();
     // True concurrent high-water of the whole engine (see MUserEngine).
     total.peak_bytes = static_cast<size_t>(
         static_cast<int64_t>(ApproxBytes()) - live_bin_bytes_ +
@@ -224,33 +144,14 @@ class SUserEngine final : public MultiUserEngine {
     return total;
   }
 
-  size_t ApproxBytes() const override {
-    size_t bytes = 0;
-    for (const Component& c : components_) {
-      bytes += c.engine->ApproxBytes();
-      bytes += c.authors.capacity() * sizeof(AuthorId);
-      bytes += c.users.capacity() * sizeof(UserId);
-    }
-    for (const auto& v : author_components_) bytes += v.capacity() * sizeof(size_t);
-    return bytes;
-  }
+  size_t ApproxBytes() const override { return table_.ApproxBytes(); }
 
   std::string_view name() const override { return name_; }
-  size_t num_diversifiers() const override { return components_.size(); }
+  size_t num_diversifiers() const override { return table_.size(); }
 
  private:
-  static constexpr size_t kNotFound = static_cast<size_t>(-1);
-
-  struct Component {
-    std::vector<AuthorId> authors;  // sorted
-    std::vector<UserId> users;      // owners, sorted
-    DiversityThresholds thresholds;
-    std::unique_ptr<OwnedDiversifier> engine;
-  };
-
   std::string name_;
-  std::vector<Component> components_;
-  std::vector<std::vector<size_t>> author_components_;  // index = author
+  ComponentTable table_;
   // Combined resident bin bytes over all components and its true peak.
   int64_t live_bin_bytes_ = 0;
   int64_t peak_live_bytes_ = 0;

@@ -40,8 +40,9 @@ struct User {
 /// A distinct connected component shared by one or more users — the unit
 /// of work of the S_* engines (§5): users whose subscription graphs
 /// contain the identical author set as a connected component (and whose
-/// effective thresholds agree) share one diversifier over it. Exposed so
-/// the sharded runtime can parallelize over components.
+/// effective thresholds agree) share one diversifier over it. A
+/// ComponentTable (src/core/component_table.h) builds the diversifiers
+/// and the author routing for any subset of these.
 struct SharedComponent {
   std::vector<AuthorId> authors;  ///< sorted component author set
   std::vector<UserId> users;      ///< sorted owners
@@ -78,10 +79,10 @@ class MultiUserEngine {
   /// appends every delivery to `*deliveries` (cleared first), grouped by
   /// ascending post_index with users ascending within a post — the exact
   /// concatenation of per-post Offer outputs. Returns deliveries->size().
-  /// Semantically identical to per-post Offer, including the per-post
-  /// peak-memory accounting; overrides amortize the per-call overhead.
-  virtual size_t OfferBatch(std::span<const Post> posts,
-                            std::vector<BatchDelivery>* deliveries) {
+  /// Calls Offer per post, so it is identical to the per-post path,
+  /// including the per-post peak-memory accounting.
+  size_t OfferBatch(std::span<const Post> posts,
+                    std::vector<BatchDelivery>* deliveries) {
     deliveries->clear();
     std::vector<UserId> scratch;
     for (size_t i = 0; i < posts.size(); ++i) {

@@ -14,25 +14,7 @@ PostBin& NeighborBinDiversifier::BinOf(AuthorId author) {
   return bins_[author];
 }
 
-bool NeighborBinDiversifier::Offer(const Post& post) { return OfferOne(post); }
-
-size_t NeighborBinDiversifier::OfferBatch(std::span<const Post> posts,
-                                          std::vector<uint8_t>* admitted) {
-  // One virtual call per burst; each post still runs the identical
-  // evict → scan → fan-out-insert sequence, so the timeline, stats and
-  // snapshot bytes match per-post Offer exactly.
-  if (admitted != nullptr) admitted->assign(posts.size(), 0);
-  size_t delivered = 0;
-  for (size_t i = 0; i < posts.size(); ++i) {
-    if (OfferOne(posts[i])) {
-      ++delivered;
-      if (admitted != nullptr) (*admitted)[i] = 1;
-    }
-  }
-  return delivered;
-}
-
-bool NeighborBinDiversifier::OfferOne(const Post& post) {
+bool NeighborBinDiversifier::Offer(const Post& post) {
   ++stats_.posts_in;
   const int64_t cutoff = post.time_ms - thresholds_.lambda_t_ms;
 

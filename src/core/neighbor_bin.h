@@ -25,8 +25,6 @@ class NeighborBinDiversifier final : public Diversifier {
                          const AuthorGraph* graph);
 
   bool Offer(const Post& post) override;
-  size_t OfferBatch(std::span<const Post> posts,
-                    std::vector<uint8_t>* admitted = nullptr) override;
   const IngestStats& stats() const override { return stats_; }
   size_t ApproxBytes() const override;
   BinOccupancy bin_occupancy() const override;
@@ -43,7 +41,6 @@ class NeighborBinDiversifier final : public Diversifier {
 
  private:
   PostBin& BinOf(AuthorId author);
-  bool OfferOne(const Post& post);
   bool LoadStatePayload(BinaryReader& in);
 
   const DiversityThresholds thresholds_;

@@ -8,25 +8,7 @@ UniBinDiversifier::UniBinDiversifier(const DiversityThresholds& thresholds,
                                      const AuthorGraph* graph)
     : thresholds_(thresholds), graph_(graph) {}
 
-bool UniBinDiversifier::Offer(const Post& post) { return OfferOne(post); }
-
-size_t UniBinDiversifier::OfferBatch(std::span<const Post> posts,
-                                     std::vector<uint8_t>* admitted) {
-  // One virtual call and one I-cache-warm decision loop per burst; each
-  // post still runs the identical evict → scan → push sequence, so the
-  // timeline, stats and snapshot bytes match per-post Offer exactly.
-  if (admitted != nullptr) admitted->assign(posts.size(), 0);
-  size_t delivered = 0;
-  for (size_t i = 0; i < posts.size(); ++i) {
-    if (OfferOne(posts[i])) {
-      ++delivered;
-      if (admitted != nullptr) (*admitted)[i] = 1;
-    }
-  }
-  return delivered;
-}
-
-bool UniBinDiversifier::OfferOne(const Post& post) {
+bool UniBinDiversifier::Offer(const Post& post) {
   ++stats_.posts_in;
   const size_t evicted =
       bin_.EvictOlderThan(post.time_ms - thresholds_.lambda_t_ms);

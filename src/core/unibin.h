@@ -23,8 +23,6 @@ class UniBinDiversifier final : public Diversifier {
                     const AuthorGraph* graph);
 
   bool Offer(const Post& post) override;
-  size_t OfferBatch(std::span<const Post> posts,
-                    std::vector<uint8_t>* admitted = nullptr) override;
   const IngestStats& stats() const override { return stats_; }
   size_t ApproxBytes() const override;
   BinOccupancy bin_occupancy() const override;
@@ -39,8 +37,6 @@ class UniBinDiversifier final : public Diversifier {
   }
 
  private:
-  bool OfferOne(const Post& post);
-
   const DiversityThresholds thresholds_;
   const AuthorGraph* graph_;  // not owned
   PostBin bin_;

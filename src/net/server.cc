@@ -5,12 +5,10 @@
 #include <condition_variable>
 #include <csignal>
 #include <mutex>
-#include <span>
 
 #include "src/core/kernels/dispatch.h"
 
-#include "src/author/clique_cover.h"
-#include "src/core/engine.h"
+#include "src/core/component_table.h"
 #include "src/dur/durable.h"
 #include "src/io/socket.h"
 #include "src/obs/clock.h"
@@ -72,43 +70,25 @@ struct ShardCmd {
   Barrier* barrier = nullptr;  // kPoll / kFlush
 };
 
-/// One shard: a consumer thread exclusively owning a subset of the
-/// shared components, their diversifiers, the timelines of every user
+/// One shard: a consumer thread exclusively owning a ComponentTable over
+/// a subset of the shared components, the timelines of every user
 /// (populated only for posts this shard admits) and the shard's WAL.
 /// Structure mirrors runtime/sharded.cc's Shard; lifetime is the server,
 /// not one batch run.
 class ShardWorker {
  public:
-  ShardWorker(uint32_t index, const ServeOptions& options)
-      : index_(index), options_(options), queue_(kShardQueueCapacity) {}
+  ShardWorker(uint32_t index, const ServeOptions& options,
+              ComponentTable table, uint64_t num_users)
+      : index_(index),
+        options_(options),
+        table_(std::move(table)),
+        timelines_(static_cast<size_t>(num_users)),
+        queue_(kShardQueueCapacity) {}
 
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
   /// Build phase (single-threaded, before Spawn) -----------------------
-
-  void AddComponent(SharedComponent&& shared, const AuthorGraph& graph) {
-    components_.push_back(std::make_unique<Component>());
-    Component& c = *components_.back();
-    c.authors = std::move(shared.authors);
-    c.users = std::move(shared.users);
-    c.graph = graph.InducedSubgraph(c.authors);
-    if (options_.algorithm == Algorithm::kCliqueBin) {
-      c.cover = std::make_unique<CliqueCover>(CliqueCover::Greedy(c.graph));
-    }
-    c.diversifier = MakeDiversifier(options_.algorithm, shared.thresholds,
-                                    &c.graph, c.cover.get());
-  }
-
-  void Finalize(uint64_t num_users, AuthorId max_author) {
-    author_components_.assign(static_cast<size_t>(max_author) + 1, {});
-    for (uint32_t i = 0; i < components_.size(); ++i) {
-      for (AuthorId a : components_[i]->authors) {
-        author_components_[a].push_back(i);
-      }
-    }
-    timelines_.assign(static_cast<size_t>(num_users), {});
-  }
 
   /// Replays this shard's WAL (rebuilding diversifier + timeline state
   /// and the dedupe watermark) and opens the writer at the resume seq.
@@ -183,133 +163,37 @@ class ShardWorker {
   size_t queue_depth() const { return queue_.ApproxSize(); }
 
  private:
-  // Address-stable for the same reason as sharded.cc's ShardComponent:
-  // the diversifier holds pointers into graph/cover.
-  struct Component {
-    std::vector<AuthorId> authors;
-    std::vector<UserId> users;
-    AuthorGraph graph;
-    std::unique_ptr<CliqueCover> cover;
-    std::unique_ptr<Diversifier> diversifier;
-
-    Component() = default;
-    Component(Component&&) = delete;
-  };
-
-  /// WAL-append (when durable) + offer + timeline append + watermark.
-  /// Runs on the worker thread in steady state and on the recovery
-  /// thread during replay (before the worker exists).
+  /// The one ingest path: WAL append (when durable), then offer to this
+  /// shard's components in routing order, appending to the timelines of
+  /// every admitting component's users, then the watermark. Runs on the
+  /// worker thread in steady state and on the recovery thread during
+  /// replay (before the worker exists and the writer is open).
   void Ingest(const Post& post) {
-    if (wal_ != nullptr) {
-      if (!wal_->Append(dur::EncodePostRecord(post))) {
-        // An unlogged decision cannot be replayed; freeze durability by
-        // dropping the writer rather than diverging from the WAL.
-        wal_failures_.fetch_add(1, std::memory_order_seq_cst);
-        wal_.reset();
-      }
+    if (wal_ != nullptr && !wal_->Append(dur::EncodePostRecord(post))) {
+      // An unlogged decision cannot be replayed; freeze durability by
+      // dropping the writer rather than diverging from the WAL.
+      wal_failures_.fetch_add(1, std::memory_order_seq_cst);
+      wal_.reset();
     }
     const obs::Clock* clock =
         options_.flight != nullptr ? obs::RealClock() : nullptr;
-    if (post.author < author_components_.size()) {
-      for (uint32_t i : author_components_[post.author]) {
-        Component& c = *components_[i];
-        const uint64_t start = clock != nullptr ? clock->NowNanos() : 0;
-        const bool admitted = c.diversifier->Offer(post);
-        if (clock != nullptr) {
-          options_.flight->RecordComplete(index_, "offer", "serve", start,
-                                          clock->NowNanos());
-        }
-        if (admitted) {
-          for (UserId user : c.users) {
-            if (user < timelines_.size()) timelines_[user].push_back(post.id);
-          }
-          deliveries_.fetch_add(c.users.size(), std::memory_order_seq_cst);
-        }
-      }
-    }
-    watermark_ = static_cast<int64_t>(post.id);
-    ingested_.fetch_add(1, std::memory_order_seq_cst);
-  }
-
-  /// Batched Ingest: the whole run is WAL-appended up front (still
-  /// append-before-decide for every post), each touched component gets
-  /// one OfferBatch call over its sub-burst, and the counters advance
-  /// with one atomic update per batch. Timeline appends replay in post
-  /// order against the per-component routing order, so every user's
-  /// timeline is byte-identical to per-post Ingest.
-  void IngestBatch(std::span<const Post> posts)
-      FIREHOSE_RUNS_ON(shard_worker) {
-    if (posts.empty()) return;
-    if (wal_ != nullptr) {
-      for (const Post& post : posts) {
-        if (!wal_->Append(dur::EncodePostRecord(post))) {
-          wal_failures_.fetch_add(1, std::memory_order_seq_cst);
-          wal_.reset();  // same freeze-durability semantics as Ingest
-          break;
-        }
-      }
-    }
-    const obs::Clock* clock =
-        options_.flight != nullptr ? obs::RealClock() : nullptr;
-    // Group the burst per component (first-touch order); fanout per post
-    // is small, so the linear component lookup is cheap.
-    std::vector<uint32_t> touched;
-    std::vector<std::vector<Post>> groups;
-    std::vector<std::vector<uint32_t>> group_pos;  // burst index per element
-    for (uint32_t p = 0; p < posts.size(); ++p) {
-      const Post& post = posts[p];
-      if (post.author >= author_components_.size()) continue;
-      for (uint32_t i : author_components_[post.author]) {
-        size_t g = 0;
-        while (g < touched.size() && touched[g] != i) ++g;
-        if (g == touched.size()) {
-          touched.push_back(i);
-          groups.emplace_back();
-          group_pos.emplace_back();
-        }
-        groups[g].push_back(post);
-        group_pos[g].push_back(p);
-      }
-    }
-    // Decide per component; components are independent state, so the
-    // component-major order cannot change any decision.
-    std::vector<std::vector<uint32_t>> admitted_of_post(posts.size());
-    std::vector<uint8_t> admitted;
-    for (size_t g = 0; g < touched.size(); ++g) {
-      Component& c = *components_[touched[g]];
+    for (size_t index : table_.ComponentsOf(post.author)) {
+      ComponentTable::Component& c = table_.component(index);
       const uint64_t start = clock != nullptr ? clock->NowNanos() : 0;
-      c.diversifier->OfferBatch(groups[g], &admitted);
+      const bool admitted = c.diversifier().Offer(post);
       if (clock != nullptr) {
         options_.flight->RecordComplete(index_, "offer", "serve", start,
                                         clock->NowNanos());
       }
-      for (size_t k = 0; k < admitted.size(); ++k) {
-        if (admitted[k] != 0) {
-          admitted_of_post[group_pos[g][k]].push_back(touched[g]);
-        }
-      }
-    }
-    // Timeline appends in post order, routing order within a post —
-    // exactly the per-post Ingest order.
-    uint64_t new_deliveries = 0;
-    for (uint32_t p = 0; p < posts.size(); ++p) {
-      const Post& post = posts[p];
-      if (post.author >= author_components_.size()) continue;
-      for (uint32_t i : author_components_[post.author]) {
-        const std::vector<uint32_t>& hits = admitted_of_post[p];
-        if (std::find(hits.begin(), hits.end(), i) == hits.end()) continue;
-        const Component& c = *components_[i];
+      if (admitted) {
         for (UserId user : c.users) {
           if (user < timelines_.size()) timelines_[user].push_back(post.id);
         }
-        new_deliveries += c.users.size();
+        deliveries_.fetch_add(c.users.size(), std::memory_order_seq_cst);
       }
     }
-    if (new_deliveries > 0) {
-      deliveries_.fetch_add(new_deliveries, std::memory_order_seq_cst);
-    }
-    watermark_ = static_cast<int64_t>(posts.back().id);
-    ingested_.fetch_add(posts.size(), std::memory_order_seq_cst);
+    watermark_ = static_cast<int64_t>(post.id);
+    ingested_.fetch_add(1, std::memory_order_seq_cst);
   }
 
   void Loop() FIREHOSE_RUNS_ON(shard_worker) {
@@ -318,9 +202,6 @@ class ShardWorker {
             ? options_.watchdog->RegisterTask("serve-shard")
             : -1;
     uint64_t processed = 0;
-    const size_t batch_max = std::max<size_t>(1, options_.ingest_batch_max);
-    std::vector<Post> batch;
-    batch.reserve(batch_max);
     for (;;) {
       ShardCmd cmd;
       if (!queue_.TryPop(&cmd)) {
@@ -331,53 +212,6 @@ class ShardWorker {
         continue;
       }
       ++processed;
-      if (cmd.kind == ShardCmd::Kind::kPost) {
-        // Gather the run of already-queued posts into one ingest epoch.
-        // A control command ends the run and is handled below, after the
-        // batch — so a kStop can never drop queued posts.
-        batch.clear();
-        int64_t horizon = watermark_;
-        bool have_control = false;
-        ShardCmd control;
-        // Watermark dedupe: the dispatcher routes posts in id order,
-        // so a post at or below the watermark (or a batched predecessor)
-        // is a client resend of work this shard already ingested
-        // (possibly pre-crash).
-        auto consider = [&](const Post& post) {
-          if (static_cast<int64_t>(post.id) <= horizon) {
-            duplicates_.fetch_add(1, std::memory_order_seq_cst);
-          } else {
-            horizon = static_cast<int64_t>(post.id);
-            batch.push_back(post);
-          }
-        };
-        consider(cmd.post);
-        while (batch.size() < batch_max) {
-          ShardCmd next;
-          if (!queue_.TryPop(&next)) break;
-          ++processed;
-          if (next.kind == ShardCmd::Kind::kPost) {
-            consider(next.post);
-          } else {
-            have_control = true;
-            control = next;
-            break;
-          }
-        }
-        // Single posts keep the scalar path; runs share one batch epoch.
-        if (batch.size() == 1) {
-          Ingest(batch[0]);
-        } else {
-          IngestBatch(batch);
-        }
-        if (watchdog_task >= 0) {
-          options_.watchdog->ReportProgress(watchdog_task, processed);
-          options_.watchdog->SetQueueDepth(
-              watchdog_task, static_cast<int64_t>(queue_.ApproxSize()));
-        }
-        if (!have_control) continue;
-        cmd = control;
-      }
       if (watchdog_task >= 0) {
         options_.watchdog->ReportProgress(watchdog_task, processed);
         options_.watchdog->SetQueueDepth(
@@ -387,7 +221,15 @@ class ShardWorker {
         case ShardCmd::Kind::kStop:
           return;
         case ShardCmd::Kind::kPost:
-          break;  // unreachable: posts are gathered above
+          // Watermark dedupe: the dispatcher routes posts in id order, so
+          // a post at or below the watermark is a client resend of work
+          // this shard already ingested (possibly pre-crash).
+          if (static_cast<int64_t>(cmd.post.id) <= watermark_) {
+            duplicates_.fetch_add(1, std::memory_order_seq_cst);
+          } else {
+            Ingest(cmd.post);
+          }
+          break;
         case ShardCmd::Kind::kPoll: {
           std::vector<PostId> timeline;
           if (cmd.user < timelines_.size()) timeline = timelines_[cmd.user];
@@ -418,10 +260,7 @@ class ShardWorker {
   // Worker-confined state: built single-threaded before Spawn (the
   // exclusive phase), then owned by the worker thread until Join. The
   // thread-confinement pass enforces this statically.
-  std::vector<std::unique_ptr<Component>> components_
-      FIREHOSE_THREAD_OWNED(shard_worker);
-  std::vector<std::vector<uint32_t>> author_components_
-      FIREHOSE_THREAD_OWNED(shard_worker);
+  ComponentTable table_ FIREHOSE_THREAD_OWNED(shard_worker);
   std::vector<std::vector<PostId>> timelines_
       FIREHOSE_THREAD_OWNED(shard_worker);
 
@@ -586,41 +425,27 @@ bool Server::BuildShards(std::string* error) {
     users.emplace_back(id, std::move(subs));
   }
 
-  shards_.clear();
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    shards_.push_back(
-        std::make_unique<internal::ShardWorker>(s, options_));
-  }
-
-  const PlacementRing ring(options_.num_shards, options_.vnodes_per_shard);
-  AuthorId max_author = 0;
-  std::vector<std::vector<uint32_t>> shard_authors(shards_.size());
+  const PlacementRing ring(options_.num_shards);
+  std::vector<std::vector<SharedComponent>> placed(options_.num_shards);
   for (SharedComponent& component :
        ComputeSharedComponents(options_.thresholds, *graph_, users)) {
     const uint32_t shard = ring.ShardFor(ComponentKey(component.authors));
-    for (AuthorId a : component.authors) {
-      max_author = std::max(max_author, a);
-      shard_authors[shard].push_back(a);
-    }
-    shards_[shard]->AddComponent(std::move(component), *graph_);
+    placed[shard].push_back(std::move(component));
   }
 
-  author_shards_.assign(static_cast<size_t>(max_author) + 1, {});
-  for (uint32_t s = 0; s < shard_authors.size(); ++s) {
-    for (AuthorId a : shard_authors[s]) {
-      std::vector<uint32_t>& owners = author_shards_[a];
-      if (owners.empty() || owners.back() != s) owners.push_back(s);
+  // The dispatcher sends an author's posts to every shard whose table
+  // routes the author; shards ascend, so each list is sorted and unique.
+  author_shards_.clear();
+  shards_.clear();
+  for (uint32_t s = 0; s < options_.num_shards; ++s) {
+    ComponentTable table(options_.algorithm, *graph_, std::move(placed[s]));
+    for (AuthorId a = 0; a < table.author_bound(); ++a) {
+      if (table.ComponentsOf(a).empty()) continue;
+      if (a >= author_shards_.size()) author_shards_.resize(a + 1);
+      author_shards_[a].push_back(s);
     }
-  }
-  // An author can appear in several components of one shard; the guard
-  // above only collapses adjacent repeats, so dedupe properly.
-  for (std::vector<uint32_t>& owners : author_shards_) {
-    std::sort(owners.begin(), owners.end());
-    owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-  }
-
-  for (auto& shard : shards_) {
-    shard->Finalize(num_users_, max_author);
+    shards_.push_back(std::make_unique<internal::ShardWorker>(
+        s, options_, std::move(table), num_users_));
   }
   for (auto& shard : shards_) {
     if (!shard->RecoverDurability(error)) return false;

@@ -37,8 +37,6 @@ struct ServeOptions {
   std::string data_dir;
   std::string wal_sync = "none";  ///< "none" | "always" | "every=N"
 
-  uint32_t vnodes_per_shard = 64;
-
   /// Optional introspection hooks. `debug` receives periodic /varz +
   /// /statusz publications from the dispatcher; `watchdog` gets one task
   /// per shard worker plus the dispatcher; `flight` records offer spans.
@@ -49,15 +47,6 @@ struct ServeOptions {
   /// Crash-test hook (mirrors FIREHOSE_CRASH_AFTER in firehose_serve):
   /// raise SIGKILL after this many kPost messages received; 0 = off.
   uint64_t crash_after_posts = 0;
-
-  /// Maximum consecutive kPost commands a shard worker folds into one
-  /// ingest epoch: the run is WAL-appended together, offered through
-  /// OfferBatch per component, and counted with one atomic update. A
-  /// control command arriving mid-run ends the batch and executes after
-  /// it (kStop included — queued posts are never dropped). Timelines,
-  /// dedupe and recovery semantics are identical to per-post ingest;
-  /// 1 disables batching.
-  size_t ingest_batch_max = 64;
 };
 
 /// Monitoring snapshot; counters are cumulative since Start (recovered
@@ -81,9 +70,9 @@ struct ServeStats {
 /// loadgen is a single client; this is a reproduction testbed, not a
 /// production frontend). The dispatcher is the single producer of every
 /// shard's SpscQueue<ShardCmd>; each shard worker thread is the single
-/// consumer of its own queue and exclusively owns its components,
-/// diversifiers, timelines and WAL — the same thread-confinement
-/// contract as RunShardedSUser, extended to long-lived workers.
+/// consumer of its own queue and exclusively owns its ComponentTable,
+/// timelines and WAL — the same thread-confinement contract as
+/// RunShardedSUser, extended to long-lived workers.
 ///
 /// Placement: shared components (never single authors) are placed on
 /// shards by consistent hashing of their sorted author set, so a
@@ -156,7 +145,8 @@ class Server {
   uint64_t num_users_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
   std::atomic<bool> sealed_{false};
 
-  // Post-seal routing (built once at seal/recovery, read-only after).
+  // Post-seal routing, author -> shards whose ComponentTable routes the
+  // author (read off the tables at seal/recovery, read-only after).
   std::vector<std::vector<uint32_t>> author_shards_;
   std::vector<std::unique_ptr<internal::ShardWorker>> shards_;
 
@@ -169,8 +159,6 @@ class Server {
   std::atomic<uint64_t> posts_received_{0};
   std::atomic<uint64_t> polls_{0};
   std::atomic<uint64_t> malformed_{0};
-
-  uint64_t last_publish_count_ = 0;
 };
 
 /// Control-WAL record codec (exposed for tests).

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <span>
 #include <thread>
-#include <vector>
 
 #include "src/core/kernels/dispatch.h"
 #include "src/obs/log.h"
@@ -146,68 +144,7 @@ LiveIngestReport RunLiveIngest(Diversifier& diversifier,
     }
     return true;
   };
-  // Burst consumer: drains up to batch_max queued posts per engine call.
-  // Queue items point into the contiguous replay stream, so a backlog of
-  // consecutive posts collapses into zero-copy spans over the stream;
-  // out-of-order gaps (there are none today, but the split is cheap)
-  // would simply produce shorter runs.
-  std::vector<QueuedPost> batch;
-  auto decide_batch = [&] {
-    for (size_t i = 0; i < batch.size();) {
-      size_t j = i + 1;
-      while (j < batch.size() && batch[j].post == batch[j - 1].post + 1) ++j;
-      const std::span<const Post> burst(batch[i].post, j - i);
-      report.posts_in += burst.size();
-      report.posts_out += diversifier.OfferBatch(burst);
-      i = j;
-    }
-    const uint64_t now = clock.NowNanos();
-    for (const QueuedPost& queued : batch) {
-      latency.RecordNanos(now - queued.enqueue_nanos);
-    }
-    if (options.flight != nullptr) {
-      options.flight->RecordComplete(/*tid=*/0, "decide", "live",
-                                     batch.front().enqueue_nanos, now);
-    }
-    if (watchdog_task >= 0) {
-      options.watchdog->ReportProgress(watchdog_task, report.posts_in);
-    }
-    batch.clear();
-    return now;
-  };
-  if (options.batch_max > 1 && options.dur == nullptr) {
-    obs::TraceScope span(options.trace, "LiveIngest.consume", "ingest",
-                         /*tid=*/0);
-    batch.reserve(options.batch_max);
-    for (;;) {
-      while (batch.size() < options.batch_max && queue.TryPop(&item)) {
-        batch.push_back(item);
-      }
-      if (!batch.empty()) {
-        const size_t depth = queue.ApproxSize() + batch.size();
-        high_water = std::max(high_water, depth);
-        if (queue_depth != nullptr) {
-          queue_depth->Set(static_cast<int64_t>(depth));
-        }
-        if (watchdog_task >= 0) {
-          options.watchdog->SetQueueDepth(
-              watchdog_task, static_cast<int64_t>(queue.ApproxSize()));
-        }
-        const uint64_t now = decide_batch();
-        if (publisher.Due(now)) publish(now);
-      } else if (producer_done.load(std::memory_order_acquire)) {
-        // Drain anything pushed between the last pop and the flag.
-        if (!queue.TryPop(&item)) break;
-        batch.push_back(item);
-      } else {
-        if (publisher.enabled()) {
-          const uint64_t now = clock.NowNanos();
-          if (publisher.Due(now)) publish(now);
-        }
-        std::this_thread::yield();
-      }
-    }
-  } else {
+  {
     obs::TraceScope span(options.trace, "LiveIngest.consume", "ingest",
                          /*tid=*/0);
     for (;;) {

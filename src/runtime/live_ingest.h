@@ -57,15 +57,6 @@ struct LiveIngestOptions {
   obs::FlightRecorder* flight = nullptr;
   obs::Watchdog* watchdog = nullptr;
   uint64_t publish_interval_nanos = 50'000'000;  // 50 ms
-  /// Maximum posts the consumer drains from the arrival queue per engine
-  /// call. With batch_max > 1 (and no durable session — the WAL path
-  /// stays per-post), a backlog burst is consumed through OfferBatch:
-  /// contiguous stream runs become zero-copy spans and the whole burst
-  /// shares one flight span, one watchdog report and one publisher check.
-  /// The admitted sub-stream and engine stats are identical to
-  /// batch_max == 1; queueing-latency samples coarsen to
-  /// end-of-burst timestamps.
-  size_t batch_max = 1;
 };
 
 /// Result of a live replay.

@@ -26,7 +26,6 @@ void RecordRunMetrics(obs::MetricsRegistry* metrics,
 
 PipelineReport Pipeline::Run(PostSource& source, const PipelineObs& o,
                              const PipelineDur& d) {
-  if (o.batch_size > 1 && d.session == nullptr) return RunBatched(source, o);
   const obs::Clock* clock = o.clock != nullptr ? o.clock : obs::RealClock();
   obs::TraceScope run_span(o.trace, "Pipeline::Run", "pipeline");
   obs::LogHistogram* comparisons =
@@ -126,92 +125,6 @@ PipelineReport Pipeline::Run(PostSource& source, const PipelineObs& o,
   return report;
 }
 
-PipelineReport Pipeline::RunBatched(PostSource& source, const PipelineObs& o) {
-  const obs::Clock* clock = o.clock != nullptr ? o.clock : obs::RealClock();
-  obs::TraceScope run_span(o.trace, "Pipeline::Run", "pipeline");
-  obs::LogHistogram* comparisons =
-      o.metrics != nullptr
-          ? o.metrics->GetHistogram("pipeline.decision_comparisons")
-          : nullptr;
-  PipelineReport report;
-  LatencyRecorder latency;
-  const uint64_t pruned_at_start = diversifier_->stats().pruned;
-  const uint64_t run_start = clock->NowNanos();
-  DebugPublisher publisher(o.debug, o.publish_interval_nanos);
-  const int watchdog_task =
-      o.watchdog != nullptr ? o.watchdog->RegisterTask("pipeline") : -1;
-  std::vector<Post> burst;
-  burst.reserve(o.batch_size);
-  std::vector<uint8_t> admitted;
-  bool drained = false;
-  while (!drained) {
-    burst.clear();
-    Post post;
-    while (burst.size() < o.batch_size && source.Next(&post)) {
-      burst.push_back(post);
-    }
-    drained = burst.size() < o.batch_size;
-    if (burst.empty()) break;
-    report.posts_in += burst.size();
-    // One clock/metrics/flight epoch for the whole burst: the engine sees
-    // a single OfferBatch call, so virtual dispatch and instrumentation
-    // cost amortize across burst posts.
-    const uint64_t comparisons_before = diversifier_->stats().comparisons;
-    const uint64_t start = clock->NowNanos();
-    const size_t delivered = diversifier_->OfferBatch(burst, &admitted);
-    const uint64_t end = clock->NowNanos();
-    latency.RecordNanos(end - start);
-    if (o.flight != nullptr) {
-      o.flight->RecordComplete(/*tid=*/0, "decide", "pipeline", start, end);
-    }
-    if (comparisons != nullptr) {
-      comparisons->Record(diversifier_->stats().comparisons -
-                          comparisons_before);
-    }
-    report.posts_out += delivered;
-    for (size_t i = 0; i < burst.size(); ++i) {
-      if (admitted[i] != 0) sink_->Deliver(burst[i]);
-    }
-    if (watchdog_task >= 0) {
-      o.watchdog->ReportProgress(watchdog_task, report.posts_in);
-      o.watchdog->SetQueueDepth(watchdog_task, 1);
-    }
-    if (publisher.Due(end)) {
-      const IngestStats& stats = diversifier_->stats();
-      std::string status = "{";
-      AppendStatusField(&status, "mode", "batch");
-      AppendStatusField(&status, "posts_in", report.posts_in);
-      AppendStatusField(&status, "posts_out", report.posts_out);
-      AppendStatusField(&status, "comparisons", stats.comparisons);
-      AppendStatusField(&status, "kernel",
-                        kernels::GetKernelDispatchReport().active);
-      status.push_back('}');
-      publisher.Publish(end, o.metrics, diversifier_, {}, std::move(status));
-    }
-  }
-  if (watchdog_task >= 0) o.watchdog->SetQueueDepth(watchdog_task, 0);
-  const uint64_t wall_nanos = clock->NowNanos() - run_start;
-  report.wall_ms = static_cast<double>(wall_nanos) / 1e6;
-  report.decision_latency = latency.Summarize();
-  if (o.metrics != nullptr) {
-    RecordRunMetrics(o.metrics, report, latency, wall_nanos);
-    o.metrics->GetCounter("pipeline.candidates_pruned")
-        ->Add(diversifier_->stats().pruned - pruned_at_start);
-  }
-  if (publisher.enabled()) {
-    std::string status = "{";
-    AppendStatusField(&status, "mode", "drained");
-    AppendStatusField(&status, "posts_in", report.posts_in);
-    AppendStatusField(&status, "posts_out", report.posts_out);
-    AppendStatusField(&status, "kernel",
-                      kernels::GetKernelDispatchReport().active);
-    status.push_back('}');
-    publisher.Publish(clock->NowNanos(), o.metrics, diversifier_, {},
-                      std::move(status));
-  }
-  return report;
-}
-
 PipelineReport MultiUserPipeline::Run(PostSource& source,
                                       const PipelineObs& o) {
   const obs::Clock* clock = o.clock != nullptr ? o.clock : obs::RealClock();
@@ -220,48 +133,17 @@ PipelineReport MultiUserPipeline::Run(PostSource& source,
   LatencyRecorder latency;
   uint64_t deliveries = 0;
   const uint64_t run_start = clock->NowNanos();
-  if (o.batch_size > 1) {
-    // Burst path: one engine call and one latency sample per burst (see
-    // PipelineObs::batch_size); per-user outputs are identical.
-    std::vector<Post> burst;
-    burst.reserve(o.batch_size);
-    std::vector<MultiUserEngine::BatchDelivery> batch_delivered;
-    bool drained = false;
-    while (!drained) {
-      burst.clear();
-      Post next;
-      while (burst.size() < o.batch_size && source.Next(&next)) {
-        burst.push_back(next);
-      }
-      drained = burst.size() < o.batch_size;
-      if (burst.empty()) break;
-      report.posts_in += burst.size();
-      const uint64_t start = clock->NowNanos();
-      engine_->OfferBatch(burst, &batch_delivered);
-      latency.RecordNanos(clock->NowNanos() - start);
-      deliveries += batch_delivered.size();
-      uint32_t last_index = static_cast<uint32_t>(-1);
-      for (const MultiUserEngine::BatchDelivery& delivery : batch_delivered) {
-        if (delivery.post_index != last_index) {
-          ++report.posts_out;
-          last_index = delivery.post_index;
-        }
-        if (on_delivery_) on_delivery_(burst[delivery.post_index], delivery.user);
-      }
-    }
-  } else {
-    Post post;
-    std::vector<UserId> delivered;
-    while (source.Next(&post)) {
-      ++report.posts_in;
-      const uint64_t start = clock->NowNanos();
-      engine_->Offer(post, &delivered);
-      latency.RecordNanos(clock->NowNanos() - start);
-      if (!delivered.empty()) ++report.posts_out;
-      deliveries += delivered.size();
-      if (on_delivery_) {
-        for (UserId user : delivered) on_delivery_(post, user);
-      }
+  Post post;
+  std::vector<UserId> delivered;
+  while (source.Next(&post)) {
+    ++report.posts_in;
+    const uint64_t start = clock->NowNanos();
+    engine_->Offer(post, &delivered);
+    latency.RecordNanos(clock->NowNanos() - start);
+    if (!delivered.empty()) ++report.posts_out;
+    deliveries += delivered.size();
+    if (on_delivery_) {
+      for (UserId user : delivered) on_delivery_(post, user);
     }
   }
   const uint64_t wall_nanos = clock->NowNanos() - run_start;

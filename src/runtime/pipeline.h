@@ -40,16 +40,6 @@ struct PipelineObs {
   obs::FlightRecorder* flight = nullptr;
   obs::Watchdog* watchdog = nullptr;
   uint64_t publish_interval_nanos = 50'000'000;  // 50 ms
-
-  /// Posts per engine call. With batch_size > 1 (and no durable session —
-  /// the WAL path stays per-post so replay points keep post granularity),
-  /// the run drains the source in bursts through OfferBatch: one clock
-  /// read, one flight span, one watchdog report and one
-  /// decision_comparisons sample per burst instead of per post. The
-  /// admitted sub-stream and the engine's stats are identical to
-  /// batch_size == 1; only the per-post latency/comparison histograms
-  /// coarsen to per-burst granularity.
-  size_t batch_size = 1;
 };
 
 /// Optional durability hooks for a pipeline run. When `session` is set,
@@ -157,8 +147,6 @@ class Pipeline {
                      const PipelineDur& d = {});
 
  private:
-  PipelineReport RunBatched(PostSource& source, const PipelineObs& o);
-
   Diversifier* diversifier_;
   PostSink* sink_;
 };

@@ -1,11 +1,10 @@
 #include "src/runtime/sharded.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <thread>
+#include <utility>
 
-#include "src/author/clique_cover.h"
+#include "src/core/component_table.h"
 #include "src/obs/clock.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/timer.h"
@@ -14,26 +13,11 @@ namespace firehose {
 
 namespace {
 
-/// One shard's share of the work: a subset of components with their own
-/// diversifiers, scanned over the whole stream. All observability state
-/// is shard-private; the main thread merges it after the join.
+/// One shard's share of the work: a table over a subset of components,
+/// scanned over the whole stream. All observability state is
+/// shard-private; the main thread merges it after the join.
 struct Shard {
-  // Heap-allocated and never moved after Init: `diversifier` keeps a
-  // pointer into `graph`/`cover`, so the component's address must be
-  // stable (mirrors OwnedDiversifier's deleted move in multi_user.cc).
-  struct ShardComponent {
-    std::vector<AuthorId> authors;  // sorted
-    std::vector<UserId> users;
-    AuthorGraph graph;
-    std::unique_ptr<CliqueCover> cover;
-    std::unique_ptr<Diversifier> diversifier;
-
-    ShardComponent() = default;
-    ShardComponent(ShardComponent&&) = delete;
-  };
-  std::vector<std::unique_ptr<ShardComponent>> components;
-  // author -> indices into `components` (only this shard's).
-  std::vector<std::vector<uint32_t>> author_components;
+  ComponentTable table;
   // Everything below is written only by this shard's worker thread
   // between spawn and join; the main thread merges after the join. No
   // locks by design — the annotations record the confinement contract,
@@ -64,12 +48,11 @@ struct Shard {
         o.watchdog->SetQueueDepth(
             watchdog_task, static_cast<int64_t>(stream.size() - scanned));
       }
-      if (post.author >= author_components.size()) continue;
-      for (uint32_t index : author_components[post.author]) {
-        ShardComponent& c = *components[index];
+      for (size_t index : table.ComponentsOf(post.author)) {
+        ComponentTable::Component& c = table.component(index);
         ++posts_in;
         const uint64_t start = clock.NowNanos();
-        const bool admitted = c.diversifier->Offer(post);
+        const bool admitted = c.diversifier().Offer(post);
         const uint64_t end = clock.NowNanos();
         latency.RecordNanos(end - start);
         if (o.flight != nullptr) {
@@ -81,9 +64,7 @@ struct Shard {
       }
     }
     if (watchdog_task >= 0) o.watchdog->SetQueueDepth(watchdog_task, 0);
-    for (const auto& c : components) {
-      stats.MergeFrom(c->diversifier->stats());
-    }
+    stats = table.MergedStats();
     metrics.GetCounter("sharded.posts_in")->Add(posts_in);
     metrics.GetCounter("sharded.comparisons")->Add(stats.comparisons);
     metrics.GetCounter("sharded.candidates_pruned")->Add(stats.pruned);
@@ -109,33 +90,16 @@ ShardedRunResult RunShardedSUser(
 
   // Partition the distinct components round-robin across shards.
   std::vector<Shard> shards(static_cast<size_t>(result.num_shards));
-  AuthorId max_author = 0;
   {
+    std::vector<std::vector<SharedComponent>> parts(shards.size());
     size_t next = 0;
     for (SharedComponent& shared :
          ComputeSharedComponents(thresholds, graph, users)) {
-      Shard& shard = shards[next % shards.size()];
-      ++next;
-      shard.components.push_back(std::make_unique<Shard::ShardComponent>());
-      Shard::ShardComponent& c = *shard.components.back();
-      c.authors = std::move(shared.authors);
-      c.users = std::move(shared.users);
-      c.graph = graph.InducedSubgraph(c.authors);
-      if (algorithm == Algorithm::kCliqueBin) {
-        obs::TraceScope cover_span(o.trace, "CliqueCover::Greedy", "cover");
-        c.cover = std::make_unique<CliqueCover>(CliqueCover::Greedy(c.graph));
-      }
-      c.diversifier = MakeDiversifier(algorithm, shared.thresholds, &c.graph,
-                                      c.cover.get());
-      for (AuthorId a : c.authors) max_author = std::max(max_author, a);
+      parts[next++ % parts.size()].push_back(std::move(shared));
     }
-    for (Shard& shard : shards) {
-      shard.author_components.assign(static_cast<size_t>(max_author) + 1, {});
-      for (uint32_t i = 0; i < shard.components.size(); ++i) {
-        for (AuthorId a : shard.components[i]->authors) {
-          shard.author_components[a].push_back(i);
-        }
-      }
+    for (uint32_t s = 0; s < shards.size(); ++s) {
+      obs::TraceScope build_span(o.trace, "Shard.build", "shard", s);
+      shards[s].table = ComponentTable(algorithm, graph, std::move(parts[s]));
     }
   }
 

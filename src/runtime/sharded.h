@@ -38,9 +38,9 @@ struct ShardedRunResult {
 /// reports scan progress plus the undrained stream suffix as its queue
 /// depth; `o.flight` records per-offer spans with tid = shard index.
 ///
-/// Each shard owns a subset of the distinct components (round-robin by
-/// component discovery order) and scans the shared read-only stream,
-/// offering each post to its own components only. Deliveries are merged
+/// Each shard holds a ComponentTable over a subset of the distinct
+/// components (round-robin by component discovery order) and scans the
+/// shared read-only stream, offering each post to its own components only. Deliveries are merged
 /// and returned sorted by (post, user), which equals the sequential
 /// engine's delivery multiset.
 ///
@@ -49,8 +49,8 @@ struct ShardedRunResult {
 /// Observability: every shard owns a private obs::MetricsRegistry and
 /// LatencyRecorder (no cross-thread metric writes); after the join they
 /// merge into `o.metrics` in shard order, so counters are deterministic
-/// for a fixed shard count. `o.trace` (thread-safe) gets one scan span
-/// per shard with tid = shard index. `o.clock` must be thread-safe when
+/// for a fixed shard count. `o.trace` (thread-safe) gets one table-build
+/// span and one scan span per shard with tid = shard index. `o.clock` must be thread-safe when
 /// `num_shards > 1` (the default monotonic clock is; ManualClock is not).
 ShardedRunResult RunShardedSUser(
     Algorithm algorithm, const DiversityThresholds& thresholds,

@@ -35,20 +35,6 @@ void PostBin::Push(const BinEntry& entry) {
   ++pushes_;
 }
 
-void PostBin::PushBatch(std::span<const BinEntry> entries) {
-  if (entries.empty()) return;
-  if (size_ + entries.size() > time_.size()) Grow(size_ + entries.size());
-  for (const BinEntry& entry : entries) {
-    const size_t slot = (head_ + size_) & mask_;
-    time_[slot] = entry.time_ms;
-    hash_[slot] = entry.simhash;
-    author_[slot] = entry.author;
-    id_[slot] = entry.post_id;
-    ++size_;
-  }
-  pushes_ += entries.size();
-}
-
 size_t PostBin::Segments(LaneSpan out[2]) const {
   if (size_ == 0) return 0;
   const size_t capacity = time_.size();

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/util/binary.h"
@@ -55,13 +54,6 @@ class PostBin {
   /// Appends an entry. Entries must arrive in non-decreasing `time_ms`
   /// order (streams are time-ordered); violating this breaks eviction.
   void Push(const BinEntry& entry);
-
-  /// Appends a run of entries (same ordering contract as Push). Grows at
-  /// most once — straight to a capacity that fits the whole run — so a
-  /// burst pays one reallocation instead of log2(burst) of them.
-  /// Equivalent to calling Push per entry: same final ring state, same
-  /// pushes() count.
-  void PushBatch(std::span<const BinEntry> entries);
 
   /// Removes all entries with time_ms < cutoff_ms. Returns the number of
   /// evicted entries. O(log size): the λt boundary is binary-searched in

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -68,16 +69,22 @@ std::vector<std::vector<PostId>> ExpectedTimelines(const Workload& w,
   return timelines;
 }
 
-class NetServeTest : public ::testing::Test {
+/// The equivalence tests (TEST_P) run once per algorithm, so the served
+/// tables are built both with a clique cover (CliqueBin) and without one.
+class NetServeTest : public ::testing::TestWithParam<Algorithm> {
  protected:
   void SetUp() override {
     workload_ = MakeWorkload();
     ASSERT_GT(workload_.users.size(), 50u);
     ASSERT_GT(workload_.stream.size(), 300u);
-    std::filesystem::remove_all(kDataDir);
+    // One directory per test: ctest runs the discovered tests in parallel.
+    data_dir_ = std::string("net_serve_test_data_") +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(data_dir_.begin(), data_dir_.end(), '/', '_');
+    std::filesystem::remove_all(data_dir_);
   }
 
-  void TearDown() override { std::filesystem::remove_all(kDataDir); }
+  void TearDown() override { std::filesystem::remove_all(data_dir_); }
 
   /// Follows + seals the §6.3 population through `client`.
   void SealUsers(ServeClient& client) {
@@ -106,21 +113,28 @@ class NetServeTest : public ::testing::Test {
     }
   }
 
-  ServeOptions Options(uint32_t num_shards, const std::string& data_dir = "") {
+  ServeOptions Options(uint32_t num_shards, const std::string& data_dir = "",
+                       Algorithm algorithm = Algorithm::kCliqueBin) {
     ServeOptions options;
     options.num_shards = num_shards;
-    options.algorithm = Algorithm::kCliqueBin;
+    options.algorithm = algorithm;
     options.data_dir = data_dir;
     options.wal_sync = "none";  // graceful Stop closes cleanly regardless
     return options;
   }
 
-  static constexpr const char* kDataDir = "net_serve_test_data";
+  std::string data_dir_;
   Workload workload_;
 };
 
-TEST_F(NetServeTest, ServedTimelinesEqualSequentialEngineOneShard) {
-  Server server(Options(1), &workload_.graph);
+INSTANTIATE_TEST_SUITE_P(Algorithms, NetServeTest,
+                         ::testing::ValuesIn(kAllAlgorithms),
+                         [](const ::testing::TestParamInfo<Algorithm>& info) {
+                           return std::string(AlgorithmName(info.param));
+                         });
+
+TEST_P(NetServeTest, ServedTimelinesEqualSequentialEngineOneShard) {
+  Server server(Options(1, "", GetParam()), &workload_.graph);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -133,14 +147,14 @@ TEST_F(NetServeTest, ServedTimelinesEqualSequentialEngineOneShard) {
   SealUsers(client);
   SendStream(client);
   const auto expected =
-      ExpectedTimelines(workload_, Algorithm::kCliqueBin, DiversityThresholds{});
+      ExpectedTimelines(workload_, GetParam(), DiversityThresholds{});
   ExpectServedTimelinesMatch(client, expected);
   client.Disconnect();
   server.Stop();
 }
 
-TEST_F(NetServeTest, ServedTimelinesEqualSequentialEngineThreeShards) {
-  Server server(Options(3), &workload_.graph);
+TEST_P(NetServeTest, ServedTimelinesEqualSequentialEngineThreeShards) {
+  Server server(Options(3, "", GetParam()), &workload_.graph);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -152,7 +166,7 @@ TEST_F(NetServeTest, ServedTimelinesEqualSequentialEngineThreeShards) {
   SealUsers(client);
   SendStream(client);
   const auto expected =
-      ExpectedTimelines(workload_, Algorithm::kCliqueBin, DiversityThresholds{});
+      ExpectedTimelines(workload_, GetParam(), DiversityThresholds{});
   ExpectServedTimelinesMatch(client, expected);
   client.Disconnect();
   server.Stop();
@@ -166,7 +180,7 @@ TEST_F(NetServeTest, ServedTimelinesEqualSequentialEngineThreeShards) {
 TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {
   uint64_t first_ingested = 0;
   {
-    Server server(Options(2, kDataDir), &workload_.graph);
+    Server server(Options(2, data_dir_), &workload_.graph);
     std::string error;
     ASSERT_TRUE(server.Start(&error)) << error;
     ServeClient client;
@@ -185,7 +199,7 @@ TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {
   // Second incarnation over the same data_dir: recovers the sealed
   // subscription state and every durable post, so the full resend is
   // entirely duplicates and the timelines don't change.
-  Server server(Options(2, kDataDir), &workload_.graph);
+  Server server(Options(2, data_dir_), &workload_.graph);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   EXPECT_TRUE(server.sealed()) << "seal record not recovered";
