@@ -33,6 +33,14 @@ sockaddr_in LoopbackAddr(int port) {
   return addr;
 }
 
+/// Turns off Nagle's algorithm: the serve protocol writes a small flush
+/// or poll frame right behind a large post batch and then waits for the
+/// reply, which Nagle would hold back until the peer's delayed ACK.
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 /// poll() one fd for `events`, retrying EINTR against the remaining
 /// deadline. Returns >0 ready, 0 timeout, <0 hard error.
 int PollFd(int fd, short events, int timeout_ms) {
@@ -90,7 +98,10 @@ OwnedFd AcceptWithTimeout(int listen_fd, int timeout_ms) {
         PollFd(listen_fd, POLLIN, static_cast<int>(remaining));
     if (ready <= 0) return OwnedFd();  // timeout or listener gone
     const int conn = ::accept(listen_fd, nullptr, nullptr);
-    if (conn >= 0) return OwnedFd(conn);
+    if (conn >= 0) {
+      SetNoDelay(conn);
+      return OwnedFd(conn);
+    }
     // EINTR: retry within the deadline. ECONNABORTED/EAGAIN: the pending
     // client vanished between poll and accept — wait for the next one.
     if (errno != EINTR && errno != ECONNABORTED && errno != EAGAIN &&
@@ -108,6 +119,7 @@ OwnedFd ConnectLoopback(int port, int io_timeout_ms) {
   for (;;) {
     if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
                   sizeof(addr)) == 0) {
+      SetNoDelay(fd.get());
       return fd;
     }
     if (errno != EINTR) return OwnedFd();

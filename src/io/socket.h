@@ -13,8 +13,9 @@ namespace firehose {
 /// (src/io/http) and the serving layer (src/net). All raw socket
 /// syscalls in the tree live here, so the layers above stay
 /// syscall-free and every accept/read path gets the same hardening:
-/// SO_REUSEADDR on listeners, EINTR retries everywhere, and explicit
-/// deadlines so a stalled or dribbling peer can never wedge a loop.
+/// SO_REUSEADDR on listeners, TCP_NODELAY on connections, EINTR retries
+/// everywhere, and explicit deadlines so a stalled or dribbling peer can
+/// never wedge a loop.
 ///
 /// Everything binds/connects 127.0.0.1 only: the firehose service ports
 /// are operator/loadgen ports, not internet-facing ones, and keeping
@@ -63,12 +64,14 @@ class OwnedFd {
 /// Waits up to `timeout_ms` for a pending connection and accepts it.
 /// EINTR during the wait or the accept itself is retried within the
 /// remaining budget — a signal must never look like "no client".
-/// Returns an invalid OwnedFd on timeout or listener error.
+/// The accepted socket has TCP_NODELAY set. Returns an invalid OwnedFd
+/// on timeout or listener error.
 [[nodiscard]] OwnedFd AcceptWithTimeout(int listen_fd, int timeout_ms);
 
-/// Blocking connect to 127.0.0.1:`port`. Returns an invalid OwnedFd on
-/// failure. `io_timeout_ms` > 0 also arms SO_RCVTIMEO/SO_SNDTIMEO on
-/// the new socket so later reads/writes cannot block forever.
+/// Blocking connect to 127.0.0.1:`port`, with TCP_NODELAY set on the
+/// connected socket. Returns an invalid OwnedFd on failure.
+/// `io_timeout_ms` > 0 also arms SO_RCVTIMEO/SO_SNDTIMEO on the new
+/// socket so later reads/writes cannot block forever.
 [[nodiscard]] OwnedFd ConnectLoopback(int port, int io_timeout_ms);
 
 /// Arms per-call send/receive timeouts on `fd` (milliseconds; <= 0

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <csignal>
 #include <mutex>
+#include <span>
 
 #include "src/core/kernels/dispatch.h"
 
@@ -35,6 +36,28 @@ std::string ShardWalDir(const std::string& data_dir, uint32_t shard) {
   return data_dir + "/shard-" + std::to_string(shard);
 }
 
+/// Appends the ids of the sorted, pairwise disjoint `lists` to `*out` in
+/// ascending order, skipping the first `skip` of them, so only the
+/// suffix is copied.
+void MergeSuffix(std::vector<std::span<const PostId>> lists, uint64_t skip,
+                 std::vector<PostId>* out) {
+  for (;;) {
+    std::span<const PostId>* next = nullptr;
+    for (std::span<const PostId>& list : lists) {
+      if (!list.empty() && (next == nullptr || list.front() < next->front())) {
+        next = &list;
+      }
+    }
+    if (next == nullptr) return;
+    if (skip > 0) {
+      --skip;
+    } else {
+      out->push_back(next->front());
+    }
+    *next = next->subspan(1);
+  }
+}
+
 }  // namespace
 
 // ShardCmd/Barrier live in internal (not the anonymous namespace):
@@ -43,16 +66,14 @@ std::string ShardWalDir(const std::string& data_dir, uint32_t shard) {
 // -Wsubobject-linkage under the werror preset.
 namespace internal {
 
-/// Rendezvous for poll/flush barriers: the dispatcher broadcasts one
-/// command per shard, then sleeps here until every worker arrived.
+/// Rendezvous for flush barriers: the dispatcher broadcasts one command
+/// per shard, then sleeps here until every worker arrived.
 struct Barrier {
-  explicit Barrier(uint32_t shards)
-      : pending(shards), per_shard(shards) {}
+  explicit Barrier(uint32_t shards) : pending(shards) {}
 
   std::mutex mu;
   std::condition_variable cv;
   uint32_t pending;
-  std::vector<std::vector<PostId>> per_shard;  ///< poll results
   uint64_t ingested = 0;    ///< flush totals
   uint64_t duplicates = 0;  ///< flush totals
 
@@ -63,18 +84,18 @@ struct Barrier {
 };
 
 struct ShardCmd {
-  enum class Kind : uint8_t { kStop, kPost, kPoll, kFlush };
+  enum class Kind : uint8_t { kStop, kPost, kFlush };
   Kind kind = Kind::kStop;
-  Post post;            // kPost
-  UserId user = 0;      // kPoll
-  Barrier* barrier = nullptr;  // kPoll / kFlush
+  Post post;                   // kPost
+  Barrier* barrier = nullptr;  // kFlush
 };
 
 /// One shard: a consumer thread exclusively owning a ComponentTable over
-/// a subset of the shared components, the timelines of every user
-/// (populated only for posts this shard admits) and the shard's WAL.
-/// Structure mirrors runtime/sharded.cc's Shard; lifetime is the server,
-/// not one batch run.
+/// a subset of the shared components and the shard's WAL, plus the
+/// timelines of every user (populated only for posts this shard admits)
+/// behind a mutex the dispatcher takes to answer polls. Structure
+/// mirrors runtime/sharded.cc's Shard; lifetime is the server, not one
+/// batch run.
 class ShardWorker {
  public:
   ShardWorker(uint32_t index, const ServeOptions& options,
@@ -140,6 +161,26 @@ class ShardWorker {
     while (!queue_.TryPush(cmd)) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
+    ++routed_;
+  }
+
+  /// Waits until the worker finished every command routed to it, so its
+  /// timelines hold every post the dispatcher received before the call.
+  void AwaitDrained() const {
+    while (finished_.load(std::memory_order_acquire) < routed_) {
+      std::this_thread::yield();
+    }
+  }
+
+  /// Locks this shard's timelines into `*lock` and returns `user`'s
+  /// list, which stays valid while the lock is held.
+  std::span<const PostId> LockTimeline(UserId user,
+                                       std::unique_lock<std::mutex>* lock) {
+    std::unique_lock<std::mutex> held(timelines_mu_);
+    std::span<const PostId> timeline;
+    if (user < timelines_.size()) timeline = timelines_[user];
+    *lock = std::move(held);
+    return timeline;
   }
 
   void Join() {
@@ -163,9 +204,10 @@ class ShardWorker {
   size_t queue_depth() const { return queue_.ApproxSize(); }
 
  private:
-  /// The one ingest path: WAL append (when durable), then offer to this
-  /// shard's components in routing order, appending to the timelines of
-  /// every admitting component's users, then the watermark. Runs on the
+  /// The one ingest path: WAL append (when durable), then, under the
+  /// timeline lock, offer to this shard's components in routing order,
+  /// appending to the timelines of every admitting component's users,
+  /// then the watermark. Runs on the
   /// worker thread in steady state and on the recovery thread during
   /// replay (before the worker exists and the writer is open).
   void Ingest(const Post& post) {
@@ -177,6 +219,7 @@ class ShardWorker {
     }
     const obs::Clock* clock =
         options_.flight != nullptr ? obs::RealClock() : nullptr;
+    std::lock_guard<std::mutex> lock(timelines_mu_);
     for (size_t index : table_.ComponentsOf(post.author)) {
       ComponentTable::Component& c = table_.component(index);
       const uint64_t start = clock != nullptr ? clock->NowNanos() : 0;
@@ -230,14 +273,6 @@ class ShardWorker {
             Ingest(cmd.post);
           }
           break;
-        case ShardCmd::Kind::kPoll: {
-          std::vector<PostId> timeline;
-          if (cmd.user < timelines_.size()) timeline = timelines_[cmd.user];
-          std::lock_guard<std::mutex> lock(cmd.barrier->mu);
-          cmd.barrier->per_shard[index_] = std::move(timeline);
-          if (--cmd.barrier->pending == 0) cmd.barrier->cv.notify_all();
-          break;
-        }
         case ShardCmd::Kind::kFlush: {
           if (wal_ != nullptr && !wal_->Sync()) {
             wal_failures_.fetch_add(1, std::memory_order_seq_cst);
@@ -251,6 +286,7 @@ class ShardWorker {
           break;
         }
       }
+      finished_.fetch_add(1, std::memory_order_release);
     }
   }
 
@@ -261,17 +297,25 @@ class ShardWorker {
   // exclusive phase), then owned by the worker thread until Join. The
   // thread-confinement pass enforces this statically.
   ComponentTable table_ FIREHOSE_THREAD_OWNED(shard_worker);
-  std::vector<std::vector<PostId>> timelines_
-      FIREHOSE_THREAD_OWNED(shard_worker);
 
   std::unique_ptr<dur::SyncPolicy> sync_ FIREHOSE_THREAD_OWNED(shard_worker);
   std::unique_ptr<dur::WalWriter> wal_ FIREHOSE_THREAD_OWNED(shard_worker);
   /// Highest post id ingested (WAL'd + offered); -1 = none yet.
   int64_t watermark_ FIREHOSE_THREAD_OWNED(shard_worker) = -1;
 
+  // Written by the worker once per post, read by the dispatcher once
+  // per poll, after AwaitDrained; never contended.
+  std::mutex timelines_mu_;
+  std::vector<std::vector<PostId>> timelines_
+      FIREHOSE_GUARDED_BY(timelines_mu_);
+
   SpscQueue<ShardCmd> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
       FIREHOSE_CONSUMER_ONLY(shard_worker);
   std::thread thread_;
+  /// Commands pushed by the dispatcher, and commands the worker finished
+  /// (published with release, so a poll that sees them sees their posts).
+  uint64_t routed_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
+  std::atomic<uint64_t> finished_{0};
 
   std::atomic<uint64_t> ingested_{0};
   std::atomic<uint64_t> duplicates_{0};
@@ -600,25 +644,20 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
       timeline.type = MsgType::kTimeline;
       timeline.user = message.user;
       timeline.since = message.since;
-      internal::Barrier barrier(static_cast<uint32_t>(shards_.size()));
-      internal::ShardCmd cmd;
-      cmd.kind = internal::ShardCmd::Kind::kPoll;
-      cmd.user = message.user;
-      cmd.barrier = &barrier;
-      for (auto& shard : shards_) shard->PushBlocking(cmd);
-      barrier.Wait();
-      // A user's components have disjoint author sets, so the shard
-      // lists are disjoint; the sorted merge is the exact timeline.
-      std::vector<PostId>& merged = timeline.post_ids;
-      for (std::vector<PostId>& part : barrier.per_shard) {
-        merged.insert(merged.end(), part.begin(), part.end());
-      }
-      std::sort(merged.begin(), merged.end());
-      if (message.since < merged.size()) {
-        merged.erase(merged.begin(),
-                     merged.begin() + static_cast<long>(message.since));
-      } else {
-        merged.clear();
+      {
+        // Once every shard finished the posts routed before this poll,
+        // its lists hold every earlier post. A user's components have
+        // disjoint author sets, so the shard lists are disjoint and
+        // their merge is the exact timeline. The locks are taken in
+        // shard order and a worker only ever holds its own, so this
+        // cannot deadlock.
+        std::vector<std::unique_lock<std::mutex>> locks(shards_.size());
+        std::vector<std::span<const PostId>> lists;
+        for (size_t s = 0; s < shards_.size(); ++s) {
+          shards_[s]->AwaitDrained();
+          lists.push_back(shards_[s]->LockTimeline(message.user, &locks[s]));
+        }
+        MergeSuffix(std::move(lists), message.since, &timeline.post_ids);
       }
       return SendMessage(fd, timeline);
     }

@@ -70,9 +70,14 @@ struct ServeStats {
 /// loadgen is a single client; this is a reproduction testbed, not a
 /// production frontend). The dispatcher is the single producer of every
 /// shard's SpscQueue<ShardCmd>; each shard worker thread is the single
-/// consumer of its own queue and exclusively owns its ComponentTable,
-/// timelines and WAL — the same thread-confinement contract as
-/// RunShardedSUser, extended to long-lived workers.
+/// consumer of its own queue and exclusively owns its ComponentTable and
+/// WAL — the same thread-confinement contract as RunShardedSUser,
+/// extended to long-lived workers. A worker's timelines sit behind its
+/// own mutex: the worker appends under it once per post, and the
+/// dispatcher answers a poll itself, without a queued command, by
+/// waiting until every shard finished the commands routed before the
+/// poll and then merging the shards' lists under their locks. Flush
+/// stays a barrier through the queues, since each worker syncs its WAL.
 ///
 /// Placement: shared components (never single authors) are placed on
 /// shards by consistent hashing of their sorted author set, so a

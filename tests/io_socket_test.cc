@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <string>
 #include <thread>
 
@@ -51,6 +55,22 @@ TEST(IoSocketTest, ReuseAddrAllowsImmediateRebind) {
   const OwnedFd again = ListenLoopback(port, 4, &rebound_port);
   EXPECT_TRUE(again.valid()) << "SO_REUSEADDR rebind failed for " << port;
   EXPECT_EQ(rebound_port, port);
+}
+
+/// Reads TCP_NODELAY back from `fd`; -1 when getsockopt fails.
+int NoDelay(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) {
+    return -1;
+  }
+  return value;
+}
+
+TEST(IoSocketTest, BothEndsDisableNagle) {
+  const LoopbackPair pair = MakePair();
+  EXPECT_GT(NoDelay(pair.client.get()), 0) << "connected side";
+  EXPECT_GT(NoDelay(pair.server.get()), 0) << "accepted side";
 }
 
 TEST(IoSocketTest, AcceptTimesOutWithoutAClient) {

@@ -2,8 +2,10 @@
 // real Server on an ephemeral loopback port, driven by ServeClient.
 // The core property is exactness — for any shard count, the timelines
 // served over the socket equal the sequential S_* engine's per-user
-// deliveries byte for byte — plus durability (graceful stop, restart,
-// resend, dedupe) and protocol error handling.
+// deliveries byte for byte — plus the poll contract (a poll sees every
+// post sent before it, flushed or not, and `since` selects the suffix),
+// durability (graceful stop, restart, resend, dedupe) and protocol
+// error handling.
 
 #include <gtest/gtest.h>
 
@@ -227,33 +229,91 @@ TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {
 }
 
 TEST_F(NetServeTest, PollSinceReturnsTheSuffix) {
-  Server server(Options(2), &workload_.graph);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  ServeClient client;
-  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
-  SealUsers(client);
-  SendStream(client);
-
-  // Find a user with a few deliveries and page through their timeline.
   const auto expected =
       ExpectedTimelines(workload_, Algorithm::kCliqueBin, DiversityThresholds{});
-  for (const User& user : workload_.users) {
-    if (expected[user.id].size() < 3) continue;
-    const auto& want = expected[user.id];
-    std::vector<PostId> suffix;
-    ASSERT_TRUE(client.Poll(user.id, 2, &suffix)) << client.last_error();
-    EXPECT_EQ(suffix, std::vector<PostId>(want.begin() + 2, want.end()));
+  // The users with the longest timelines, which are the likeliest to
+  // have components on more than one shard.
+  std::vector<UserId> paged;
+  for (const User& user : workload_.users) paged.push_back(user.id);
+  std::partial_sort(paged.begin(), paged.begin() + 4, paged.end(),
+                    [&](UserId a, UserId b) {
+                      return expected[a].size() > expected[b].size();
+                    });
+  paged.resize(4);
+  ASSERT_GE(expected[paged.back()].size(), 3u);
 
-    std::vector<PostId> past_end;
-    ASSERT_TRUE(client.Poll(user.id,
-                            static_cast<uint32_t>(want.size()) + 10,
-                            &past_end));
-    EXPECT_TRUE(past_end.empty());
-    break;
+  for (const uint32_t num_shards : {2u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << num_shards << " shards");
+    Server server(Options(num_shards), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    SealUsers(client);
+    SendStream(client);
+
+    for (const UserId user : paged) {
+      const auto& want = expected[user];
+      const uint32_t size = static_cast<uint32_t>(want.size());
+      for (uint32_t since = 0; since <= size + 1; ++since) {
+        std::vector<PostId> suffix;
+        ASSERT_TRUE(client.Poll(user, since, &suffix)) << client.last_error();
+        EXPECT_EQ(suffix, std::vector<PostId>(
+                              want.begin() + std::min(since, size), want.end()))
+            << "user " << user << " since " << since;
+      }
+      std::vector<PostId> past_end;
+      ASSERT_TRUE(client.Poll(user, size + 10, &past_end));
+      EXPECT_TRUE(past_end.empty());
+    }
+    client.Disconnect();
+    server.Stop();
   }
-  client.Disconnect();
-  server.Stop();
+}
+
+TEST_F(NetServeTest, PollsWithoutFlushSeeEveryEarlierPost) {
+  // A poll must see every post sent before it, flushed or not. Poll a
+  // rotating handful of users every kPollEvery posts and every user at
+  // the end, with no Flush anywhere, against the sequential engine fed
+  // the same prefix.
+  constexpr size_t kPollEvery = 40;
+  constexpr UserId kStride = 7;
+  const size_t num_users = workload_.users.size();
+  for (const uint32_t num_shards : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << num_shards << " shards");
+    Server server(Options(num_shards), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    SealUsers(client);
+
+    auto engine = MakeSUserEngine(Algorithm::kCliqueBin, DiversityThresholds{},
+                                  workload_.graph, workload_.users);
+    std::vector<std::vector<PostId>> expected(num_users);
+    std::vector<UserId> delivered;
+    const auto expect_polls = [&](UserId first, UserId stride, size_t sent) {
+      for (UserId user = first; user < num_users; user += stride) {
+        std::vector<PostId> served;
+        ASSERT_TRUE(client.Poll(user, 0, &served)) << client.last_error();
+        EXPECT_EQ(served, expected[user])
+            << "user " << user << " after " << sent << " posts";
+      }
+    };
+    size_t sent = 0;
+    for (const Post& post : workload_.stream) {
+      ASSERT_TRUE(client.SendPost(post)) << client.last_error();
+      engine->Offer(post, &delivered);
+      for (const UserId user : delivered) expected[user].push_back(post.id);
+      if (++sent % kPollEvery == 0) {
+        expect_polls(static_cast<UserId>(sent / kPollEvery % kStride), kStride,
+                     sent);
+      }
+    }
+    expect_polls(0, 1, sent);
+    client.Disconnect();
+    server.Stop();
+  }
 }
 
 TEST_F(NetServeTest, ProtocolErrorsAreReportedNotFatalToTheServer) {

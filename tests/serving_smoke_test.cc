@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -40,6 +39,20 @@ std::string Slurp(const std::string& path) {
 class ServingSmokeTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Every file is named after the test, so tests never share state
+    // even when they run at the same time.
+    const std::string prefix =
+        std::string("serving_smoke_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_";
+    social_path_ = prefix + "social.bin";
+    graph_path_ = prefix + "graph.bin";
+    stream_path_ = prefix + "stream.bin";
+    port_file_ = prefix + "port";
+    pid_file_ = prefix + "pid";
+    data_dir_ = prefix + "data";
+    serve_log_ = prefix + "serve.log";
+    loadgen_log_ = prefix + "loadgen.log";
+    bench_path_ = prefix + "bench.json";
     CleanArtifacts();
 
     SocialGraphOptions social_options;
@@ -62,9 +75,9 @@ class ServingSmokeTest : public ::testing::Test {
     ASSERT_GT(stream.size(), 400u);
     stream_size_ = stream.size();
 
-    ASSERT_TRUE(SaveFollowGraph(social, kSocialPath));
-    ASSERT_TRUE(SaveAuthorGraph(graph, kGraphPath));
-    ASSERT_TRUE(SavePostStream(stream, kStreamPath));
+    ASSERT_TRUE(SaveFollowGraph(social, social_path_));
+    ASSERT_TRUE(SaveAuthorGraph(graph, graph_path_));
+    ASSERT_TRUE(SavePostStream(stream, stream_path_));
   }
 
   void TearDown() override {
@@ -73,46 +86,44 @@ class ServingSmokeTest : public ::testing::Test {
   }
 
   void CleanArtifacts() {
-    std::filesystem::remove_all(kDataDir);
-    for (const char* path :
-         {kSocialPath, kGraphPath, kStreamPath, kPortFile, kPidFile,
-          "serving_smoke_serve.log", "serving_smoke_loadgen.log",
-          "serving_smoke_bench.json"}) {
-      std::remove(path);
+    std::filesystem::remove_all(data_dir_);
+    for (const std::string& path :
+         {social_path_, graph_path_, stream_path_, port_file_, pid_file_,
+          serve_log_, loadgen_log_, bench_path_}) {
+      std::filesystem::remove(path);
     }
   }
 
   /// Spawns the server in the background (shell `&`), recording its pid.
   /// `env` is a NAME=value prefix reaching only the server process.
   void StartServer(const std::string& env, const std::string& extra_flags) {
-    std::remove(kPortFile);
+    std::filesystem::remove(port_file_);
     const std::string command =
         env + (env.empty() ? "" : " ") + "\"" + FIREHOSE_SERVE_BIN +
-        "\" --graph=" + kGraphPath + " --port=0 --port_file=" + kPortFile +
-        " " + extra_flags + " >> serving_smoke_serve.log 2>&1 & echo $! > " +
-        kPidFile;
+        "\" --graph=" + graph_path_ + " --port=0 --port_file=" + port_file_ +
+        " " + extra_flags + " >> " + serve_log_ + " 2>&1 & echo $! > " +
+        pid_file_;
     ASSERT_EQ(std::system(command.c_str()), 0);
     // --port_file is written after a successful bind, so its appearance
     // doubles as the readiness signal.
     for (int i = 0; i < 500; ++i) {
-      if (std::filesystem::exists(kPortFile)) return;
+      if (std::filesystem::exists(port_file_)) return;
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-    FAIL() << "server never wrote " << kPortFile << ":\n"
-           << Slurp("serving_smoke_serve.log");
+    FAIL() << "server never wrote " << port_file_ << ":\n"
+           << Slurp(serve_log_);
   }
 
   /// True while the background server process is alive.
   bool ServerAlive() {
-    const std::string probe =
-        "kill -0 $(cat " + std::string(kPidFile) + ") 2> /dev/null";
+    const std::string probe = "kill -0 $(cat " + pid_file_ + ") 2> /dev/null";
     return std::system(probe.c_str()) == 0;
   }
 
   void KillServerIfRunning() {
-    if (!std::filesystem::exists(kPidFile)) return;
+    if (!std::filesystem::exists(pid_file_)) return;
     const std::string kill_cmd =
-        "kill -9 $(cat " + std::string(kPidFile) + ") 2> /dev/null";
+        "kill -9 $(cat " + pid_file_ + ") 2> /dev/null";
     (void)std::system(kill_cmd.c_str());
   }
 
@@ -129,33 +140,36 @@ class ServingSmokeTest : public ::testing::Test {
   int RunLoadgen(const std::string& extra_flags) {
     const std::string command =
         std::string("\"") + FIREHOSE_LOADGEN_BIN + "\" --port_file=" +
-        kPortFile + " --social=" + kSocialPath + " --stream=" + kStreamPath +
-        " " + extra_flags + " > serving_smoke_loadgen.log 2>&1";
+        port_file_ + " --social=" + social_path_ + " --stream=" +
+        stream_path_ + " " + extra_flags + " > " + loadgen_log_ + " 2>&1";
     return std::system(command.c_str());
   }
 
-  static constexpr const char* kSocialPath = "serving_smoke_social.bin";
-  static constexpr const char* kGraphPath = "serving_smoke_graph.bin";
-  static constexpr const char* kStreamPath = "serving_smoke_stream.bin";
-  static constexpr const char* kPortFile = "serving_smoke_port";
-  static constexpr const char* kPidFile = "serving_smoke_pid";
-  static constexpr const char* kDataDir = "serving_smoke_data";
+  std::string social_path_;
+  std::string graph_path_;
+  std::string stream_path_;
+  std::string port_file_;
+  std::string pid_file_;
+  std::string data_dir_;
+  std::string serve_log_;
+  std::string loadgen_log_;
+  std::string bench_path_;
   size_t stream_size_ = 0;
 };
 
 TEST_F(ServingSmokeTest, CleanServeVerifiesAgainstInProcessEngine) {
   StartServer("", "--shards=2");
-  const int exit_code = RunLoadgen(
-      "--graph=" + std::string(kGraphPath) +
-      " --verify --bench_out=serving_smoke_bench.json --shutdown");
-  ASSERT_EQ(exit_code, 0) << Slurp("serving_smoke_loadgen.log");
+  const int exit_code = RunLoadgen("--graph=" + graph_path_ +
+                                   " --verify --bench_out=" + bench_path_ +
+                                   " --shutdown");
+  ASSERT_EQ(exit_code, 0) << Slurp(loadgen_log_);
   AwaitServerExit();
 
-  const std::string log = Slurp("serving_smoke_loadgen.log");
+  const std::string log = Slurp(loadgen_log_);
   EXPECT_NE(log.find("verify: PASS"), std::string::npos) << log;
 
   // The bench artifact carries the serving metrics the CI job uploads.
-  const std::string bench = Slurp("serving_smoke_bench.json");
+  const std::string bench = Slurp(bench_path_);
   EXPECT_NE(bench.find("serve.posts_sent"), std::string::npos) << bench;
   EXPECT_NE(bench.find("serve.timeline_hash"), std::string::npos) << bench;
   EXPECT_NE(bench.find("serve.verify_ok"), std::string::npos) << bench;
@@ -166,8 +180,7 @@ TEST_F(ServingSmokeTest, KillLoopRecoversToByteIdenticalTimelines) {
   // sees the socket drop and fails; --flush_every=50 guarantees durable
   // progress before the kill.
   StartServer("FIREHOSE_CRASH_AFTER=" + std::to_string(stream_size_ / 3),
-              "--shards=2 --data_dir=" + std::string(kDataDir) +
-                  " --wal_sync=always");
+              "--shards=2 --data_dir=" + data_dir_ + " --wal_sync=always");
   EXPECT_NE(RunLoadgen("--flush_every=50"), 0)
       << "loadgen survived an incarnation that SIGKILLed itself";
   AwaitServerExit();
@@ -176,22 +189,20 @@ TEST_F(ServingSmokeTest, KillLoopRecoversToByteIdenticalTimelines) {
   // across the full resend (duplicates included), so the kill lands at
   // a different stream position than the first.
   StartServer("FIREHOSE_CRASH_AFTER=" + std::to_string(2 * stream_size_ / 3),
-              "--shards=2 --data_dir=" + std::string(kDataDir) +
-                  " --wal_sync=always");
+              "--shards=2 --data_dir=" + data_dir_ + " --wal_sync=always");
   EXPECT_NE(RunLoadgen("--flush_every=50"), 0);
   AwaitServerExit();
 
   // Final incarnation: recovers everything durable, takes the full
   // resend (dedupes the durable prefix), and must verify byte-identical
   // against the in-process engine.
-  StartServer("", "--shards=2 --data_dir=" + std::string(kDataDir) +
-                      " --wal_sync=always");
-  const int exit_code = RunLoadgen("--graph=" + std::string(kGraphPath) +
-                                   " --verify --shutdown");
-  ASSERT_EQ(exit_code, 0) << Slurp("serving_smoke_loadgen.log");
+  StartServer("", "--shards=2 --data_dir=" + data_dir_ + " --wal_sync=always");
+  const int exit_code =
+      RunLoadgen("--graph=" + graph_path_ + " --verify --shutdown");
+  ASSERT_EQ(exit_code, 0) << Slurp(loadgen_log_);
   AwaitServerExit();
 
-  const std::string log = Slurp("serving_smoke_loadgen.log");
+  const std::string log = Slurp(loadgen_log_);
   EXPECT_NE(log.find("verify: PASS"), std::string::npos) << log;
   // The final connect must have found durable posts from the first two
   // incarnations (printed as "N durable" by the loadgen) and the final
@@ -206,10 +217,9 @@ TEST_F(ServingSmokeTest, KillLoopRecoversToByteIdenticalTimelines) {
 
 TEST_F(ServingSmokeTest, ServeVersionFlagPrintsBuildInfo) {
   const std::string command = std::string("\"") + FIREHOSE_SERVE_BIN +
-                              "\" --version > serving_smoke_serve.log 2>&1";
+                              "\" --version > " + serve_log_ + " 2>&1";
   ASSERT_EQ(std::system(command.c_str()), 0);
-  EXPECT_NE(Slurp("serving_smoke_serve.log").find("firehose"),
-            std::string::npos);
+  EXPECT_NE(Slurp(serve_log_).find("firehose"), std::string::npos);
 }
 
 }  // namespace
