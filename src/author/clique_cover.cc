@@ -5,8 +5,6 @@
 
 namespace firehose {
 
-const std::vector<CliqueId> CliqueCover::kNoCliques;
-
 namespace {
 
 uint64_t EdgeKey(AuthorId a, AuthorId b) {
@@ -68,23 +66,17 @@ CliqueCover CliqueCover::Greedy(const AuthorGraph& graph) {
           covered.insert(EdgeKey(clique[i], clique[j]));
         }
       }
-      const CliqueId id = static_cast<CliqueId>(cover.cliques_.size());
-      for (AuthorId member : clique) {
-        cover.author_to_cliques_[member].push_back(id);
-      }
       cover.cliques_.push_back(std::move(clique));
     }
   }
 
   // Singleton cliques for vertices covered by no clique, so same-author
-  // posts of isolated authors can still cover each other.
+  // posts of isolated authors can still cover each other. Every edge lies
+  // in some clique, so exactly the isolated vertices are uncovered.
   for (AuthorId a : graph.vertices()) {
-    if (cover.author_to_cliques_.find(a) == cover.author_to_cliques_.end()) {
-      const CliqueId id = static_cast<CliqueId>(cover.cliques_.size());
-      cover.author_to_cliques_[a].push_back(id);
-      cover.cliques_.push_back({a});
-    }
+    if (graph.Neighbors(a).empty()) cover.cliques_.push_back({a});
   }
+  cover.IndexAuthors();
   return cover;
 }
 
@@ -93,13 +85,34 @@ CliqueCover CliqueCover::FromCliques(
   CliqueCover cover;
   cover.num_authors_ = num_authors;
   cover.cliques_ = std::move(cliques);
-  for (size_t i = 0; i < cover.cliques_.size(); ++i) {
-    std::sort(cover.cliques_[i].begin(), cover.cliques_[i].end());
-    for (AuthorId member : cover.cliques_[i]) {
-      cover.author_to_cliques_[member].push_back(static_cast<CliqueId>(i));
+  for (auto& clique : cover.cliques_) std::sort(clique.begin(), clique.end());
+  cover.IndexAuthors();
+  return cover;
+}
+
+void CliqueCover::IndexAuthors() {
+  // One (author, clique) key per membership: sorting the keys groups each
+  // author's cliques together, in ascending id order.
+  std::vector<uint64_t> memberships;
+  memberships.reserve(TotalCliqueSize());
+  for (size_t id = 0; id < cliques_.size(); ++id) {
+    for (AuthorId member : cliques_[id]) {
+      memberships.push_back((static_cast<uint64_t>(member) << 32) | id);
     }
   }
-  return cover;
+  std::sort(memberships.begin(), memberships.end());
+  clique_ids_.resize(memberships.size());
+  for (size_t i = 0; i < memberships.size(); ++i) {
+    const AuthorId author = static_cast<AuthorId>(memberships[i] >> 32);
+    if (authors_.empty() || authors_.back() != author) {
+      authors_.push_back(author);
+      offsets_.push_back(static_cast<uint32_t>(i));
+    }
+    clique_ids_[i] = static_cast<CliqueId>(memberships[i]);
+  }
+  offsets_.push_back(static_cast<uint32_t>(memberships.size()));
+  authors_.shrink_to_fit();
+  offsets_.shrink_to_fit();
 }
 
 bool CliqueCover::IsValidFor(const AuthorGraph& graph) const {
@@ -121,19 +134,18 @@ bool CliqueCover::IsValidFor(const AuthorGraph& graph) const {
   return true;
 }
 
-const std::vector<CliqueId>& CliqueCover::CliquesOf(AuthorId author) const {
-  auto it = author_to_cliques_.find(author);
-  return it == author_to_cliques_.end() ? kNoCliques : it->second;
+std::span<const CliqueId> CliqueCover::CliquesOf(AuthorId author) const {
+  const auto it = std::lower_bound(authors_.begin(), authors_.end(), author);
+  if (it == authors_.end() || *it != author) return {};
+  const size_t i = static_cast<size_t>(it - authors_.begin());
+  return std::span<const CliqueId>(clique_ids_)
+      .subspan(offsets_[i], offsets_[i + 1] - offsets_[i]);
 }
 
 double CliqueCover::AvgCliquesPerAuthor() const {
   if (num_authors_ == 0) return 0.0;
-  uint64_t total = 0;
-  for (const auto& [author, ids] : author_to_cliques_) {
-    (void)author;
-    total += ids.size();
-  }
-  return static_cast<double>(total) / static_cast<double>(num_authors_);
+  return static_cast<double>(clique_ids_.size()) /
+         static_cast<double>(num_authors_);
 }
 
 double CliqueCover::AvgCliqueSize() const {
@@ -153,11 +165,9 @@ size_t CliqueCover::ApproxBytes() const {
   for (const auto& clique : cliques_) {
     bytes += clique.capacity() * sizeof(AuthorId) + sizeof(clique);
   }
-  for (const auto& [author, ids] : author_to_cliques_) {
-    (void)author;
-    bytes += ids.capacity() * sizeof(CliqueId) + sizeof(ids) +
-             sizeof(AuthorId) + sizeof(void*);
-  }
+  bytes += authors_.capacity() * sizeof(AuthorId) +
+           offsets_.capacity() * sizeof(uint32_t) +
+           clique_ids_.capacity() * sizeof(CliqueId);
   return bytes;
 }
 

@@ -2,7 +2,7 @@
 #define FIREHOSE_AUTHOR_CLIQUE_COVER_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "src/author/similarity_graph.h"
@@ -16,7 +16,7 @@ using CliqueId = uint32_t;
 /// Author2Cliques map (paper §4.3). Every edge of the graph lies in at
 /// least one clique; every vertex lies in at least one clique (isolated
 /// vertices receive singleton cliques so an author's own posts can still
-/// cover each other in CliqueBin).
+/// cover each other in CliqueBin). Cliques are numbered 0..num_cliques()-1.
 class CliqueCover {
  public:
   /// Greedy heuristic of §4.3: pick an uncovered edge, grow a clique by
@@ -44,9 +44,10 @@ class CliqueCover {
   }
   size_t num_cliques() const { return cliques_.size(); }
 
-  /// Cliques containing `author` (the Author2Cliques hashmap). Empty for
-  /// authors absent from the covered graph.
-  const std::vector<CliqueId>& CliquesOf(AuthorId author) const;
+  /// Ids of the cliques containing `author`, ascending (the
+  /// Author2Cliques map). Empty for authors absent from the covered graph.
+  /// The span views the cover's storage: it dies with the cover.
+  std::span<const CliqueId> CliquesOf(AuthorId author) const;
 
   /// Σ over authors of cliques-per-author / num authors — the `c` of §4.4.
   double AvgCliquesPerAuthor() const;
@@ -61,10 +62,17 @@ class CliqueCover {
   size_t ApproxBytes() const;
 
  private:
+  /// Fills the still-empty Author2Cliques index from cliques_ with one
+  /// sort of the memberships.
+  void IndexAuthors();
+
   std::vector<std::vector<AuthorId>> cliques_;
-  std::unordered_map<AuthorId, std::vector<CliqueId>> author_to_cliques_;
+  // Author2Cliques: the cliques of authors_[i] are
+  // clique_ids_[offsets_[i] .. offsets_[i + 1]), ascending.
+  std::vector<AuthorId> authors_;  // sorted, unique
+  std::vector<uint32_t> offsets_;  // authors_.size() + 1 entries
+  std::vector<CliqueId> clique_ids_;
   size_t num_authors_ = 0;
-  static const std::vector<CliqueId> kNoCliques;
 };
 
 }  // namespace firehose

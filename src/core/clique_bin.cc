@@ -1,36 +1,28 @@
 #include "src/core/clique_bin.h"
 
-#include <algorithm>
-
 #include "src/obs/trace.h"
 
 namespace firehose {
 
 CliqueBinDiversifier::CliqueBinDiversifier(
     const DiversityThresholds& thresholds, const CliqueCover* cover)
-    : thresholds_(thresholds), cover_(cover) {}
+    : thresholds_(thresholds), cover_(cover), bins_(cover->num_cliques()) {}
 
 bool CliqueBinDiversifier::Offer(const Post& post) {
   ++stats_.posts_in;
   const int64_t cutoff = post.time_ms - thresholds_.lambda_t_ms;
-  const std::vector<CliqueId>& cliques = cover_->CliquesOf(post.author);
+  const std::span<const CliqueId> cliques = cover_->CliquesOf(post.author);
 
   // Posts sharing a clique with the author are by construction similar to
   // it (clique members are pairwise neighbors), so only content is checked.
   auto author_similar = [](AuthorId) { return true; };
   bool covered = false;
   size_t evicted = 0;
-  const bool use_index =
-      kernel_options_.index_min_bin_size != static_cast<size_t>(-1);
   for (CliqueId clique : cliques) {
     PostBin& bin = bins_[clique];
     evicted += bin.EvictOlderThan(cutoff);
-    const CoverageScanResult scan =
-        use_index ? index_caches_[clique].Scan(bin, cutoff, post.simhash,
-                                               post.author, thresholds_,
-                                               author_similar, kernel_options_)
-                  : ScanCoveredSimHash(bin, cutoff, post.simhash, post.author,
-                                       thresholds_, author_similar);
+    const CoverageScanResult scan = ScanCoveredSimHash(
+        bin, cutoff, post.simhash, post.author, thresholds_, author_similar);
     stats_.comparisons += scan.comparisons;
     stats_.pruned += scan.pruned;
     if (scan.covered) {
@@ -63,33 +55,30 @@ bool CliqueBinDiversifier::Offer(const Post& post) {
 BinOccupancy CliqueBinDiversifier::bin_occupancy() const {
   BinOccupancy occupancy;
   occupancy.num_bins = bins_.size();
-  // firehose-lint: allow(unordered-iteration) -- order-independent sum
-  for (const auto& [clique, bin] : bins_) occupancy.binned_posts += bin.size();
+  for (const PostBin& bin : bins_) occupancy.binned_posts += bin.size();
   return occupancy;
 }
 
 void CliqueBinDiversifier::SaveState(BinaryWriter* out) const {
   BinaryWriter payload;
   internal::SaveStats(stats_, &payload);
-  payload.PutVarint(bins_.size());
-  // Serialize in sorted key order: hash-map iteration order would make the
-  // snapshot bytes differ from run to run for identical state.
-  std::vector<CliqueId> keys;
-  keys.reserve(bins_.size());
-  // firehose-lint: allow(unordered-iteration) -- keys are sorted below
-  for (const auto& [clique, bin] : bins_) keys.push_back(clique);
-  std::sort(keys.begin(), keys.end());
-  for (CliqueId clique : keys) {
+  // Bins that never held a ring carry no state; the rest go out in
+  // ascending clique order.
+  size_t count = 0;
+  for (const PostBin& bin : bins_) count += bin.ApproxBytes() > 0 ? 1 : 0;
+  payload.PutVarint(count);
+  for (size_t clique = 0; clique < bins_.size(); ++clique) {
+    if (bins_[clique].ApproxBytes() == 0) continue;
     payload.PutVarint(clique);
-    bins_.at(clique).Save(&payload);
+    bins_[clique].Save(&payload);
   }
   internal::WrapChecksummed(payload, out);
 }
 
 bool CliqueBinDiversifier::LoadState(BinaryReader& in) {
   bins_.clear();
+  bins_.resize(cover_->num_cliques());
   bins_bytes_ = 0;
-  index_caches_.clear();  // stale push sequences: rebuild lazily
   std::string payload;
   if (internal::UnwrapChecksummed(in, &payload)) {
     BinaryReader state(payload);
@@ -98,6 +87,7 @@ bool CliqueBinDiversifier::LoadState(BinaryReader& in) {
   // Malformed snapshot: reset to empty so the object stays usable.
   stats_ = IngestStats{};
   bins_.clear();
+  bins_.resize(cover_->num_cliques());
   bins_bytes_ = 0;
   return false;
 }
@@ -106,10 +96,16 @@ bool CliqueBinDiversifier::LoadStatePayload(BinaryReader& in) {
   if (!internal::LoadStats(in, &stats_)) return false;
   uint64_t count;
   if (!in.GetVarint(&count)) return false;
+  uint64_t next = 0;  // smallest clique id the next key may take
   for (uint64_t i = 0; i < count; ++i) {
+    // Keys are clique ids of this cover, strictly ascending: a snapshot
+    // of another cover, or a repeated key, is malformed.
     uint64_t clique;
-    if (!in.GetVarint(&clique) || clique > 0xFFFFFFFFull) return false;
-    PostBin& bin = bins_[static_cast<CliqueId>(clique)];
+    if (!in.GetVarint(&clique) || clique < next || clique >= bins_.size()) {
+      return false;
+    }
+    next = clique + 1;
+    PostBin& bin = bins_[static_cast<size_t>(clique)];
     if (!bin.Load(in)) return false;
     bins_bytes_ += bin.ApproxBytes();
   }
@@ -117,14 +113,7 @@ bool CliqueBinDiversifier::LoadStatePayload(BinaryReader& in) {
 }
 
 size_t CliqueBinDiversifier::ApproxBytes() const {
-  size_t bytes =
-      bins_bytes_ +
-      bins_.size() * (sizeof(PostBin) + sizeof(CliqueId) + 2 * sizeof(void*));
-  // firehose-lint: allow(unordered-iteration) -- order-independent sum
-  for (const auto& [clique, cache] : index_caches_) {
-    bytes += cache.ApproxBytes();
-  }
-  return bytes;
+  return bins_bytes_ + bins_.size() * sizeof(PostBin);
 }
 
 }  // namespace firehose

@@ -1,7 +1,7 @@
 #ifndef FIREHOSE_CORE_CLIQUE_BIN_H_
 #define FIREHOSE_CORE_CLIQUE_BIN_H_
 
-#include <unordered_map>
+#include <vector>
 
 #include "src/author/clique_cover.h"
 #include "src/core/coverage_kernel.h"
@@ -32,22 +32,13 @@ class CliqueBinDiversifier final : public Diversifier {
   void SaveState(BinaryWriter* out) const override;
   bool LoadState(BinaryReader& in) override;
 
-  /// Tunes the coverage kernel (permuted-index routing). Call before the
-  /// first Offer; the default never consults the index, and per-clique
-  /// index caches materialize only for bins that cross the threshold.
-  void set_kernel_options(const CoverageKernelOptions& options) {
-    kernel_options_ = options;
-  }
-
  private:
   bool LoadStatePayload(BinaryReader& in);
 
   const DiversityThresholds thresholds_;
   const CliqueCover* cover_;  // not owned
-  std::unordered_map<CliqueId, PostBin> bins_;
+  std::vector<PostBin> bins_;  // one per clique, indexed by CliqueId
   size_t bins_bytes_ = 0;  // incrementally tracked Σ bin capacities
-  CoverageKernelOptions kernel_options_;
-  std::unordered_map<CliqueId, BinIndexCache> index_caches_;
   IngestStats stats_;
 };
 

@@ -7,10 +7,13 @@ namespace firehose {
 
 OwnedDiversifier::OwnedDiversifier(Algorithm algorithm,
                                    const DiversityThresholds& t,
-                                   AuthorGraph subgraph)
-    : graph(std::move(subgraph)) {
+                                   AuthorGraph subgraph) {
   if (algorithm == Algorithm::kCliqueBin) {
-    cover = std::make_unique<CliqueCover>(CliqueCover::Greedy(graph));
+    // CliqueBin reads only the cover: the subgraph is dropped once the
+    // cover is built.
+    cover = std::make_unique<CliqueCover>(CliqueCover::Greedy(subgraph));
+  } else {
+    graph = std::move(subgraph);
   }
   diversifier = MakeDiversifier(algorithm, t, &graph, cover.get());
 }

@@ -13,9 +13,11 @@
 
 namespace firehose {
 
-/// One diversifier together with the structures it borrows from: its
-/// author subgraph and, for CliqueBin, the subgraph's greedy clique cover.
-/// Not movable: the diversifier points into `graph` and `cover`.
+/// One diversifier together with the structure it borrows from: its
+/// author subgraph for UniBin and NeighborBin; for CliqueBin, the greedy
+/// clique cover of that subgraph, which is all CliqueBin reads, so the
+/// subgraph itself is dropped once the cover is built.
+/// Not movable: the diversifier points into `graph` or `cover`.
 struct OwnedDiversifier {
   OwnedDiversifier(Algorithm algorithm, const DiversityThresholds& t,
                    AuthorGraph subgraph);
@@ -24,7 +26,7 @@ struct OwnedDiversifier {
   /// Diversifier + subgraph + cover bytes.
   size_t ApproxBytes() const;
 
-  AuthorGraph graph;
+  AuthorGraph graph;                   ///< empty for CliqueBin
   std::unique_ptr<CliqueCover> cover;  ///< only for CliqueBin
   std::unique_ptr<Diversifier> diversifier;
 };

@@ -31,12 +31,14 @@ class MUserEngine final : public MultiUserEngine {
     user_ids_.resize(users.size());
     for (size_t u = 0; u < users.size(); ++u) {
       user_ids_[u] = users[u].id;
+      std::vector<AuthorId> authors = users[u].subscriptions;
+      std::sort(authors.begin(), authors.end());
+      authors.erase(std::unique(authors.begin(), authors.end()),
+                    authors.end());
       engines_[u] = std::make_unique<OwnedDiversifier>(
           algorithm, users[u].custom_thresholds.value_or(t),
-          graph.InducedSubgraph(users[u].subscriptions));
-      for (AuthorId a : engines_[u]->graph.vertices()) {
-        subscribers_[a].push_back(u);
-      }
+          graph.InducedSubgraph(authors));
+      for (AuthorId a : authors) subscribers_[a].push_back(u);
     }
   }
 

@@ -24,13 +24,8 @@ bool NeighborBinDiversifier::Offer(const Post& post) {
   // Every post in bin(author) is from the author or a similar author, so
   // the author dimension holds by construction; only content is checked.
   auto author_similar = [](AuthorId) { return true; };
-  const CoverageScanResult scan =
-      kernel_options_.index_min_bin_size == static_cast<size_t>(-1)
-          ? ScanCoveredSimHash(own_bin, cutoff, post.simhash, post.author,
-                               thresholds_, author_similar)
-          : index_caches_[post.author].Scan(own_bin, cutoff, post.simhash,
-                                            post.author, thresholds_,
-                                            author_similar, kernel_options_);
+  const CoverageScanResult scan = ScanCoveredSimHash(
+      own_bin, cutoff, post.simhash, post.author, thresholds_, author_similar);
   stats_.comparisons += scan.comparisons;
   stats_.pruned += scan.pruned;
   if (scan.covered) {
@@ -94,7 +89,6 @@ void NeighborBinDiversifier::SaveState(BinaryWriter* out) const {
 bool NeighborBinDiversifier::LoadState(BinaryReader& in) {
   bins_.clear();
   bins_bytes_ = 0;
-  index_caches_.clear();  // stale push sequences: rebuild lazily
   std::string payload;
   if (internal::UnwrapChecksummed(in, &payload)) {
     BinaryReader state(payload);
@@ -111,9 +105,16 @@ bool NeighborBinDiversifier::LoadStatePayload(BinaryReader& in) {
   if (!internal::LoadStats(in, &stats_)) return false;
   uint64_t count;
   if (!in.GetVarint(&count)) return false;
+  uint64_t next = 0;  // smallest author id the next key may take
   for (uint64_t i = 0; i < count; ++i) {
+    // Keys are vertices of this graph, strictly ascending: a snapshot of
+    // another graph, or a repeated key, is malformed.
     uint64_t author;
-    if (!in.GetVarint(&author) || author > 0xFFFFFFFFull) return false;
+    if (!in.GetVarint(&author) || author < next || author > 0xFFFFFFFFull ||
+        !graph_->HasVertex(static_cast<AuthorId>(author))) {
+      return false;
+    }
+    next = author + 1;
     PostBin& bin = bins_[static_cast<AuthorId>(author)];
     if (!bin.Load(in)) return false;
     bins_bytes_ += bin.ApproxBytes();
@@ -123,14 +124,8 @@ bool NeighborBinDiversifier::LoadStatePayload(BinaryReader& in) {
 
 size_t NeighborBinDiversifier::ApproxBytes() const {
   // Ring capacities plus hash-map node overhead per bin.
-  size_t bytes =
-      bins_bytes_ +
-      bins_.size() * (sizeof(PostBin) + sizeof(AuthorId) + 2 * sizeof(void*));
-  // firehose-lint: allow(unordered-iteration) -- order-independent sum
-  for (const auto& [author, cache] : index_caches_) {
-    bytes += cache.ApproxBytes();
-  }
-  return bytes;
+  return bins_bytes_ + bins_.size() * (sizeof(PostBin) + sizeof(AuthorId) +
+                                       2 * sizeof(void*));
 }
 
 }  // namespace firehose

@@ -32,13 +32,6 @@ class NeighborBinDiversifier final : public Diversifier {
   void SaveState(BinaryWriter* out) const override;
   bool LoadState(BinaryReader& in) override;
 
-  /// Tunes the coverage kernel (permuted-index routing). Call before the
-  /// first Offer; the default never consults the index, and per-author
-  /// index caches materialize only for bins that cross the threshold.
-  void set_kernel_options(const CoverageKernelOptions& options) {
-    kernel_options_ = options;
-  }
-
  private:
   PostBin& BinOf(AuthorId author);
   bool LoadStatePayload(BinaryReader& in);
@@ -47,8 +40,6 @@ class NeighborBinDiversifier final : public Diversifier {
   const AuthorGraph* graph_;  // not owned
   std::unordered_map<AuthorId, PostBin> bins_;
   size_t bins_bytes_ = 0;  // incrementally tracked Σ bin capacities
-  CoverageKernelOptions kernel_options_;
-  std::unordered_map<AuthorId, BinIndexCache> index_caches_;
   IngestStats stats_;
 };
 

@@ -3,7 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <new>
 
 #include "src/util/binary.h"
 #include "src/stream/post.h"
@@ -32,8 +33,10 @@ inline constexpr size_t kBinEntryLaneBytes =
 /// iteration from newest to oldest is cache-friendly.
 ///
 /// Storage is structure-of-arrays: four parallel ring lanes (time,
-/// fingerprint, author, post id) sharing one head/size/mask. The coverage
-/// kernel (src/core/coverage_kernel.h) scans the fingerprint lane as raw
+/// fingerprint, author, post id) sharing one head/size/capacity, carved
+/// out of one heap block, so a bin costs one allocation and growing it
+/// one allocation and one copy. The coverage kernel
+/// (src/core/coverage_kernel.h) scans the fingerprint lane as raw
 /// contiguous spans — a ring has at most two contiguous segments — so the
 /// hot XOR+popcount loop never performs per-entry masked indexing and
 /// never loads the lanes the current test does not need.
@@ -67,11 +70,13 @@ class PostBin {
   /// recent). Precondition: i < size(). Gathers the four lanes into a
   /// BinEntry; hot loops should iterate Segments() instead.
   BinEntry FromNewest(size_t i) const {
-    return At((head_ + size_ - 1 - i) & mask_);
+    return At((head_ + size_ - 1 - i) & (capacity_ - 1));
   }
 
   /// Entry `i` positions from the oldest. Precondition: i < size().
-  BinEntry FromOldest(size_t i) const { return At((head_ + i) & mask_); }
+  BinEntry FromOldest(size_t i) const {
+    return At((head_ + i) & (capacity_ - 1));
+  }
 
   /// Fills `out[0..1]` with the ring's contiguous segments in oldest→
   /// newest order and returns the segment count (0, 1 or 2). Logical
@@ -96,7 +101,7 @@ class PostBin {
 
   /// Bytes of the backing ring (capacity, not size — what the process
   /// actually holds resident).
-  size_t ApproxBytes() const { return time_.size() * kBinEntryLaneBytes; }
+  size_t ApproxBytes() const { return capacity_ * kBinEntryLaneBytes; }
 
   /// Serializes the ring capacity plus the live entries (oldest to
   /// newest, delta-encoded) for diversifier failover snapshots. Capacity
@@ -113,18 +118,37 @@ class PostBin {
   /// (at least double the current capacity), compacting to head_ = 0.
   void Grow(size_t min_capacity);
 
-  BinEntry At(size_t slot) const {
-    return BinEntry{time_[slot], hash_[slot], author_[slot], id_[slot]};
+  /// Replaces the block with a fresh zeroed one of `capacity` slots (a
+  /// power of two); the bin is left empty.
+  void Allocate(size_t capacity);
+
+  // The block holds the lanes back to back in this order, each
+  // `capacity_` slots long. Every lane is an array object of its own
+  // type, begun by placement new in Allocate(); std::launder reaches it
+  // through the block's bytes. Only valid while capacity_ > 0.
+  template <typename T>
+  T* Lane(size_t bytes_per_slot_before) const {
+    return std::launder(
+        reinterpret_cast<T*>(block_.get() + capacity_ * bytes_per_slot_before));
+  }
+  int64_t* time_lane() const { return Lane<int64_t>(0); }
+  uint64_t* hash_lane() const { return Lane<uint64_t>(sizeof(int64_t)); }
+  AuthorId* author_lane() const {
+    return Lane<AuthorId>(sizeof(int64_t) + sizeof(uint64_t));
+  }
+  PostId* id_lane() const {
+    return Lane<PostId>(sizeof(int64_t) + sizeof(uint64_t) + sizeof(AuthorId));
   }
 
-  // Parallel power-of-two ring lanes; all empty until the first Push.
-  std::vector<int64_t> time_;
-  std::vector<uint64_t> hash_;
-  std::vector<AuthorId> author_;
-  std::vector<PostId> id_;
-  size_t head_ = 0;  // index of the oldest entry
+  BinEntry At(size_t slot) const {
+    return BinEntry{time_lane()[slot], hash_lane()[slot], author_lane()[slot],
+                    id_lane()[slot]};
+  }
+
+  std::unique_ptr<std::byte[]> block_;  // null while capacity_ == 0
+  size_t capacity_ = 0;  // ring slots: 0 or a power of two
+  size_t head_ = 0;      // index of the oldest entry
   size_t size_ = 0;
-  size_t mask_ = 0;  // time_.size() - 1
   uint64_t pushes_ = 0;
 };
 

@@ -1,7 +1,10 @@
 #include "src/author/clique_cover.h"
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +35,22 @@ void ExpectValidCover(const CliqueCover& cover, const AuthorGraph& graph) {
       }
     }
   }
+}
+
+// The Author2Cliques reference: ascending ids of the cliques holding `a`.
+std::vector<CliqueId> CliquesHolding(const CliqueCover& cover, AuthorId a) {
+  std::vector<CliqueId> ids;
+  for (size_t id = 0; id < cover.num_cliques(); ++id) {
+    const std::vector<AuthorId>& clique = cover.cliques()[id];
+    if (std::find(clique.begin(), clique.end(), a) != clique.end()) {
+      ids.push_back(static_cast<CliqueId>(id));
+    }
+  }
+  return ids;
+}
+
+std::vector<CliqueId> AsVector(std::span<const CliqueId> ids) {
+  return {ids.begin(), ids.end()};
 }
 
 TEST(CliqueCoverTest, TriangleBecomesOneClique) {
@@ -111,6 +130,21 @@ TEST(CliqueCoverTest, StatsOnPaperGraph) {
   EXPECT_GT(cover.ApproxBytes(), 0u);
 }
 
+TEST(CliqueCoverTest, FromUnsortedCliquesIndexesEveryMember) {
+  const CliqueCover cover = CliqueCover::FromCliques(
+      {{5, 2, 9}, {7, 2}, {9, 5}, {3}, {9, 7, 2}}, 6);
+  EXPECT_EQ(cover.cliques()[0], (std::vector<AuthorId>{2, 5, 9}));
+  EXPECT_EQ(AsVector(cover.CliquesOf(2)), (std::vector<CliqueId>{0, 1, 4}));
+  EXPECT_EQ(AsVector(cover.CliquesOf(9)), (std::vector<CliqueId>{0, 2, 4}));
+  EXPECT_EQ(AsVector(cover.CliquesOf(3)), (std::vector<CliqueId>{3}));
+  for (AuthorId a = 0; a <= 10; ++a) {
+    EXPECT_EQ(AsVector(cover.CliquesOf(a)), CliquesHolding(cover, a)) << a;
+  }
+  EXPECT_TRUE(cover.CliquesOf(4).empty());
+  EXPECT_TRUE(cover.CliquesOf(0xFFFFFFFFu).empty());
+  EXPECT_DOUBLE_EQ(cover.AvgCliquesPerAuthor(), 11.0 / 6.0);
+}
+
 TEST(CliqueCoverTest, DeterministicAcrossRuns) {
   const AuthorGraph g = AuthorGraph::FromEdges(
       {0, 1, 2, 3, 4}, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 2}, {1, 3}});
@@ -139,6 +173,12 @@ TEST_P(RandomGraphCoverTest, GreedyCoverIsAlwaysValid) {
   uint64_t memberships = 0;
   for (AuthorId a : g.vertices()) memberships += cover.CliquesOf(a).size();
   EXPECT_EQ(memberships, cover.TotalCliqueSize());
+  // Author2Cliques lists exactly the cliques holding each author; ids past
+  // the last vertex are in none.
+  for (AuthorId a = 0; a < n + 3; ++a) {
+    EXPECT_EQ(AsVector(cover.CliquesOf(a)), CliquesHolding(cover, a)) << a;
+  }
+  EXPECT_TRUE(cover.CliquesOf(n).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphCoverTest,

@@ -1,6 +1,8 @@
 #include "src/io/persist.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +97,14 @@ TEST_F(PersistFixture, CliqueCoverRoundTrip) {
   EXPECT_EQ(loaded.cliques(), cover_.cliques());
   EXPECT_DOUBLE_EQ(loaded.AvgCliquesPerAuthor(), cover_.AvgCliquesPerAuthor());
   EXPECT_TRUE(loaded.IsValidFor(graph_));
+  // The reloaded Author2Cliques index answers like the original, also for
+  // an author past the last vertex.
+  for (AuthorId a = 0; a <= social_.num_authors(); ++a) {
+    const std::span<const CliqueId> want = cover_.CliquesOf(a);
+    const std::span<const CliqueId> got = loaded.CliquesOf(a);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "author " << a;
+  }
   std::remove(path.c_str());
 }
 

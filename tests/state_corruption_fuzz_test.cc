@@ -15,6 +15,7 @@
 
 #include "src/core/cosine_unibin.h"
 #include "src/core/engine.h"
+#include "src/stream/post_bin.h"
 #include "src/util/binary.h"
 #include "tests/test_util.h"
 
@@ -146,6 +147,60 @@ TEST_F(StateCorruptionFuzzTest, RejectedLoadResetsToEmpty) {
     auto fresh = t.make();
     for (const Post& post : stream_) {
       EXPECT_EQ(t.victim->Offer(post), fresh->Offer(post)) << t.name;
+    }
+  }
+}
+
+TEST_F(StateCorruptionFuzzTest, BinKeysTheDiversifierDoesNotHaveAreRejected) {
+  // CRC-valid snapshots whose bin keys do not fit the diversifier: a key
+  // past the cover's cliques (CliqueBin) or outside the graph
+  // (NeighborBin), a repeated key, or keys out of order. Each must be
+  // rejected like any malformed snapshot, not loaded as a bin nobody
+  // reads or counted twice.
+  const Post& first = stream_.front();
+  PostBin bin;
+  bin.Push(BinEntry{first.time_ms, first.simhash, first.author, first.id});
+  auto snapshot = [&bin](const std::vector<uint64_t>& keys) {
+    BinaryWriter payload;
+    internal::SaveStats(IngestStats{}, &payload);
+    payload.PutVarint(keys.size());
+    for (const uint64_t key : keys) {
+      payload.PutVarint(key);
+      bin.Save(&payload);
+    }
+    BinaryWriter out;
+    internal::WrapChecksummed(payload, &out);
+    return std::string(out.buffer());
+  };
+  ASSERT_GE(cover_.num_cliques(), 2u);
+  ASSERT_TRUE(graph_.HasVertex(0) && graph_.HasVertex(1));
+  const struct {
+    Algorithm algorithm;
+    uint64_t foreign_key;
+  } cases[] = {
+      {Algorithm::kCliqueBin, cover_.num_cliques()},
+      {Algorithm::kCliqueBin, 0xFFFFFFFFull},
+      {Algorithm::kNeighborBin, graph_.vertices().back() + 1},
+  };
+  for (const auto& c : cases) {
+    const std::string name(AlgorithmName(c.algorithm));
+    auto victim = MakeDiversifier(c.algorithm, thresholds_, &graph_, &cover_);
+    const std::string valid = snapshot({0, 1});
+    BinaryReader valid_reader(valid);
+    ASSERT_TRUE(victim->LoadState(valid_reader)) << name;
+    const std::vector<std::vector<uint64_t>> bad_keys = {
+        {c.foreign_key}, {0, c.foreign_key}, {1, 1}, {1, 0}};
+    for (const std::vector<uint64_t>& keys : bad_keys) {
+      const std::string bytes = snapshot(keys);
+      BinaryReader reader(bytes);
+      EXPECT_FALSE(victim->LoadState(reader))
+          << name << ": keys " << ::testing::PrintToString(keys);
+    }
+    // The rejected load reset the victim: it decides like a new instance.
+    auto fresh = MakeDiversifier(c.algorithm, thresholds_, &graph_, &cover_);
+    EXPECT_EQ(victim->ApproxBytes(), fresh->ApproxBytes()) << name;
+    for (const Post& post : stream_) {
+      EXPECT_EQ(victim->Offer(post), fresh->Offer(post)) << name;
     }
   }
 }
