@@ -1,7 +1,12 @@
 // Figure 2: distribution of SimHash Hamming distances between random
 // post pairs — expected to be normal with mean 32.
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
 
@@ -23,20 +28,48 @@ void Run() {
     prints.push_back(hasher.Fingerprint(text_gen.MakePost()));
   }
 
-  Histogram histogram(65);
+  // One bucket per possible distance, 0..64.
+  std::array<uint64_t, 65> counts{};
   Rng rng(7);
   const int pairs = 200000;
   for (int i = 0; i < pairs; ++i) {
     const uint64_t a = prints[rng.UniformInt(prints.size())];
     const uint64_t b = prints[rng.UniformInt(prints.size())];
-    histogram.Add(SimHashDistance(a, b));
+    ++counts[static_cast<size_t>(SimHashDistance(a, b))];
   }
 
-  std::printf("%s\n", histogram.ToAscii().c_str());
+  // ASCII bar chart over the nonzero range, bars scaled to 50 columns.
+  size_t first = counts.size();
+  size_t last = 0;
+  uint64_t max_count = 0;
+  double sum = 0.0;
+  for (size_t d = 0; d < counts.size(); ++d) {
+    if (counts[d] == 0) continue;
+    first = std::min(first, d);
+    last = d;
+    max_count = std::max(max_count, counts[d]);
+    sum += static_cast<double>(d) * static_cast<double>(counts[d]);
+  }
+  for (size_t d = first; d <= last; ++d) {
+    const int width = static_cast<int>(static_cast<double>(counts[d]) /
+                                       static_cast<double>(max_count) * 50);
+    std::printf("%2zu |%s %llu\n", d, std::string(width, '#').c_str(),
+                static_cast<unsigned long long>(counts[d]));
+  }
+  const double total = static_cast<double>(pairs);
+  const double mean = sum / total;
+  double sq = 0.0;
+  for (size_t d = 0; d < counts.size(); ++d) {
+    const double delta = static_cast<double>(d) - mean;
+    sq += delta * delta * static_cast<double>(counts[d]);
+  }
+  std::printf("\n");
   std::printf("pairs=%d  mean=%.2f (paper: 32)  stddev=%.2f\n",
-              pairs, histogram.Mean(), histogram.Stddev());
+              pairs, mean, std::sqrt(sq / total));
   double bulk = 0.0;
-  for (int d = 24; d <= 40; ++d) bulk += histogram.Fraction(d);
+  for (size_t d = 24; d <= 40; ++d) {
+    bulk += static_cast<double>(counts[d]) / total;
+  }
   std::printf("fraction in [24, 40] = %.3f (paper: 'most of the "
               "distances')\n", bulk);
 }

@@ -2,7 +2,8 @@
 // scalar path: per-entry masked ring indexing over an array-of-structs
 // bin with per-entry counter increments (the loop every diversifier ran
 // before src/core/coverage_kernel.h) versus the SoA lane-span
-// XOR+popcount kernel, plus the permuted-index routing crossover.
+// XOR+popcount kernel, plus where a PermutedSimHashIndex probe overtakes
+// the kernel's scan.
 //
 // Emits BENCH_micro_coverage_kernel.json via the bench_common atexit
 // hook. Deterministic work counters (comparisons, covered counts) are
@@ -127,6 +128,25 @@ ProbeSet MakeProbes(const PostBin& bin, size_t count, Rng& rng) {
     probes.authors.push_back(static_cast<AuthorId>(rng.UniformInt(512)));
   }
   return probes;
+}
+
+/// Probe budget of the permuted index: configurations needing more tables
+/// than this cost more probes per query than the bench considers.
+constexpr int kMaxTables = 64;
+
+/// Largest block count B in (k, 64] whose table count C(B, k) fits in
+/// `max_tables`, or -1 when even B = k + 1 does not. C(B, k) grows with
+/// B while each table's exact-match prefix gains bits, so the largest
+/// affordable B is the most selective index.
+int LargestBlocksWithin(int max_distance, int max_tables) {
+  int best = -1;
+  for (int blocks = max_distance + 1; blocks <= 64; ++blocks) {
+    const int64_t tables =
+        PermutedSimHashIndex::TableCountFor(blocks, max_distance);
+    if (tables < 0 || tables > max_tables) break;
+    best = blocks;
+  }
+  return best;
 }
 
 void Run() {
@@ -269,11 +289,13 @@ void Run() {
   }
 
   // ------------------------------------------------------------------
-  // Permuted-index routing: at a small lambda_c the index can answer the
-  // content dimension with one probe; measure where it overtakes the
-  // scalar kernel (DESIGN.md section 4f records the crossover).
+  // Permuted SimHash index (section 3): at a small lambda_c one probe of
+  // the index answers the content dimension; measure where a probe plus
+  // a check of each candidate overtakes the dispatched kernel's scan
+  // (DESIGN.md section 4f records the crossover).
   DiversityThresholds small = t;
   small.lambda_c = 3;
+  const int small_blocks = LargestBlocksWithin(small.lambda_c, kMaxTables);
   int64_t crossover = 0;
   for (size_t size : {size_t{256}, size_t{1024}, size_t{4096}, size_t{16384},
                       size_t{65536}}) {
@@ -281,30 +303,53 @@ void Run() {
     const PostBin bin = MakeBin(size, rng);
     const ProbeSet probes = MakeProbes(bin, std::max<size_t>(64, (1u << 21) / size), rng);
 
+    uint64_t scalar_covered = 0;
     const double scalar_ms = BestMillis([&] {
+      scalar_covered = 0;
       for (size_t p = 0; p < probes.hashes.size(); ++p) {
-        (void)ScanCoveredSimHash(bin, -1, probes.hashes[p], probes.authors[p],
-                                 small, author_similar);
+        const CoverageScanResult scan =
+            ScanCoveredSimHash(bin, -1, probes.hashes[p], probes.authors[p],
+                               small, author_similar);
+        scalar_covered += scan.covered ? 1 : 0;
       }
     });
 
-    BinIndexCache cache;
-    CoverageKernelOptions options;
-    options.index_min_bin_size = 0;  // always route through the index
-    uint64_t indexed_pruned = 0;
+    PermutedSimHashIndex index(small_blocks, small.lambda_c, kMaxTables);
+    for (size_t i = 0; i < bin.size(); ++i) {
+      index.Insert(bin.FromOldest(i).simhash, i);
+    }
+    index.Build();
+    uint64_t indexed_covered = 0;
+    uint64_t candidates = 0;
     const double indexed_ms = BestMillis([&] {
-      indexed_pruned = 0;
+      indexed_covered = 0;
+      candidates = 0;
       for (size_t p = 0; p < probes.hashes.size(); ++p) {
-        const CoverageScanResult scan =
-            cache.Scan(bin, -1, probes.hashes[p], probes.authors[p], small,
-                       author_similar, options);
-        indexed_pruned += scan.pruned;
+        for (uint64_t id : index.Query(probes.hashes[p])) {
+          ++candidates;
+          const BinEntry entry = bin.FromOldest(static_cast<size_t>(id));
+          if (internal::CoversContentAndAuthor(entry, probes.hashes[p],
+                                               probes.authors[p], small,
+                                               author_similar)) {
+            ++indexed_covered;
+            break;
+          }
+        }
       }
     });
-    std::printf("index n=%-7zu scalar %8.3f ms  indexed %8.3f ms  pruned %llu\n",
+    // The index is exact, so it must agree with the scan on every probe.
+    if (indexed_covered != scalar_covered) {
+      std::fprintf(stderr,
+                   "FATAL: permuted index diverged from the scan at n=%zu "
+                   "(covered %llu vs %llu)\n",
+                   size, static_cast<unsigned long long>(indexed_covered),
+                   static_cast<unsigned long long>(scalar_covered));
+      std::exit(1);
+    }
+    std::printf("index n=%-7zu scalar %8.3f ms  indexed %8.3f ms  candidates %llu\n",
                 size, scalar_ms, indexed_ms,
-                static_cast<unsigned long long>(indexed_pruned));
-    if (crossover == 0 && cache.active() && indexed_ms < scalar_ms) {
+                static_cast<unsigned long long>(candidates));
+    if (crossover == 0 && indexed_ms < scalar_ms) {
       crossover = static_cast<int64_t>(size);
     }
   }
@@ -315,18 +360,23 @@ void Run() {
               static_cast<long long>(crossover));
 
   // The paper's production lambda_c = 18 defeats the Manku structure
-  // (section 3); the cache must reject it and stay scalar.
-  {
-    Rng rng(99);
-    const PostBin bin = MakeBin(1024, rng);
-    BinIndexCache cache;
-    CoverageKernelOptions options;
-    options.index_min_bin_size = 0;
-    (void)cache.Scan(bin, -1, rng.Next(), 0, t, author_similar, options);
-    m.GetGauge("index.lambda18_feasible")->Set(cache.infeasible() ? 0 : 1);
-    std::printf("lambda_c=18 index feasible: %d (expected 0)\n",
-                cache.infeasible() ? 0 : 1);
+  // (section 3): every block count within the table budget keeps at
+  // least as many tables T as its p-bit prefix has values, so a probe
+  // examines ~T*n/2^p >= n candidates and cannot prune.
+  int64_t lambda18_feasible = 0;
+  const int max_blocks = LargestBlocksWithin(t.lambda_c, kMaxTables);
+  for (int blocks = t.lambda_c + 1; blocks <= max_blocks; ++blocks) {
+    const PermutedSimHashIndex index(blocks, t.lambda_c, kMaxTables);
+    if (index.valid() &&
+        (index.PrefixBits() >= 63 ||
+         static_cast<uint64_t>(index.NumTables()) <
+             (uint64_t{1} << index.PrefixBits()))) {
+      lambda18_feasible = 1;
+    }
   }
+  m.GetGauge("index.lambda18_feasible")->Set(lambda18_feasible);
+  std::printf("lambda_c=18 index feasible: %lld (expected 0)\n",
+              static_cast<long long>(lambda18_feasible));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "src/core/clique_bin.h"
 
+#include "src/core/coverage_kernel.h"
 #include "src/obs/trace.h"
 
 namespace firehose {

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/author/clique_cover.h"
-#include "src/core/coverage_kernel.h"
 #include "src/core/diversifier.h"
 
 namespace firehose {

@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "src/author/similarity_graph.h"
-#include "src/core/coverage_kernel.h"
 #include "src/core/diversifier.h"
 #include "src/text/tf_vector.h"
 

@@ -8,10 +8,8 @@
 // FIREHOSE_KERNEL_HAVE_* are per-file compile definitions from
 // src/CMakeLists.txt: a define is present exactly when the corresponding
 // variant TU is in the build (its target flags passed the compiler
-// check). A toolchain without -mpopcnt therefore produces a binary whose
-// only tier is scalar — and the dispatch report says so, instead of the
-// old failure mode where the "optimized" loop silently ran the libgcc
-// software popcount.
+// check). A toolchain without the AVX flags therefore produces a binary
+// whose only tier is scalar, and the dispatch report says so.
 
 namespace firehose {
 namespace kernels {
@@ -20,10 +18,6 @@ namespace {
 const KernelOps kScalarOps = {KernelVariant::kScalar, "scalar",
                               &FindNewestWithinScalar, &SparseDotScalar};
 
-#if defined(FIREHOSE_KERNEL_HAVE_POPCNT)
-const KernelOps kSseOps = {KernelVariant::kSse, "sse",
-                           &FindNewestWithinPopcnt, &SparseDotScalar};
-#endif
 #if defined(FIREHOSE_KERNEL_HAVE_AVX2)
 const KernelOps kAvx2Ops = {KernelVariant::kAvx2, "avx2",
                             &FindNewestWithinAvx2, &SparseDotAvx2};
@@ -32,14 +26,6 @@ const KernelOps kAvx2Ops = {KernelVariant::kAvx2, "avx2",
 const KernelOps kAvx512Ops = {KernelVariant::kAvx512, "avx512",
                               &FindNewestWithinAvx512, &SparseDotAvx512};
 #endif
-
-bool CpuHasPopcnt() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("popcnt");
-#else
-  return false;
-#endif
-}
 
 bool CpuHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -66,11 +52,6 @@ const KernelOps* UsableOps(KernelVariant variant) {
   switch (variant) {
     case KernelVariant::kScalar:
       return &kScalarOps;
-    case KernelVariant::kSse:
-#if defined(FIREHOSE_KERNEL_HAVE_POPCNT)
-      if (CpuHasPopcnt()) return &kSseOps;
-#endif
-      return nullptr;
     case KernelVariant::kAvx2:
 #if defined(FIREHOSE_KERNEL_HAVE_AVX2)
       if (CpuHasAvx2()) return &kAvx2Ops;
@@ -116,8 +97,6 @@ Resolved ResolveKernelOps() {
     bool recognized = true;
     if (std::strcmp(env, "scalar") == 0) {
       want = KernelVariant::kScalar;
-    } else if (std::strcmp(env, "sse") == 0) {
-      want = KernelVariant::kSse;
     } else if (std::strcmp(env, "avx2") == 0) {
       want = KernelVariant::kAvx2;
     } else if (std::strcmp(env, "avx512") == 0) {
@@ -134,7 +113,6 @@ Resolved ResolveKernelOps() {
       r.active = ops != nullptr ? ops : &kScalarOps;
       switch (want) {  // report the request with a static string
         case KernelVariant::kScalar: r.report.requested = "scalar"; break;
-        case KernelVariant::kSse: r.report.requested = "sse"; break;
         case KernelVariant::kAvx2: r.report.requested = "avx2"; break;
         case KernelVariant::kAvx512: r.report.requested = "avx512"; break;
       }
@@ -143,9 +121,6 @@ Resolved ResolveKernelOps() {
   r.report.active = r.active->name;
   r.report.best = best->name;
   r.report.compiled = "scalar"
-#if defined(FIREHOSE_KERNEL_HAVE_POPCNT)
-                      ",sse"
-#endif
 #if defined(FIREHOSE_KERNEL_HAVE_AVX2)
                       ",avx2"
 #endif

@@ -13,11 +13,11 @@ namespace kernels {
 /// The coverage kernel's inner loop — find the newest fingerprint within
 /// Hamming distance λc of a probe — and the cosine baseline's sparse dot
 /// product are the two primitives every diversifier pays for per post.
-/// Each ships in up to four implementations compiled in separate
-/// translation units with their own target flags (scalar, popcnt ("sse"),
-/// AVX2, AVX-512VPOPCNTDQ); one CPUID probe at first use picks the widest
+/// Each ships in up to three implementations compiled in separate
+/// translation units with their own target flags (scalar, AVX2,
+/// AVX-512VPOPCNTDQ); one CPUID probe at first use picks the widest
 /// variant the machine supports, overridable with FIREHOSE_KERNEL=
-/// scalar|sse|avx2|avx512 for differential testing.
+/// scalar|avx2|avx512 for differential testing.
 ///
 /// The contract that makes dispatch safe to land: every variant is
 /// bit-identical to the scalar reference on *decisions and counters*, not
@@ -33,16 +33,15 @@ inline constexpr size_t kNoHit = static_cast<size_t>(-1);
 
 /// Ascending tiers; dispatch clamps an unavailable request downward.
 enum class KernelVariant : uint8_t {
-  kScalar = 0,  ///< portable reference (no target flags)
-  kSse = 1,     ///< hardware popcount, 4-wide grouped scan
-  kAvx2 = 2,    ///< 256-bit lanes, pshufb nibble-LUT popcount
-  kAvx512 = 3,  ///< 512-bit lanes, VPOPCNTQ
+  kScalar = 0,  ///< reference loop (hardware popcount via -mpopcnt)
+  kAvx2 = 1,    ///< 256-bit lanes, pshufb nibble-LUT popcount
+  kAvx512 = 2,  ///< 512-bit lanes, VPOPCNTQ
 };
 
 /// One variant's entry points. Both functions are pure.
 struct KernelOps {
   KernelVariant variant;
-  const char* name;  ///< "scalar" | "sse" | "avx2" | "avx512"
+  const char* name;  ///< "scalar" | "avx2" | "avx512"
 
   /// Largest j in [lo, hi) with popcount(hashes[j] ^ probe) <= lambda_c,
   /// or kNoHit. `lambda_c` is signed on purpose: -1 is the coverage

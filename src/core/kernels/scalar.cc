@@ -1,7 +1,7 @@
-// Scalar reference kernels. Compiled with no target flags at all, so this
-// translation unit is exactly what a toolchain or CPU without popcnt
-// executes — the honest fallback tier the dispatch report advertises —
-// and simultaneously the oracle every wider variant is fuzzed against.
+// Scalar reference kernels: the dispatch floor and the oracle every wider
+// variant is fuzzed against. This TU gets no per-file target flags, but
+// the top-level CMakeLists.txt builds every TU with -mpopcnt when the
+// compiler accepts it, so std::popcount here is the hardware instruction.
 
 #include <bit>
 

@@ -20,9 +20,6 @@ uint64_t SparseDotScalar(const uint64_t* a_hash, const uint32_t* a_count,
                          size_t a_n, const uint64_t* b_hash,
                          const uint32_t* b_count, size_t b_n);
 
-size_t FindNewestWithinPopcnt(const uint64_t* hashes, size_t lo, size_t hi,
-                              uint64_t probe, int lambda_c);
-
 size_t FindNewestWithinAvx2(const uint64_t* hashes, size_t lo, size_t hi,
                             uint64_t probe, int lambda_c);
 uint64_t SparseDotAvx2(const uint64_t* a_hash, const uint32_t* a_count,

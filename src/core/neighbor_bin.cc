@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/core/coverage_kernel.h"
 #include "src/obs/trace.h"
 
 namespace firehose {

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "src/author/similarity_graph.h"
-#include "src/core/coverage_kernel.h"
 #include "src/core/diversifier.h"
 
 namespace firehose {

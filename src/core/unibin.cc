@@ -1,5 +1,6 @@
 #include "src/core/unibin.h"
 
+#include "src/core/coverage_kernel.h"
 #include "src/obs/trace.h"
 
 namespace firehose {
@@ -20,9 +21,9 @@ bool UniBinDiversifier::Offer(const Post& post) {
   auto author_similar = [&](AuthorId other) {
     return graph_ != nullptr && graph_->IsNeighbor(post.author, other);
   };
-  const CoverageScanResult scan = index_cache_.Scan(
+  const CoverageScanResult scan = ScanCoveredSimHash(
       bin_, post.time_ms - thresholds_.lambda_t_ms, post.simhash, post.author,
-      thresholds_, author_similar, kernel_options_);
+      thresholds_, author_similar);
   stats_.comparisons += scan.comparisons;
   stats_.pruned += scan.pruned;
   if (scan.covered) {
@@ -37,9 +38,7 @@ bool UniBinDiversifier::Offer(const Post& post) {
   return true;
 }
 
-size_t UniBinDiversifier::ApproxBytes() const {
-  return bin_.ApproxBytes() + index_cache_.ApproxBytes();
-}
+size_t UniBinDiversifier::ApproxBytes() const { return bin_.ApproxBytes(); }
 
 BinOccupancy UniBinDiversifier::bin_occupancy() const {
   return BinOccupancy{1, bin_.size()};
@@ -58,14 +57,12 @@ bool UniBinDiversifier::LoadState(BinaryReader& in) {
     BinaryReader state(payload);
     if (internal::LoadStats(state, &stats_) && bin_.Load(state) &&
         state.AtEnd()) {
-      index_cache_ = BinIndexCache{};  // stale sequences: rebuild lazily
       return true;
     }
   }
   // Malformed snapshot: reset to empty so the object stays usable.
   stats_ = IngestStats{};
   bin_ = PostBin{};
-  index_cache_ = BinIndexCache{};
   return false;
 }
 

@@ -2,7 +2,6 @@
 #define FIREHOSE_CORE_UNIBIN_H_
 
 #include "src/author/similarity_graph.h"
-#include "src/core/coverage_kernel.h"
 #include "src/core/diversifier.h"
 
 namespace firehose {
@@ -30,18 +29,10 @@ class UniBinDiversifier final : public Diversifier {
   void SaveState(BinaryWriter* out) const override;
   bool LoadState(BinaryReader& in) override;
 
-  /// Tunes the coverage kernel (permuted-index routing). Call before the
-  /// first Offer; the default never consults the index.
-  void set_kernel_options(const CoverageKernelOptions& options) {
-    kernel_options_ = options;
-  }
-
  private:
   const DiversityThresholds thresholds_;
   const AuthorGraph* graph_;  // not owned
   PostBin bin_;
-  CoverageKernelOptions kernel_options_;
-  BinIndexCache index_cache_;
   IngestStats stats_;
 };
 

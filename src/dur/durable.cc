@@ -2,11 +2,20 @@
 
 #include <utility>
 
+#include "src/obs/clock.h"
 #include "src/obs/log.h"
 #include "src/util/binary.h"
 
 namespace firehose {
 namespace dur {
+
+namespace {
+
+/// Checkpoints retained on disk: the newest plus one to fall back on when
+/// the newest fails its checksum (the WAL is pruned below the oldest).
+constexpr size_t kKeepCheckpoints = 2;
+
+}  // namespace
 
 std::string EncodePostRecord(const Post& post) {
   BinaryWriter writer;
@@ -37,9 +46,7 @@ DurableSession::DurableSession(const DurableOptions& options,
                                Diversifier* engine)
     : options_(options), engine_(engine) {
   if (options_.ops == nullptr) options_.ops = RealFileOps();
-  if (options_.clock == nullptr) options_.clock = obs::RealClock();
-  sync_policy_ = MakeSyncPolicy(options_.sync_spec);
-  if (sync_policy_ == nullptr) sync_policy_ = std::make_unique<SyncNone>();
+  sync_policy_ = MakeSyncPolicy(options_.sync_spec);  // null: Recover fails
   if (options_.metrics != nullptr) {
     // All dur.* metrics are timing=true: WAL/checkpoint/recovery totals
     // depend on where previous incarnations of the process crashed, so
@@ -62,6 +69,10 @@ bool DurableSession::Recover(
     const std::function<void(const Post&)>& on_replayed_accept,
     std::string* error) {
   *report = RecoveryReport{};
+  if (sync_policy_ == nullptr) {
+    *error = "unrecognized --wal_sync spec: " + options_.sync_spec;
+    return false;
+  }
   if (!options_.ops->CreateDir(options_.dir)) {
     *error = "cannot create durability directory " + options_.dir;
     return false;
@@ -70,7 +81,7 @@ bool DurableSession::Recover(
   CheckpointOptions ckpt_options;
   ckpt_options.dir = options_.dir;
   ckpt_options.ops = options_.ops;
-  ckpt_options.keep = options_.keep_checkpoints;
+  ckpt_options.keep = kKeepCheckpoints;
   CheckpointLoadResult checkpoint =
       LoadNewestCheckpoint(ckpt_options, engine_->name());
   if (!checkpoint.ok) {
@@ -142,7 +153,6 @@ bool DurableSession::Recover(
     return false;
   }
 
-  last_checkpoint_nanos_ = options_.clock->NowNanos();
   posts_since_checkpoint_ = 0;
   recovered_ = true;
   FIREHOSE_LOG(kInfo, "durable recovery complete")
@@ -167,21 +177,14 @@ bool DurableSession::Process(const Post& post, bool* accepted) {
 }
 
 bool DurableSession::ShouldCheckpoint() const {
-  if (options_.checkpoint_every > 0 &&
-      posts_since_checkpoint_ >= options_.checkpoint_every) {
-    return true;
-  }
-  if (options_.checkpoint_interval_ms > 0) {
-    const uint64_t elapsed_ms =
-        (options_.clock->NowNanos() - last_checkpoint_nanos_) / 1000000ull;
-    if (elapsed_ms >= options_.checkpoint_interval_ms) return true;
-  }
-  return false;
+  return options_.checkpoint_every > 0 &&
+         posts_since_checkpoint_ >= options_.checkpoint_every;
 }
 
 bool DurableSession::Checkpoint(uint64_t output_bytes) {
   if (!recovered_ || wal_ == nullptr) return false;
-  const uint64_t start_nanos = options_.clock->NowNanos();
+  const obs::Clock& clock = *obs::RealClock();
+  const uint64_t start_nanos = clock.NowNanos();
 
   // The WAL prefix folded into the checkpoint must be durable before the
   // checkpoint can claim it, or a crash could leave a checkpoint ahead of
@@ -201,7 +204,7 @@ bool DurableSession::Checkpoint(uint64_t output_bytes) {
   CheckpointOptions ckpt_options;
   ckpt_options.dir = options_.dir;
   ckpt_options.ops = options_.ops;
-  ckpt_options.keep = options_.keep_checkpoints;
+  ckpt_options.keep = kKeepCheckpoints;
   if (!WriteCheckpoint(ckpt_options, data)) return false;
 
   // Prune only below the OLDEST retained checkpoint: if the newest file
@@ -209,15 +212,13 @@ bool DurableSession::Checkpoint(uint64_t output_bytes) {
   // the WAL records between the two.
   wal_->PruneSegmentsBelow(OldestCheckpointSeq(ckpt_options, data.next_seq));
   posts_since_checkpoint_ = 0;
-  last_checkpoint_nanos_ = options_.clock->NowNanos();
+  const uint64_t elapsed_ms = (clock.NowNanos() - start_nanos) / 1000000ull;
   if (checkpoints_counter_ != nullptr) checkpoints_counter_->Increment();
-  if (checkpoint_ms_ != nullptr) {
-    checkpoint_ms_->Record((last_checkpoint_nanos_ - start_nanos) / 1000000ull);
-  }
+  if (checkpoint_ms_ != nullptr) checkpoint_ms_->Record(elapsed_ms);
   FIREHOSE_LOG(kDebug, "checkpoint written")
       .Kv("next_seq", data.next_seq)
       .Kv("state_bytes", static_cast<uint64_t>(data.engine_state.size()))
-      .Kv("elapsed_ms", (last_checkpoint_nanos_ - start_nanos) / 1000000ull);
+      .Kv("elapsed_ms", elapsed_ms);
   return true;
 }
 

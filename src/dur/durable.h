@@ -10,7 +10,6 @@
 #include "src/dur/checkpoint.h"
 #include "src/dur/file_ops.h"
 #include "src/dur/wal.h"
-#include "src/obs/clock.h"
 #include "src/obs/metrics.h"
 #include "src/stream/post.h"
 
@@ -25,18 +24,13 @@ struct DurableOptions {
   /// Checkpoint after this many processed posts (0 = only on Close).
   uint64_t checkpoint_every = 0;
 
-  /// Also checkpoint when this much wall time elapsed since the last one
-  /// (0 = never). Driven by `clock` so tests use a ManualClock.
-  uint64_t checkpoint_interval_ms = 0;
-
-  /// WAL fsync cadence: "none", "always", "every=N".
+  /// WAL fsync cadence: "none", "always", "every=N". Anything else makes
+  /// Recover fail.
   std::string sync_spec = "none";
 
   uint64_t segment_bytes = 4u << 20;
-  size_t keep_checkpoints = 2;
 
   FileOps* ops = nullptr;           ///< nullptr => RealFileOps()
-  const obs::Clock* clock = nullptr;  ///< nullptr => obs::RealClock()
   obs::MetricsRegistry* metrics = nullptr;  ///< optional dur.* metrics
 };
 
@@ -90,8 +84,9 @@ class DurableSession {
   /// Loads the newest valid checkpoint, replays the WAL tail through the
   /// engine (invoking `on_replayed_accept` for each replayed post the
   /// engine accepts, in order), truncates torn tails, and opens a fresh
-  /// WAL segment at the resume point. False on hard errors (incompatible
-  /// build/algorithm state, unwritable directory) with `*error` set.
+  /// WAL segment at the resume point. False on hard errors (unrecognized
+  /// sync spec, incompatible build/algorithm state, unwritable directory)
+  /// with `*error` set.
   [[nodiscard]] bool Recover(
       RecoveryReport* report,
       const std::function<void(const Post&)>& on_replayed_accept,
@@ -103,8 +98,8 @@ class DurableSession {
   /// not be replayed).
   [[nodiscard]] bool Process(const Post& post, bool* accepted);
 
-  /// True when the configured post-count or wall-clock checkpoint cadence
-  /// says a checkpoint is due.
+  /// True when `checkpoint_every` posts were processed since the last
+  /// checkpoint.
   bool ShouldCheckpoint() const;
 
   /// Serializes engine state and writes a checkpoint claiming the output
@@ -128,7 +123,6 @@ class DurableSession {
   bool closed_ = false;
 
   uint64_t posts_since_checkpoint_ = 0;
-  uint64_t last_checkpoint_nanos_ = 0;
 
   obs::Counter* checkpoints_counter_ = nullptr;
   obs::LogHistogram* checkpoint_ms_ = nullptr;

@@ -81,7 +81,6 @@
 #include "src/util/build_info.h"
 #include "src/util/crc32c.h"
 #include "src/util/hash.h"
-#include "src/util/histogram.h"
 #include "src/util/random.h"
 #include "src/util/table.h"
 #include "src/util/timer.h"

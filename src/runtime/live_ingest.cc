@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "src/core/kernels/dispatch.h"
-#include "src/obs/log.h"
 #include "src/runtime/introspect.h"
 #include "src/runtime/spsc_queue.h"
 #include "src/util/timer.h"
@@ -26,18 +25,17 @@ LiveIngestReport RunLiveIngest(Diversifier& diversifier,
                                const PostStream& stream,
                                const LiveIngestOptions& options) {
   LiveIngestReport report;
-  if (options.start_index >= stream.size()) return report;
+  if (stream.empty()) return report;
 
   const obs::Clock& clock =
       options.clock != nullptr ? *options.clock : *obs::RealClock();
   SpscQueue<QueuedPost> queue(options.queue_capacity);
   std::atomic<bool> producer_done{false};
-  std::atomic<bool> consumer_abort{false};
   std::atomic<uint64_t> blocked{0};
 
   WallTimer timer;
   const uint64_t start_nanos = clock.NowNanos();
-  const int64_t first_time_ms = stream[options.start_index].time_ms;
+  const int64_t first_time_ms = stream.front().time_ms;
 
   // Register the stall-detector slot before the producer spawns so both
   // threads report into it: the consumer its progress, the producer the
@@ -51,9 +49,7 @@ LiveIngestReport RunLiveIngest(Diversifier& diversifier,
   std::thread producer([&] {
     obs::TraceScope span(options.trace, "LiveIngest.produce", "ingest",
                          /*tid=*/1);
-    for (size_t index = options.start_index; index < stream.size(); ++index) {
-      const Post& post = stream[index];
-      if (consumer_abort.load(std::memory_order_acquire)) break;
+    for (const Post& post : stream) {
       // Release the post at its scaled timestamp.
       const double offset_ms =
           static_cast<double>(post.time_ms - first_time_ms) / options.speedup;
@@ -67,7 +63,6 @@ LiveIngestReport RunLiveIngest(Diversifier& diversifier,
       }
       QueuedPost item{&post, clock.NowNanos()};
       while (!queue.TryPush(item)) {
-        if (consumer_abort.load(std::memory_order_acquire)) break;
         blocked.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::yield();
         item.enqueue_nanos = clock.NowNanos();
@@ -115,34 +110,16 @@ LiveIngestReport RunLiveIngest(Diversifier& diversifier,
                       blocked.load(std::memory_order_relaxed));
     AppendStatusField(&status, "kernel",
                       kernels::GetKernelDispatchReport().active);
-    if (options.dur != nullptr) {
-      AppendStatusField(&status, "wal_next_seq", options.dur->next_seq());
-    }
     status.push_back('}');
     publisher.Publish(now, options.metrics, &diversifier, augment,
                       std::move(status));
   };
-  // Decide one post, through the durability layer when configured. A WAL
-  // failure flips `io_error` and tells the producer to stop feeding.
   auto decide = [&](const Post& post) {
     ++report.posts_in;
-    bool admitted = false;
-    if (options.dur != nullptr) {
-      if (!options.dur->Process(post, &admitted)) {
-        report.io_error = true;
-        consumer_abort.store(true, std::memory_order_release);
-        FIREHOSE_LOG(kError, "wal append failed, live ingest aborting")
-            .Kv("posts_in", report.posts_in);
-        return false;
-      }
-    } else {
-      admitted = diversifier.Offer(post);
-    }
-    if (admitted) ++report.posts_out;
+    if (diversifier.Offer(post)) ++report.posts_out;
     if (watchdog_task >= 0) {
       options.watchdog->ReportProgress(watchdog_task, report.posts_in);
     }
-    return true;
   };
   {
     obs::TraceScope span(options.trace, "LiveIngest.consume", "ingest",
@@ -158,7 +135,7 @@ LiveIngestReport RunLiveIngest(Diversifier& diversifier,
           options.watchdog->SetQueueDepth(watchdog_task,
                                           static_cast<int64_t>(depth) - 1);
         }
-        if (!decide(*item.post)) break;
+        decide(*item.post);
         const uint64_t now = clock.NowNanos();
         latency.RecordNanos(now - item.enqueue_nanos);
         if (options.flight != nullptr) {
@@ -169,7 +146,7 @@ LiveIngestReport RunLiveIngest(Diversifier& diversifier,
       } else if (producer_done.load(std::memory_order_acquire)) {
         // Drain anything pushed between the last pop and the flag.
         if (!queue.TryPop(&item)) break;
-        if (!decide(*item.post)) break;
+        decide(*item.post);
         latency.RecordNanos(clock.NowNanos() - item.enqueue_nanos);
       } else {
         if (publisher.enabled()) {

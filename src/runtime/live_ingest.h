@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "src/core/diversifier.h"
-#include "src/dur/durable.h"
 #include "src/obs/clock.h"
 #include "src/obs/debug_server.h"
 #include "src/obs/flight_recorder.h"
@@ -35,16 +34,6 @@ struct LiveIngestOptions {
   obs::MetricsRegistry* metrics FIREHOSE_THREAD_OWNED(consumer) = nullptr;
   obs::TraceRecorder* trace = nullptr;  // thread-safe, shared
   const obs::Clock* clock = nullptr;
-  /// Optional durability: when set, the consumer thread routes every post
-  /// through DurableSession::Process (WAL append before the decision)
-  /// instead of a bare Offer. Like `metrics`, the session is touched from
-  /// the consumer thread only. A WAL failure stops consumption (the
-  /// producer drains into a closed door; `io_error` reports it).
-  dur::DurableSession* dur FIREHOSE_THREAD_OWNED(consumer) = nullptr;
-  /// Skip the first `start_index` posts of the stream — the resume point
-  /// of a recovered run (those posts are already in the engine via
-  /// checkpoint + replay).
-  size_t start_index = 0;
   /// Live-introspection hooks (all optional). `debug` receives rendered
   /// snapshots from the consumer thread every `publish_interval_nanos`
   /// (the run registry itself is untouched, so final artifacts stay
@@ -68,7 +57,6 @@ struct LiveIngestReport {
   size_t queue_high_water = 0;       ///< worst backlog observed
   uint64_t producer_blocked = 0;     ///< pushes that had to retry
   LatencySummary queueing_latency;   ///< enqueue -> decision, per post
-  bool io_error = false;             ///< durable WAL append failed
 };
 
 /// Two-thread live replay: a producer thread releases each post of

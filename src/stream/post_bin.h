@@ -94,9 +94,7 @@ class PostBin {
 
   /// Monotone count of entries ever pushed (never decremented by
   /// eviction). The oldest live entry has sequence `pushes() - size()`,
-  /// the newest `pushes() - 1`; index accelerators key entries by
-  /// sequence so evictions invalidate them implicitly. Reset by Load to
-  /// the restored size (restoring invalidates any external accelerator).
+  /// the newest `pushes() - 1`. Reset by Load to the restored size.
   uint64_t pushes() const { return pushes_; }
 
   /// Bytes of the backing ring (capacity, not size — what the process

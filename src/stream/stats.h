@@ -18,14 +18,12 @@ struct IngestStats {
   uint64_t insertions = 0;    ///< bin insertions (copies count individually)
   uint64_t evictions = 0;     ///< bin entries aged out of the λt window
 
-  /// Candidate entries disposed of *without* a pairwise comparison —
-  /// comparisons the coverage kernel saved. Zero on the plain scalar scan
-  /// (bins are evicted to the λt window before scanning, so every
-  /// candidate is tested); positive when a scan is routed through the
-  /// permuted SimHash index (in-window entries the index filtered out) or
-  /// skipped past a not-yet-evicted expired prefix. Together with
-  /// `comparisons` this is the kernel's full candidate ledger:
-  /// comparisons + pruned == candidates considered.
+  /// Candidate entries disposed of *without* a pairwise comparison: the
+  /// expired prefix a coverage scan skips by binary search. Every bin
+  /// diversifier evicts its bin to the λt window before scanning it, so
+  /// their scans leave this at zero. Together with `comparisons` this is
+  /// the kernel's full candidate ledger: comparisons + pruned ==
+  /// candidates considered. Kept in the snapshot layout.
   uint64_t pruned = 0;
 
   /// High-water mark of *concurrently resident* bin memory. For a single

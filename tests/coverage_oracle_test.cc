@@ -15,11 +15,11 @@
 
 #include "src/author/similarity.h"
 #include "src/core/cosine_unibin.h"
-#include "src/core/coverage_kernel.h"
 #include "src/core/engine.h"
 #include "src/core/unibin.h"
 #include "src/gen/social_graph_gen.h"
 #include "src/gen/stream_gen.h"
+#include "src/simhash/permuted_index.h"
 #include "src/simhash/simhash.h"
 #include "src/text/normalize.h"
 #include "src/text/tf_vector.h"
@@ -236,57 +236,43 @@ TEST(CoverageOracleCosineTest, CosineUniBinMatchesNaiveReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Index-routed kernel: decisions must not change, only the accounting.
-
-TEST(CoverageOracleIndexTest, IndexedUniBinMatchesScalarDecisions) {
-  DiversityThresholds t;
-  t.lambda_c = 3;
-  t.lambda_t_ms = 30 * 60 * 1000;  // wide window: the bin grows large
-  const AuthorGraph graph = OracleGraph(9, 0.7);
-  const PostStream stream = OracleStream(graph, 9);
-
-  UniBinDiversifier scalar(t, &graph);
-  const std::vector<PostId> scalar_ids = RunOptimized(scalar, stream);
-
-  UniBinDiversifier indexed(t, &graph);
-  CoverageKernelOptions options;
-  options.index_min_bin_size = 64;
-  indexed.set_kernel_options(options);
-  const std::vector<PostId> indexed_ids = RunOptimized(indexed, stream);
-
-  // The index is exact: identical admitted sequence, identical outputs.
-  EXPECT_EQ(indexed_ids, scalar_ids);
-  EXPECT_EQ(indexed.stats().posts_out, scalar.stats().posts_out);
-  EXPECT_EQ(indexed.stats().insertions, scalar.stats().insertions);
-  EXPECT_EQ(indexed.stats().evictions, scalar.stats().evictions);
-  // Only the work split differs: the index disposes of in-window
-  // candidates without pairwise tests.
-  EXPECT_GT(indexed.stats().pruned, 0u);
-  EXPECT_LT(indexed.stats().comparisons, scalar.stats().comparisons);
-  EXPECT_EQ(scalar.stats().pruned, 0u);
-}
+// The paper's production λc = 18 (§3): the permuted-table index cannot
+// prune there, and UniBin scans its bin — the scalar reference's
+// decisions and accounting, end to end.
 
 TEST(CoverageOracleIndexTest, PaperLambda18IsInfeasibleAndFallsBackToScalar) {
   DiversityThresholds t;
-  t.lambda_c = 18;  // the paper's production λc: tables explode (§3)
+  t.lambda_c = 18;
   t.lambda_t_ms = 30 * 60 * 1000;
+
+  // Every block count within a 64-table budget keeps at least as many
+  // tables as its prefix has values: a probe examines >= n candidates.
+  int configurations = 0;
+  for (int blocks = t.lambda_c + 1; blocks <= 64; ++blocks) {
+    const PermutedSimHashIndex index(blocks, t.lambda_c, /*max_tables=*/64);
+    if (!index.valid()) continue;
+    ASSERT_LT(index.PrefixBits(), 63) << blocks;
+    EXPECT_GE(static_cast<uint64_t>(index.NumTables()),
+              uint64_t{1} << index.PrefixBits())
+        << "blocks=" << blocks;
+    ++configurations;
+  }
+  EXPECT_GT(configurations, 0);
+
   const AuthorGraph graph = OracleGraph(13, 0.7);
   const PostStream stream = OracleStream(graph, 13);
+  const ReferenceResult reference =
+      NaiveDiversify(stream, t, graph, [&](const Post& post, const Post& prior) {
+        return HammingDistance64(post.simhash, prior.simhash) <= t.lambda_c;
+      });
 
-  UniBinDiversifier scalar(t, &graph);
-  const std::vector<PostId> scalar_ids = RunOptimized(scalar, stream);
-
-  UniBinDiversifier indexed(t, &graph);
-  CoverageKernelOptions options;
-  options.index_min_bin_size = 64;
-  indexed.set_kernel_options(options);
-  const std::vector<PostId> indexed_ids = RunOptimized(indexed, stream);
-
-  // λc = 18 is rejected at build time, so the run is scalar end to end:
-  // byte-identical decisions AND byte-identical accounting.
-  EXPECT_EQ(indexed_ids, scalar_ids);
-  EXPECT_EQ(indexed.stats().comparisons, scalar.stats().comparisons);
-  EXPECT_EQ(indexed.stats().pruned, 0u);
+  UniBinDiversifier unibin(t, &graph);
+  const std::vector<PostId> admitted = RunOptimized(unibin, stream);
+  // Byte-identical decisions AND byte-identical accounting.
+  EXPECT_EQ(admitted, reference.admitted);
+  EXPECT_EQ(unibin.stats().comparisons,
+            reference.pair_tests - reference.time_rejects);
+  EXPECT_EQ(unibin.stats().pruned, 0u);
 }
 
 }  // namespace

@@ -328,6 +328,21 @@ TEST_F(CrashRecoveryTest, AlgorithmMismatchIsAHardNamedError) {
   EXPECT_NE(error.find("CliqueBin"), std::string::npos) << error;
 }
 
+TEST_F(CrashRecoveryTest, UnrecognizedSyncSpecIsAHardNamedError) {
+  // A typo must not silently downgrade the run to no fsyncs at all.
+  auto engine = NewEngine(Algorithm::kUniBin);
+  DurableOptions options = Options();
+  options.sync_spec = "alwyas";
+  DurableSession session(options, engine.get());
+  RecoveryReport report;
+  std::string error;
+  EXPECT_FALSE(session.Recover(&report, nullptr, &error));
+  EXPECT_EQ(error, "unrecognized --wal_sync spec: alwyas");
+  bool accepted = false;
+  EXPECT_FALSE(session.Process(stream_.front(), &accepted));
+  EXPECT_FALSE(std::filesystem::exists(dir_));  // nothing was written
+}
+
 TEST_F(CrashRecoveryTest, ProcessBeforeRecoverRefuses) {
   auto engine = NewEngine(Algorithm::kUniBin);
   DurableSession session(Options(), engine.get());

@@ -53,7 +53,7 @@ TEST(KernelDispatchEnv, ReportIsInternallyConsistent) {
 TEST(KernelDispatchEnv, RequestedMatchesEnvironment) {
   const char* env = std::getenv("FIREHOSE_KERNEL");
   const KernelDispatchReport& report = GetKernelDispatchReport();
-  const std::vector<std::string> known = {"scalar", "sse", "avx2", "avx512"};
+  const std::vector<std::string> known = {"scalar", "avx2", "avx512"};
   if (env == nullptr ||
       std::find(known.begin(), known.end(), env) == known.end()) {
     EXPECT_STREQ(report.requested, "auto");

@@ -22,6 +22,23 @@ TEST(TableCountTest, FirehoseRegimeExplodes) {
   EXPECT_EQ(PermutedSimHashIndex::TableCountFor(20, 18), 190);
   EXPECT_EQ(PermutedSimHashIndex::TableCountFor(24, 18),
             134596);  // C(24,18)
+
+  // Within a 64-table probe budget no λc = 18 configuration can prune:
+  // each keeps at least as many tables T as its p-bit prefix has values,
+  // so a probe examines ~T·n/2^p >= n candidates.
+  int configurations = 0;
+  for (int blocks = 19; blocks <= 64; ++blocks) {
+    const int64_t tables = PermutedSimHashIndex::TableCountFor(blocks, 18);
+    if (tables < 0 || tables > 64) continue;
+    const PermutedSimHashIndex index(blocks, 18, /*max_tables=*/64);
+    ASSERT_TRUE(index.valid()) << blocks;
+    ASSERT_LT(index.PrefixBits(), 63) << blocks;
+    EXPECT_GE(static_cast<uint64_t>(index.NumTables()),
+              uint64_t{1} << index.PrefixBits())
+        << "blocks=" << blocks;
+    ++configurations;
+  }
+  EXPECT_GT(configurations, 0);
 }
 
 TEST(TableCountTest, InvalidConfigurations) {

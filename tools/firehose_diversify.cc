@@ -238,9 +238,9 @@ int main(int argc, char** argv) {
   if (durable) {
     if (flags.GetBool("live", false)) {
       std::fprintf(stderr,
-                   "error: --wal_dir does not combine with --live (the "
-                   "durable path is exercised by the sequential pipeline; "
-                   "LiveIngestOptions::dur covers the two-thread runtime)\n");
+                   "error: --wal_dir does not combine with --live (durable "
+                   "runs use the sequential pipeline; the two-thread live "
+                   "replay has no WAL)\n");
       return 2;
     }
     const std::string out_path = flags.GetString("out", "");
