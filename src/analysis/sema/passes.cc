@@ -883,8 +883,7 @@ namespace {
 /// WAL handles whose Append anchors the append-before-decide rule, the
 /// same shape of seeded table the view-invalidation pass uses.
 const std::set<std::string>& WalHandles() {
-  static const std::set<std::string> kHandles = {"wal_", "control_wal_",
-                                                 "wal"};
+  static const std::set<std::string> kHandles = {"wal_", "wal"};
   return kHandles;
 }
 

@@ -46,6 +46,19 @@ std::string_view AlgorithmName(Algorithm algorithm) {
   return "?";
 }
 
+bool ParseAlgorithm(std::string_view name, Algorithm* algorithm) {
+  if (name == "unibin") {
+    *algorithm = Algorithm::kUniBin;
+  } else if (name == "neighborbin") {
+    *algorithm = Algorithm::kNeighborBin;
+  } else if (name == "cliquebin") {
+    *algorithm = Algorithm::kCliqueBin;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 std::unique_ptr<Diversifier> MakeDiversifier(Algorithm algorithm,
                                              const DiversityThresholds& t,
                                              const AuthorGraph* graph,

@@ -21,6 +21,10 @@ enum class Algorithm {
 /// Printable algorithm name.
 std::string_view AlgorithmName(Algorithm algorithm);
 
+/// Parses the tools' `--algorithm` spelling: "unibin", "neighborbin" or
+/// "cliquebin". False, leaving `*algorithm` alone, for anything else.
+[[nodiscard]] bool ParseAlgorithm(std::string_view name, Algorithm* algorithm);
+
 /// All algorithms, for sweep loops.
 inline constexpr Algorithm kAllAlgorithms[] = {
     Algorithm::kUniBin, Algorithm::kNeighborBin, Algorithm::kCliqueBin};

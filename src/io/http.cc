@@ -46,6 +46,7 @@ const char* StatusText(int status) {
     case 200: return "OK";
     case 400: return "Bad Request";
     case 404: return "Not Found";
+    case 503: return "Service Unavailable";
     default: return "Internal Server Error";
   }
 }

@@ -50,8 +50,10 @@ class ServeClient {
   /// Buffered post ingest (no per-post ack; see Flush).
   [[nodiscard]] bool SendPost(const Post& post);
 
-  /// Barrier: flushes the local buffer, waits until every shard has
-  /// drained and synced its WAL. Totals are returned when non-null.
+  /// Barrier: flushes the local buffer, then waits until the server
+  /// synced its WAL and every shard drained. Totals (posts logged and
+  /// resends skipped, each post counted once) are returned when
+  /// non-null. False, among other causes, when the WAL write failed.
   [[nodiscard]] bool Flush(uint64_t* ingested = nullptr,
                            uint64_t* duplicates = nullptr);
 

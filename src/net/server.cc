@@ -23,18 +23,15 @@ namespace net {
 
 namespace {
 
-constexpr uint8_t kControlFollow = 1;
-constexpr uint8_t kControlSeal = 2;
+constexpr uint8_t kRecordFollow = 1;
+constexpr uint8_t kRecordSeal = 2;
+constexpr uint8_t kRecordPost = 3;
 
 constexpr size_t kShardQueueCapacity = 4096;
 
 /// How long the dispatcher waits in accept/read before re-checking the
 /// stop flag and republishing introspection snapshots.
 constexpr int kDispatchPollMs = 100;
-
-std::string ShardWalDir(const std::string& data_dir, uint32_t shard) {
-  return data_dir + "/shard-" + std::to_string(shard);
-}
 
 /// Appends the ids of the sorted, pairwise disjoint `lists` to `*out` in
 /// ascending order, skipping the first `skip` of them, so only the
@@ -74,8 +71,11 @@ struct Barrier {
   std::mutex mu;
   std::condition_variable cv;
   uint32_t pending;
-  uint64_t ingested = 0;    ///< flush totals
-  uint64_t duplicates = 0;  ///< flush totals
+
+  void Arrive() {
+    std::lock_guard<std::mutex> lock(mu);
+    if (--pending == 0) cv.notify_all();
+  }
 
   void Wait() {
     std::unique_lock<std::mutex> lock(mu);
@@ -91,11 +91,11 @@ struct ShardCmd {
 };
 
 /// One shard: a consumer thread exclusively owning a ComponentTable over
-/// a subset of the shared components and the shard's WAL, plus the
-/// timelines of every user (populated only for posts this shard admits)
-/// behind a mutex the dispatcher takes to answer polls. Structure
-/// mirrors runtime/sharded.cc's Shard; lifetime is the server, not one
-/// batch run.
+/// a subset of the shared components, plus the timelines of every user
+/// (populated only for posts this shard admits) behind a mutex the
+/// dispatcher takes to answer polls. It only decides: the dispatcher
+/// logged every post before routing it here. Structure mirrors
+/// runtime/sharded.cc's Shard; lifetime is the server, not one batch run.
 class ShardWorker {
  public:
   ShardWorker(uint32_t index, const ServeOptions& options,
@@ -109,46 +109,30 @@ class ShardWorker {
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  /// Build phase (single-threaded, before Spawn) -----------------------
-
-  /// Replays this shard's WAL (rebuilding diversifier + timeline state
-  /// and the dedupe watermark) and opens the writer at the resume seq.
-  /// Without a data_dir this only marks the shard ready.
-  [[nodiscard]] bool RecoverDurability(std::string* error) {
-    if (options_.data_dir.empty()) return true;
-    sync_ = dur::MakeSyncPolicy(options_.wal_sync);
-    if (sync_ == nullptr) {
-      *error = "unrecognized --wal_sync spec: " + options_.wal_sync;
-      return false;
-    }
-    dur::WalOptions wal_options;
-    wal_options.dir = ShardWalDir(options_.data_dir, index_);
-    wal_options.sync = sync_.get();
-    const dur::WalReadResult read =
-        dur::ReadWal(wal_options, /*start_seq=*/0, /*truncate_tail=*/true);
-    if (!read.ok) {
-      *error = "shard " + std::to_string(index_) + " WAL: " + read.error;
-      return false;
-    }
-    for (const dur::WalRecord& record : read.records) {
-      Post post;
-      if (!dur::DecodePostRecord(record.payload, &post)) {
-        // An intact frame that fails the post codec is cross-build
-        // state, not a torn tail — refuse to guess.
-        *error = "shard " + std::to_string(index_) +
-                 " WAL record " + std::to_string(record.seq) +
-                 " does not decode as a post";
-        return false;
+  /// The one ingest path: under the timeline lock, offers `post` to this
+  /// shard's components in routing order, appending it to the timelines
+  /// of every admitting component's users. Runs on the worker thread in
+  /// steady state, and on the recovering thread during WAL replay,
+  /// before Spawn.
+  void Ingest(const Post& post) {
+    const obs::Clock* clock =
+        options_.flight != nullptr ? obs::RealClock() : nullptr;
+    std::lock_guard<std::mutex> lock(timelines_mu_);
+    for (size_t index : table_.ComponentsOf(post.author)) {
+      ComponentTable::Component& c = table_.component(index);
+      const uint64_t start = clock != nullptr ? clock->NowNanos() : 0;
+      const bool admitted = c.diversifier().Offer(post);
+      if (clock != nullptr) {
+        options_.flight->RecordComplete(index_, "offer", "serve", start,
+                                        clock->NowNanos());
       }
-      Ingest(post);
+      if (admitted) {
+        for (UserId user : c.users) {
+          if (user < timelines_.size()) timelines_[user].push_back(post.id);
+        }
+        deliveries_.fetch_add(c.users.size(), std::memory_order_seq_cst);
+      }
     }
-    wal_ = std::make_unique<dur::WalWriter>(wal_options);
-    if (!wal_->Open(read.next_seq)) {
-      *error = "shard " + std::to_string(index_) + ": cannot open WAL in " +
-               wal_options.dir;
-      return false;
-    }
-    return true;
   }
 
   void Spawn() {
@@ -187,58 +171,12 @@ class ShardWorker {
     if (thread_.joinable()) thread_.join();
   }
 
-  /// Owner-side teardown, after Join.
-  [[nodiscard]] bool CloseWal() {
-    return wal_ == nullptr || wal_->Close();
-  }
-
-  uint64_t ingested() const {
-    return ingested_.load(std::memory_order_seq_cst);
-  }
-  uint64_t duplicates() const {
-    return duplicates_.load(std::memory_order_seq_cst);
-  }
   uint64_t deliveries() const {
     return deliveries_.load(std::memory_order_seq_cst);
   }
   size_t queue_depth() const { return queue_.ApproxSize(); }
 
  private:
-  /// The one ingest path: WAL append (when durable), then, under the
-  /// timeline lock, offer to this shard's components in routing order,
-  /// appending to the timelines of every admitting component's users,
-  /// then the watermark. Runs on the
-  /// worker thread in steady state and on the recovery thread during
-  /// replay (before the worker exists and the writer is open).
-  void Ingest(const Post& post) {
-    if (wal_ != nullptr && !wal_->Append(dur::EncodePostRecord(post))) {
-      // An unlogged decision cannot be replayed; freeze durability by
-      // dropping the writer rather than diverging from the WAL.
-      wal_failures_.fetch_add(1, std::memory_order_seq_cst);
-      wal_.reset();
-    }
-    const obs::Clock* clock =
-        options_.flight != nullptr ? obs::RealClock() : nullptr;
-    std::lock_guard<std::mutex> lock(timelines_mu_);
-    for (size_t index : table_.ComponentsOf(post.author)) {
-      ComponentTable::Component& c = table_.component(index);
-      const uint64_t start = clock != nullptr ? clock->NowNanos() : 0;
-      const bool admitted = c.diversifier().Offer(post);
-      if (clock != nullptr) {
-        options_.flight->RecordComplete(index_, "offer", "serve", start,
-                                        clock->NowNanos());
-      }
-      if (admitted) {
-        for (UserId user : c.users) {
-          if (user < timelines_.size()) timelines_[user].push_back(post.id);
-        }
-        deliveries_.fetch_add(c.users.size(), std::memory_order_seq_cst);
-      }
-    }
-    watermark_ = static_cast<int64_t>(post.id);
-    ingested_.fetch_add(1, std::memory_order_seq_cst);
-  }
-
   void Loop() FIREHOSE_RUNS_ON(shard_worker) {
     const int watchdog_task =
         options_.watchdog != nullptr
@@ -264,27 +202,11 @@ class ShardWorker {
         case ShardCmd::Kind::kStop:
           return;
         case ShardCmd::Kind::kPost:
-          // Watermark dedupe: the dispatcher routes posts in id order, so
-          // a post at or below the watermark is a client resend of work
-          // this shard already ingested (possibly pre-crash).
-          if (static_cast<int64_t>(cmd.post.id) <= watermark_) {
-            duplicates_.fetch_add(1, std::memory_order_seq_cst);
-          } else {
-            Ingest(cmd.post);
-          }
+          Ingest(cmd.post);
           break;
-        case ShardCmd::Kind::kFlush: {
-          if (wal_ != nullptr && !wal_->Sync()) {
-            wal_failures_.fetch_add(1, std::memory_order_seq_cst);
-            wal_.reset();
-          }
-          std::lock_guard<std::mutex> lock(cmd.barrier->mu);
-          cmd.barrier->ingested += ingested_.load(std::memory_order_seq_cst);
-          cmd.barrier->duplicates +=
-              duplicates_.load(std::memory_order_seq_cst);
-          if (--cmd.barrier->pending == 0) cmd.barrier->cv.notify_all();
+        case ShardCmd::Kind::kFlush:
+          cmd.barrier->Arrive();
           break;
-        }
       }
       finished_.fetch_add(1, std::memory_order_release);
     }
@@ -297,11 +219,6 @@ class ShardWorker {
   // exclusive phase), then owned by the worker thread until Join. The
   // thread-confinement pass enforces this statically.
   ComponentTable table_ FIREHOSE_THREAD_OWNED(shard_worker);
-
-  std::unique_ptr<dur::SyncPolicy> sync_ FIREHOSE_THREAD_OWNED(shard_worker);
-  std::unique_ptr<dur::WalWriter> wal_ FIREHOSE_THREAD_OWNED(shard_worker);
-  /// Highest post id ingested (WAL'd + offered); -1 = none yet.
-  int64_t watermark_ FIREHOSE_THREAD_OWNED(shard_worker) = -1;
 
   // Written by the worker once per post, read by the dispatcher once
   // per poll, after AwaitDrained; never contended.
@@ -317,17 +234,14 @@ class ShardWorker {
   uint64_t routed_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
   std::atomic<uint64_t> finished_{0};
 
-  std::atomic<uint64_t> ingested_{0};
-  std::atomic<uint64_t> duplicates_{0};
   std::atomic<uint64_t> deliveries_{0};
-  std::atomic<uint64_t> wal_failures_{0};
 };
 
 }  // namespace internal
 
 std::string EncodeFollowRecord(UserId user, AuthorId author) {
   BinaryWriter out;
-  out.PutU8(kControlFollow);
+  out.PutU8(kRecordFollow);
   out.PutVarint(user);
   out.PutVarint(author);
   return out.Release();
@@ -335,9 +249,13 @@ std::string EncodeFollowRecord(UserId user, AuthorId author) {
 
 std::string EncodeSealRecord(uint64_t num_users) {
   BinaryWriter out;
-  out.PutU8(kControlSeal);
+  out.PutU8(kRecordSeal);
   out.PutVarint(num_users);
   return out.Release();
+}
+
+std::string EncodePostRecord(const Post& post) {
+  return static_cast<char>(kRecordPost) + dur::EncodePostRecord(post);
 }
 
 Server::Server(ServeOptions options, const AuthorGraph* graph)
@@ -352,62 +270,17 @@ bool Server::Start(std::string* error) {
     *error = "already started";
     return false;
   }
-
-  if (!options_.data_dir.empty()) {
-    control_sync_ = dur::MakeSyncPolicy(options_.wal_sync);
-    if (control_sync_ == nullptr) {
-      *error = "unrecognized --wal_sync spec: " + options_.wal_sync;
-      return false;
-    }
-    dur::WalOptions control_options;
-    control_options.dir = options_.data_dir + "/control";
-    control_options.sync = control_sync_.get();
-    const dur::WalReadResult read =
-        dur::ReadWal(control_options, /*start_seq=*/0, /*truncate_tail=*/true);
-    if (!read.ok) {
-      *error = "control WAL: " + read.error;
-      return false;
-    }
-    for (const dur::WalRecord& record : read.records) {
-      BinaryReader reader(record.payload);
-      uint8_t type = 0;
-      uint64_t a = 0;
-      uint64_t b = 0;
-      if (!reader.GetU8(&type)) type = 0;
-      if (type == kControlFollow && reader.GetVarint(&a) &&
-          reader.GetVarint(&b) && reader.AtEnd()) {
-        follows_.emplace_back(static_cast<UserId>(a),
-                              static_cast<AuthorId>(b));
-      } else if (type == kControlSeal && reader.GetVarint(&a) &&
-                 reader.AtEnd()) {
-        num_users_ = a;
-        sealed_.store(true, std::memory_order_release);
-      } else {
-        *error = "control WAL record " + std::to_string(record.seq) +
-                 " is not a follow/seal event";
-        return false;
-      }
-    }
-    control_wal_ = std::make_unique<dur::WalWriter>(control_options);
-    if (!control_wal_->Open(read.next_seq)) {
-      *error = "cannot open control WAL in " + control_options.dir;
-      return false;
-    }
-  }
-
-  if (sealed()) {
-    // Recovered past the seal: rebuild every shard (components + WAL
-    // replay) before accepting a single byte.
-    if (!BuildShards(error)) return false;
-  }
-
   OwnedFd listener = ListenLoopback(options_.port, /*backlog=*/8, &port_);
   if (!listener.valid()) {
     *error = "cannot bind 127.0.0.1:" + std::to_string(options_.port);
     return false;
   }
-  listen_fd_ = listener.Release();
+  if (!options_.data_dir.empty() && !Recover(error)) return false;
 
+  // Recovery fed the shards directly; threads start only once nothing
+  // can fail, so a failed Start leaves none behind.
+  for (auto& shard : shards_) shard->Spawn();
+  listen_fd_ = listener.Release();
   started_ = true;
   stop_.store(false, std::memory_order_release);
   dispatcher_ = std::thread([this] { Dispatch(); });
@@ -423,13 +296,8 @@ void Server::Stop() {
   stop_cmd.kind = internal::ShardCmd::Kind::kStop;
   for (auto& shard : shards_) shard->PushBlocking(stop_cmd);
   for (auto& shard : shards_) shard->Join();
-  for (auto& shard : shards_) {
-    // Close failures are tolerable at shutdown: recovery re-reads the
-    // segment and truncates any torn tail.
-    (void)shard->CloseWal();
-  }
-  if (control_wal_ != nullptr) {
-    (void)control_wal_->Close();  // read-back recovery tolerates torn tails
+  if (wal_ != nullptr) {
+    (void)wal_->Close();  // read-back recovery tolerates torn tails
   }
   if (listen_fd_ >= 0) {
     OwnedFd(listen_fd_).Reset();
@@ -442,17 +310,78 @@ ServeStats Server::stats() const {
   ServeStats s;
   s.connections = connections_.load(std::memory_order_seq_cst);
   s.posts_received = posts_received_.load(std::memory_order_seq_cst);
+  s.posts_ingested = posts_ingested_.load(std::memory_order_seq_cst);
+  s.duplicates = duplicates_.load(std::memory_order_seq_cst);
   s.polls = polls_.load(std::memory_order_seq_cst);
   s.malformed = malformed_.load(std::memory_order_seq_cst);
-  for (const auto& shard : shards_) {
-    s.posts_ingested += shard->ingested();
-    s.duplicates += shard->duplicates();
-    s.deliveries += shard->deliveries();
-  }
+  s.wal_failures = wal_failures_.load(std::memory_order_seq_cst);
+  for (const auto& shard : shards_) s.deliveries += shard->deliveries();
   return s;
 }
 
-bool Server::BuildShards(std::string* error) {
+bool Server::Recover(std::string* error) {
+  wal_sync_ = dur::MakeSyncPolicy(options_.wal_sync);
+  if (wal_sync_ == nullptr) {
+    *error = "unrecognized --wal_sync spec: " + options_.wal_sync;
+    return false;
+  }
+  dur::WalOptions wal_options;
+  wal_options.dir = options_.data_dir + "/wal";
+  wal_options.sync = wal_sync_.get();
+  const dur::WalReadResult read =
+      dur::ReadWal(wal_options, /*start_seq=*/0, /*truncate_tail=*/true);
+  if (!read.ok) {
+    *error = "server WAL: " + read.error;
+    return false;
+  }
+  for (const dur::WalRecord& record : read.records) {
+    // An intact frame that fails the codec or the order is cross-build
+    // state or a bug, not a torn tail: refuse to guess.
+    const auto reject = [&](const std::string& why) {
+      *error = "server WAL record " + std::to_string(record.seq) + " " + why;
+      return false;
+    };
+    BinaryReader reader(record.payload);
+    uint8_t type = 0;
+    uint64_t a = 0;
+    uint64_t b = 0;
+    Post post;
+    if (!reader.GetU8(&type)) type = 0;
+    if (type == kRecordFollow && reader.GetVarint(&a) &&
+        reader.GetVarint(&b) && reader.AtEnd()) {
+      if (sealed()) return reject("is a follow after the seal");
+      follows_.emplace_back(static_cast<UserId>(a), static_cast<AuthorId>(b));
+    } else if (type == kRecordSeal && reader.GetVarint(&a) && reader.AtEnd()) {
+      if (sealed()) return reject("is a second seal");
+      num_users_ = a;
+      BuildShards();
+      sealed_.store(true, std::memory_order_release);
+    } else if (type == kRecordPost &&
+               dur::DecodePostRecord(
+                   std::string_view(record.payload).substr(1), &post)) {
+      if (!sealed()) return reject("is a post before the seal");
+      if (static_cast<int64_t>(post.id) <= watermark_) {
+        return reject("has post id " + std::to_string(post.id) +
+                      ", not above the previous post's");
+      }
+      watermark_ = static_cast<int64_t>(post.id);
+      posts_ingested_.fetch_add(1, std::memory_order_seq_cst);
+      for (uint32_t shard : ShardsOf(post.author)) {
+        shards_[shard]->Ingest(post);
+      }
+    } else {
+      return reject("is not a follow, seal or post record");
+    }
+  }
+  wal_ = std::make_unique<dur::WalWriter>(wal_options);
+  if (!wal_->Open(read.next_seq)) {
+    *error = "cannot open the server WAL in " + wal_options.dir;
+    return false;
+  }
+  return true;
+}
+
+void Server::BuildShards() {
   // Users are dense 0..num_users-1; subscriptions deduped + sorted so
   // replayed follow streams with repeats build the same components.
   std::vector<std::vector<AuthorId>> subscriptions(
@@ -491,17 +420,23 @@ bool Server::BuildShards(std::string* error) {
     shards_.push_back(std::make_unique<internal::ShardWorker>(
         s, options_, std::move(table), num_users_));
   }
-  for (auto& shard : shards_) {
-    if (!shard->RecoverDurability(error)) return false;
-  }
-  for (auto& shard : shards_) shard->Spawn();
-  return true;
 }
 
-bool Server::AppendControlRecord(const std::string& payload, bool sync) {
-  if (control_wal_ == nullptr) return true;
-  if (!control_wal_->Append(payload)) return false;
-  return !sync || control_wal_->Sync();
+std::span<const uint32_t> Server::ShardsOf(AuthorId author) const {
+  if (author >= author_shards_.size()) return {};
+  return author_shards_[author];
+}
+
+bool Server::Log(int fd, std::string_view record, bool sync) {
+  if (wal_ == nullptr) return true;
+  if ((record.empty() || wal_->Append(record)) && (!sync || wal_->Sync())) {
+    return true;
+  }
+  // Fail closed: an unlogged write must not be acted on, and the writer
+  // stays failed, so every later write is refused the same way.
+  wal_failures_.fetch_add(1, std::memory_order_seq_cst);
+  (void)SendError(fd, "WAL write failed");
+  return false;
 }
 
 void Server::Dispatch() {
@@ -564,9 +499,7 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
       assign.version = kWireVersion;
       assign.num_shards = options_.num_shards;
       assign.sealed = sealed();
-      for (const auto& shard : shards_) {
-        assign.posts_ingested += shard->ingested();
-      }
+      assign.posts_ingested = posts_ingested_.load(std::memory_order_seq_cst);
       return SendMessage(fd, assign);
     }
     case MsgType::kFollow: {
@@ -575,10 +508,8 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
         (void)SendError(fd, "subscriptions are sealed");
         return false;
       }
-      if (!AppendControlRecord(
-              EncodeFollowRecord(message.user, message.author),
-              /*sync=*/false)) {
-        (void)SendError(fd, "control WAL append failed");
+      if (!Log(fd, EncodeFollowRecord(message.user, message.author),
+               /*sync=*/false)) {
         return false;
       }
       follows_.emplace_back(message.user, message.author);
@@ -595,17 +526,11 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
         (void)author;
         num_users_ = std::max<uint64_t>(num_users_, user + 1ull);
       }
-      // The seal is the one control event whose loss changes recovery's
-      // shape entirely, so it is always synced regardless of policy.
-      if (!AppendControlRecord(EncodeSealRecord(num_users_), /*sync=*/true)) {
-        (void)SendError(fd, "control WAL append failed");
-        return false;
-      }
-      std::string error;
-      if (!BuildShards(&error)) {
-        (void)SendError(fd, "seal failed: " + error);
-        return false;
-      }
+      // The seal is the one event whose loss changes recovery's shape
+      // entirely, so it is always synced regardless of policy.
+      if (!Log(fd, EncodeSealRecord(num_users_), /*sync=*/true)) return false;
+      BuildShards();
+      for (auto& shard : shards_) shard->Spawn();
       sealed_.store(true, std::memory_order_release);
       return true;
     }
@@ -623,7 +548,22 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
         // every destructor and flush, which is the point.
         (void)::raise(SIGKILL);
       }
-      RouteToShards(message);
+      const Post& post = message.post;
+      const std::span<const uint32_t> shards = ShardsOf(post.author);
+      if (shards.empty()) return true;  // followed by no one: not logged
+      if (static_cast<int64_t>(post.id) <= watermark_) {
+        // Posts are logged in id order, so this is a client resend of a
+        // post already logged (possibly before a crash).
+        duplicates_.fetch_add(1, std::memory_order_seq_cst);
+        return true;
+      }
+      if (!Log(fd, EncodePostRecord(post), /*sync=*/false)) return false;
+      watermark_ = static_cast<int64_t>(post.id);
+      posts_ingested_.fetch_add(1, std::memory_order_seq_cst);
+      internal::ShardCmd cmd;
+      cmd.kind = internal::ShardCmd::Kind::kPost;
+      cmd.post = post;
+      for (uint32_t shard : shards) shards_[shard]->PushBlocking(cmd);
       return true;
     }
     case MsgType::kPoll: {
@@ -663,24 +603,26 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
     }
     case MsgType::kFlush:
     case MsgType::kShutdown: {
-      NetMessage ack;
-      ack.type = MsgType::kFlushAck;
-      if (sealed() && !shards_.empty()) {
+      // The ack promises that every post before it is durable and decided.
+      bool keep = Log(fd, /*record=*/{}, /*sync=*/true);
+      if (keep) {
         internal::Barrier barrier(static_cast<uint32_t>(shards_.size()));
         internal::ShardCmd cmd;
         cmd.kind = internal::ShardCmd::Kind::kFlush;
         cmd.barrier = &barrier;
         for (auto& shard : shards_) shard->PushBlocking(cmd);
         barrier.Wait();
-        ack.ingested = barrier.ingested;
-        ack.duplicates = barrier.duplicates;
+        NetMessage ack;
+        ack.type = MsgType::kFlushAck;
+        ack.ingested = posts_ingested_.load(std::memory_order_seq_cst);
+        ack.duplicates = duplicates_.load(std::memory_order_seq_cst);
+        keep = SendMessage(fd, ack);
       }
-      const bool sent = SendMessage(fd, ack);
       if (message.type == MsgType::kShutdown) {
         stop_requested_.store(true, std::memory_order_release);
         return false;
       }
-      return sent;
+      return keep;
     }
     case MsgType::kAssign:
     case MsgType::kTimeline:
@@ -692,17 +634,6 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
       return false;
   }
   return false;
-}
-
-void Server::RouteToShards(const NetMessage& message) {
-  const AuthorId author = message.post.author;
-  if (author >= author_shards_.size()) return;  // followed by no one
-  internal::ShardCmd cmd;
-  cmd.kind = internal::ShardCmd::Kind::kPost;
-  cmd.post = message.post;
-  for (uint32_t shard : author_shards_[author]) {
-    shards_[shard]->PushBlocking(cmd);
-  }
 }
 
 void Server::PublishIntrospection() {
@@ -717,6 +648,7 @@ void Server::PublishIntrospection() {
   registry.GetCounter("serve.deliveries")->Add(s.deliveries);
   registry.GetCounter("serve.polls")->Add(s.polls);
   registry.GetCounter("serve.malformed")->Add(s.malformed);
+  registry.GetCounter("serve.wal_failures")->Add(s.wal_failures);
   registry.GetGauge("serve.num_shards")
       ->Set(static_cast<int64_t>(options_.num_shards));
   registry.GetGauge("serve.sealed")->Set(sealed() ? 1 : 0);
@@ -729,6 +661,7 @@ void Server::PublishIntrospection() {
   status += ",\"duplicates\":" + std::to_string(s.duplicates);
   status += ",\"deliveries\":" + std::to_string(s.deliveries);
   status += ",\"polls\":" + std::to_string(s.polls);
+  status += ",\"wal_failures\":" + std::to_string(s.wal_failures);
   status += ",\"kernel\":\"";
   status += kernels::GetKernelDispatchReport().active;
   status += "\",\"queue_depths\":[";
@@ -741,6 +674,10 @@ void Server::PublishIntrospection() {
   options_.debug->PublishMetrics(obs::ExportPrometheus(registry),
                                  obs::ExportJson(registry));
   options_.debug->PublishStatus(std::move(status));
+  options_.debug->PublishHealth(
+      s.wal_failures == 0
+          ? ""
+          : "wal failed (" + std::to_string(s.wal_failures) + " refused)");
 }
 
 }  // namespace net

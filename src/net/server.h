@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -31,9 +33,9 @@ struct ServeOptions {
   Algorithm algorithm = Algorithm::kCliqueBin;
   DiversityThresholds thresholds;
 
-  /// Root of the durable state; empty disables durability. Layout:
-  /// `<data_dir>/control` holds the follow/seal WAL, `<data_dir>/shard-N`
-  /// one post WAL per shard, so each shard recovers independently.
+  /// Root of the durable state; empty disables durability. The one
+  /// server WAL lives in `<data_dir>/wal`. It records no placement, so a
+  /// restart may use any `num_shards`.
   std::string data_dir;
   std::string wal_sync = "none";  ///< "none" | "always" | "every=N"
 
@@ -54,11 +56,12 @@ struct ServeOptions {
 struct ServeStats {
   uint64_t connections = 0;
   uint64_t posts_received = 0;  ///< kPost frames seen by the dispatcher
-  uint64_t posts_ingested = 0;  ///< shard ingests (fan-out counts per shard)
-  uint64_t duplicates = 0;      ///< resends skipped by the shard watermark
+  uint64_t posts_ingested = 0;  ///< posts logged and routed, once each
+  uint64_t duplicates = 0;      ///< resends at or below the watermark
   uint64_t deliveries = 0;      ///< (post, user) timeline appends
   uint64_t polls = 0;
   uint64_t malformed = 0;       ///< poisoned connections
+  uint64_t wal_failures = 0;    ///< writes refused because the WAL failed
 };
 
 /// The networked serving layer (DESIGN.md §4i): an ingest/delivery
@@ -70,27 +73,29 @@ struct ServeStats {
 /// loadgen is a single client; this is a reproduction testbed, not a
 /// production frontend). The dispatcher is the single producer of every
 /// shard's SpscQueue<ShardCmd>; each shard worker thread is the single
-/// consumer of its own queue and exclusively owns its ComponentTable and
-/// WAL — the same thread-confinement contract as RunShardedSUser,
-/// extended to long-lived workers. A worker's timelines sit behind its
-/// own mutex: the worker appends under it once per post, and the
-/// dispatcher answers a poll itself, without a queued command, by
+/// consumer of its own queue and exclusively owns its ComponentTable —
+/// the same thread-confinement contract as RunShardedSUser, extended to
+/// long-lived workers. Workers only decide. A worker's timelines sit
+/// behind its own mutex: the worker appends under it once per post, and
+/// the dispatcher answers a poll itself, without a queued command, by
 /// waiting until every shard finished the commands routed before the
 /// poll and then merging the shards' lists under their locks. Flush
-/// stays a barrier through the queues, since each worker syncs its WAL.
+/// syncs the WAL, then waits on a barrier through the queues.
 ///
 /// Placement: shared components (never single authors) are placed on
 /// shards by consistent hashing of their sorted author set, so a
 /// component's full similarity neighborhood is always shard-local and
 /// per-user timelines equal the in-process engine's exactly.
 ///
-/// Durability: follow/seal events go to a control WAL, ingested posts to
-/// per-shard WALs (appended before the diversifier decides, the
-/// src/dur discipline). After a crash the server rebuilds components
-/// from the control WAL and replays each shard WAL independently;
-/// clients resend the stream from the start and the per-shard post-id
-/// watermark drops everything already durable, which makes recovery +
-/// resend byte-identical to an uninterrupted run.
+/// Durability: the dispatcher alone appends to one server WAL, in the
+/// order it accepts them: follows, the seal, then every post that some
+/// shard routes, each logged before any shard sees it. A post id at or
+/// below the highest logged id is a client resend and is only counted.
+/// A failed append or sync fails closed: the write is refused with an
+/// Error frame, the connection closes and nothing reaches a shard.
+/// Start replays the WAL once, in order: the seal rebuilds the shards
+/// at the current `num_shards` and each post takes the live routing, so
+/// recovery + resend is byte-identical to an uninterrupted run.
 class Server {
  public:
   /// `graph` must outlive the server.
@@ -100,12 +105,14 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Recovers durable state, binds the port, starts the dispatcher.
-  /// False with `*error` set on unrecoverable state or bind failure.
+  /// Binds the port, recovers durable state, then starts the shard
+  /// workers and the dispatcher. False with `*error` set on a bind
+  /// failure, an unreadable WAL or a record out of order; a failed Start
+  /// has started no thread.
   [[nodiscard]] bool Start(std::string* error);
 
   /// Graceful stop: joins the dispatcher, drains and joins every shard
-  /// worker, closes WALs. Idempotent.
+  /// worker, closes the WAL. Idempotent.
   void Stop();
 
   /// Bound port after a successful Start.
@@ -125,13 +132,18 @@ class Server {
   void HandleConnection(int fd);
   /// True when the message keeps the connection alive.
   [[nodiscard]] bool HandleMessage(int fd, const NetMessage& message);
-  // Runs on the dispatcher thread at seal time, but before any worker
-  // exists — a single-threaded phase, hence the `exclusive` role.
-  [[nodiscard]] bool BuildShards(std::string* error) FIREHOSE_RUNS_ON(exclusive);
-  void RouteToShards(const NetMessage& message);
+  /// Replays `<data_dir>/wal` in order (follows, the seal, posts) into
+  /// shards whose threads have not started, then opens it for appends.
+  [[nodiscard]] bool Recover(std::string* error) FIREHOSE_RUNS_ON(exclusive);
+  // Builds the shards without starting their threads: a single-threaded
+  // phase (recovery, or the seal before any worker exists).
+  void BuildShards() FIREHOSE_RUNS_ON(exclusive);
+  std::span<const uint32_t> ShardsOf(AuthorId author) const;
+  /// Appends `record` (none when empty) to the WAL, then syncs when
+  /// `sync`; true without a data_dir. On failure, counts it and sends
+  /// `fd` an Error: the caller closes the connection and acts on nothing.
+  [[nodiscard]] bool Log(int fd, std::string_view record, bool sync);
   void PublishIntrospection();
-  [[nodiscard]] bool AppendControlRecord(const std::string& payload,
-                                         bool sync);
 
   ServeOptions options_;
   const AuthorGraph* graph_;
@@ -155,20 +167,27 @@ class Server {
   std::vector<std::vector<uint32_t>> author_shards_;
   std::vector<std::unique_ptr<internal::ShardWorker>> shards_;
 
-  // Control WAL (follow/seal events).
-  std::unique_ptr<dur::SyncPolicy> control_sync_;
-  std::unique_ptr<dur::WalWriter> control_wal_;
+  // The server WAL, and the highest post id it holds (-1 = none yet).
+  std::unique_ptr<dur::SyncPolicy> wal_sync_;
+  std::unique_ptr<dur::WalWriter> wal_ FIREHOSE_THREAD_OWNED(dispatcher);
+  int64_t watermark_ FIREHOSE_THREAD_OWNED(dispatcher) = -1;
 
   // Dispatcher-side counters (atomics so stats() works from any thread).
   std::atomic<uint64_t> connections_{0};
   std::atomic<uint64_t> posts_received_{0};
+  std::atomic<uint64_t> posts_ingested_{0};
+  std::atomic<uint64_t> duplicates_{0};
+  std::atomic<uint64_t> wal_failures_{0};
   std::atomic<uint64_t> polls_{0};
   std::atomic<uint64_t> malformed_{0};
 };
 
-/// Control-WAL record codec (exposed for tests).
+/// Server-WAL record codec (exposed for tests): a type byte (1 follow,
+/// 2 seal, 3 post), then the record's fields.
 std::string EncodeFollowRecord(UserId user, AuthorId author);
 std::string EncodeSealRecord(uint64_t num_users);
+/// 3, then dur::EncodePostRecord(post).
+std::string EncodePostRecord(const Post& post);
 
 }  // namespace net
 }  // namespace firehose

@@ -21,6 +21,11 @@ void DebugState::PublishStatus(std::string status_json) {
   status_ = std::move(status_json);
 }
 
+void DebugState::PublishHealth(std::string problem) {
+  std::lock_guard<std::mutex> lock(mu_);
+  health_ = std::move(problem);
+}
+
 std::string DebugState::metrics_prometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
   return prometheus_;
@@ -34,6 +39,11 @@ std::string DebugState::varz_json() const {
 std::string DebugState::status_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   return status_;
+}
+
+std::string DebugState::health() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return health_;
 }
 
 uint64_t DebugState::publish_count() const {
@@ -54,7 +64,9 @@ bool DebugServer::Start(int port) {
 HttpResponse DebugServer::Handle(const HttpRequest& request) {
   HttpResponse response;
   if (request.path == "/healthz") {
-    response.body = "ok\n";
+    const std::string problem = state_.health();
+    if (!problem.empty()) response.status = 503;
+    response.body = (problem.empty() ? "ok" : problem) + "\n";
     return response;
   }
   if (request.path == "/metricsz") {

@@ -35,11 +35,16 @@ class DebugState {
   /// object: queue depths, WAL position, shard progress...).
   void PublishStatus(std::string status_json);
 
+  /// Owning-thread side: replaces the health verdict /healthz serves.
+  /// Empty means healthy; anything else is why the runtime is not.
+  void PublishHealth(std::string problem);
+
   /// Responder side: copies of the latest publications (empty string
   /// before the first publish).
   std::string metrics_prometheus() const;
   std::string varz_json() const;
   std::string status_json() const;
+  std::string health() const;
 
   uint64_t publish_count() const;
 
@@ -48,6 +53,7 @@ class DebugState {
   std::string prometheus_ FIREHOSE_GUARDED_BY(mu_);
   std::string varz_ FIREHOSE_GUARDED_BY(mu_);
   std::string status_ FIREHOSE_GUARDED_BY(mu_);
+  std::string health_ FIREHOSE_GUARDED_BY(mu_);
   uint64_t publish_count_ FIREHOSE_GUARDED_BY(mu_) = 0;
 };
 
@@ -57,7 +63,7 @@ class DebugState {
 ///   /varz      firehose.metrics.v1 JSON   (same snapshot)
 ///   /statusz   build stamp, uptime, and the runtime's status block
 ///   /tracez    flight-recorder dump (Chrome trace JSON); ?window_s=N
-///   /healthz   "ok"
+///   /healthz   "ok", or 503 with the published health problem
 ///
 /// Binds 127.0.0.1 only (this is an operator port, not a service port).
 /// Start with port 0 to let the kernel pick; the chosen port is in

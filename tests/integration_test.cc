@@ -208,5 +208,19 @@ TEST_F(IntegrationFixture, AuthorSimilarityDistributionShapedLikeFigure9) {
   EXPECT_LT(frac03, frac02);
 }
 
+TEST(AlgorithmFlagTest, ParseAlgorithmAcceptsTheThreeSpellings) {
+  Algorithm algorithm = Algorithm::kCliqueBin;
+  ASSERT_TRUE(ParseAlgorithm("unibin", &algorithm));
+  EXPECT_EQ(algorithm, Algorithm::kUniBin);
+  ASSERT_TRUE(ParseAlgorithm("neighborbin", &algorithm));
+  EXPECT_EQ(algorithm, Algorithm::kNeighborBin);
+  ASSERT_TRUE(ParseAlgorithm("cliquebin", &algorithm));
+  EXPECT_EQ(algorithm, Algorithm::kCliqueBin);
+  // The printable name is not a flag spelling; a rejection leaves the
+  // value alone.
+  EXPECT_FALSE(ParseAlgorithm("UniBin", &algorithm));
+  EXPECT_EQ(algorithm, Algorithm::kCliqueBin);
+}
+
 }  // namespace
 }  // namespace firehose

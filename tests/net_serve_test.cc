@@ -4,8 +4,9 @@
 // served over the socket equal the sequential S_* engine's per-user
 // deliveries byte for byte — plus the poll contract (a poll sees every
 // post sent before it, flushed or not, and `since` selects the suffix),
-// durability (graceful stop, restart, resend, dedupe) and protocol
-// error handling.
+// durability (graceful stop, restart at another shard count, resend,
+// dedupe, refused writes when the WAL fails, the WAL's record order) and
+// protocol error handling.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/firehose.h"
@@ -116,12 +119,13 @@ class NetServeTest : public ::testing::TestWithParam<Algorithm> {
   }
 
   ServeOptions Options(uint32_t num_shards, const std::string& data_dir = "",
-                       Algorithm algorithm = Algorithm::kCliqueBin) {
+                       Algorithm algorithm = Algorithm::kCliqueBin,
+                       const std::string& wal_sync = "none") {
     ServeOptions options;
     options.num_shards = num_shards;
     options.algorithm = algorithm;
     options.data_dir = data_dir;
-    options.wal_sync = "none";  // graceful Stop closes cleanly regardless
+    options.wal_sync = wal_sync;  // graceful Stop closes cleanly regardless
     return options;
   }
 
@@ -180,7 +184,64 @@ TEST_P(NetServeTest, ServedTimelinesEqualSequentialEngineThreeShards) {
 }
 
 TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {
-  uint64_t first_ingested = 0;
+  // The WAL records no placement, so the second incarnation may run at
+  // any shard count, fewer shards than the first included.
+  const std::pair<uint32_t, uint32_t> kShardCounts[] = {
+      {2, 2}, {3, 2}, {2, 1}, {1, 3}};
+  for (const auto& [before, after] : kShardCounts) {
+    SCOPED_TRACE(::testing::Message() << before << " then " << after
+                                      << " shards");
+    std::filesystem::remove_all(data_dir_);
+    uint64_t first_ingested = 0;
+    {
+      Server server(Options(before, data_dir_), &workload_.graph);
+      std::string error;
+      ASSERT_TRUE(server.Start(&error)) << error;
+      ServeClient client;
+      ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+      SealUsers(client);
+      SendStream(client);
+      uint64_t duplicates = 0;
+      ASSERT_TRUE(client.Flush(&first_ingested, &duplicates))
+          << client.last_error();
+      EXPECT_GT(first_ingested, 0u);
+      EXPECT_EQ(duplicates, 0u);
+      client.Disconnect();
+      server.Stop();
+    }
+
+    // Second incarnation over the same data_dir: recovers the sealed
+    // subscription state and every durable post, so the full resend is
+    // entirely duplicates and the timelines don't change.
+    Server server(Options(after, data_dir_), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    EXPECT_TRUE(server.sealed()) << "seal record not recovered";
+
+    ServeClient client;
+    ServeClient::ConnectInfo info;
+    ASSERT_TRUE(client.Connect(server.port(), &info)) << client.last_error();
+    EXPECT_TRUE(info.sealed);
+    EXPECT_EQ(info.posts_ingested, first_ingested);
+
+    for (const Post& post : workload_.stream) {
+      ASSERT_TRUE(client.SendPost(post)) << client.last_error();
+    }
+    uint64_t ingested = 0;
+    uint64_t duplicates = 0;
+    ASSERT_TRUE(client.Flush(&ingested, &duplicates)) << client.last_error();
+    EXPECT_EQ(ingested, first_ingested) << "resend ingested new posts";
+    EXPECT_EQ(duplicates, first_ingested);
+
+    const auto expected = ExpectedTimelines(workload_, Algorithm::kCliqueBin,
+                                            DiversityThresholds{});
+    ExpectServedTimelinesMatch(client, expected);
+    client.Disconnect();
+    server.Stop();
+  }
+}
+
+TEST_F(NetServeTest, StartFailsCleanlyAfterRecoveringASealedLog) {
   {
     Server server(Options(2, data_dir_), &workload_.graph);
     std::string error;
@@ -189,43 +250,152 @@ TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {
     ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
     SealUsers(client);
     SendStream(client);
-    uint64_t duplicates = 0;
-    ASSERT_TRUE(client.Flush(&first_ingested, &duplicates))
-        << client.last_error();
-    EXPECT_GT(first_ingested, 0u);
-    EXPECT_EQ(duplicates, 0u);
     client.Disconnect();
     server.Stop();
   }
 
-  // Second incarnation over the same data_dir: recovers the sealed
-  // subscription state and every durable post, so the full resend is
-  // entirely duplicates and the timelines don't change.
-  Server server(Options(2, data_dir_), &workload_.graph);
+  // A sealed log with posts and a busy port: Start must fail with the
+  // bind error and leave no shard thread behind for ~Server to trip on.
+  int busy_port = 0;
+  OwnedFd busy = ListenLoopback(0, /*backlog=*/1, &busy_port);
+  ASSERT_TRUE(busy.valid());
+  {
+    ServeOptions options = Options(2, data_dir_);
+    options.port = busy_port;
+    Server server(options, &workload_.graph);
+    std::string error;
+    EXPECT_FALSE(server.Start(&error));
+    EXPECT_NE(error.find("cannot bind"), std::string::npos) << error;
+  }
+
+  // The failed Start left the log intact.
+  Server server(Options(1, data_dir_), &workload_.graph);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
-  EXPECT_TRUE(server.sealed()) << "seal record not recovered";
-
-  ServeClient client;
-  ServeClient::ConnectInfo info;
-  ASSERT_TRUE(client.Connect(server.port(), &info)) << client.last_error();
-  EXPECT_TRUE(info.sealed);
-  EXPECT_EQ(info.posts_ingested, first_ingested);
-
-  for (const Post& post : workload_.stream) {
-    ASSERT_TRUE(client.SendPost(post)) << client.last_error();
-  }
-  uint64_t ingested = 0;
-  uint64_t duplicates = 0;
-  ASSERT_TRUE(client.Flush(&ingested, &duplicates)) << client.last_error();
-  EXPECT_EQ(ingested, first_ingested) << "resend ingested new posts";
-  EXPECT_EQ(duplicates, first_ingested);
-
-  const auto expected =
-      ExpectedTimelines(workload_, Algorithm::kCliqueBin, DiversityThresholds{});
-  ExpectServedTimelinesMatch(client, expected);
-  client.Disconnect();
+  EXPECT_TRUE(server.sealed());
+  EXPECT_GT(server.stats().posts_ingested, 0u);
   server.Stop();
+}
+
+TEST_F(NetServeTest, RefusedWritesFailClosedWhenTheWalFails) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full to fail writes with ENOSPC";
+  }
+  const size_t half = workload_.stream.size() / 2;
+  Workload logged_prefix = workload_;
+  logged_prefix.stream.resize(half);
+  const auto expected = ExpectedTimelines(logged_prefix, Algorithm::kCliqueBin,
+                                          DiversityThresholds{});
+
+  for (const std::string policy : {"always", "none"}) {
+    SCOPED_TRACE("--wal_sync=" + policy);
+    std::filesystem::remove_all(data_dir_);
+    uint64_t logged = 0;
+    {
+      Server server(Options(2, data_dir_, Algorithm::kCliqueBin, policy),
+                    &workload_.graph);
+      std::string error;
+      ASSERT_TRUE(server.Start(&error)) << error;
+      ServeClient client;
+      ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+      SealUsers(client);
+      for (size_t i = 0; i < half; ++i) {
+        ASSERT_TRUE(client.SendPost(workload_.stream[i]))
+            << client.last_error();
+      }
+      ASSERT_TRUE(client.Flush(&logged)) << client.last_error();
+      client.Disconnect();
+      server.Stop();
+    }
+
+    // The next incarnation opens its fresh segment through a link to
+    // /dev/full, where every write that reaches the device fails with
+    // ENOSPC. ReadWal lists regular files only, so recovery skips it.
+    const std::string wal_dir = data_dir_ + "/wal";
+    dur::WalOptions wal_options;
+    wal_options.dir = wal_dir;
+    const uint64_t next_seq =
+        dur::ReadWal(wal_options, /*start_seq=*/0, /*truncate_tail=*/false)
+            .next_seq;
+    std::filesystem::create_symlink(
+        "/dev/full", wal_dir + "/" + dur::WalSegmentName(next_seq));
+
+    obs::DebugState debug;
+    ServeOptions options = Options(2, data_dir_, Algorithm::kCliqueBin, policy);
+    options.debug = &debug;
+    Server server(options, &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    ASSERT_EQ(server.stats().posts_ingested, logged);
+    {
+      // Under `always` the first logged post syncs and is refused. Under
+      // `none` one post stays in the writer's buffer, so only the
+      // flush's sync reaches the device, and the flush is refused.
+      const size_t end =
+          policy == "always" ? workload_.stream.size() : half + 1;
+      ServeClient client;
+      ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+      bool sent = true;
+      for (size_t i = half; i < end && sent; ++i) {
+        sent = client.SendPost(workload_.stream[i]);
+      }
+      EXPECT_FALSE(sent && client.Flush())
+          << "a write was acknowledged after the WAL failed";
+    }
+    const ServeStats stats = server.stats();
+    EXPECT_GE(stats.wal_failures, 1u);
+    if (policy == "always") {
+      // Every post is synced before any shard sees it, so the first
+      // refused post leaves the served state at the logged prefix.
+      EXPECT_EQ(stats.posts_ingested, logged);
+      ServeClient poller;
+      ASSERT_TRUE(poller.Connect(server.port())) << poller.last_error();
+      ExpectServedTimelinesMatch(poller, expected);
+      EXPECT_NE(debug.health().find("wal failed"), std::string::npos)
+          << debug.health();
+      EXPECT_NE(debug.varz_json().find("\"serve.wal_failures\": "),
+                std::string::npos);
+      poller.Disconnect();
+    }
+    server.Stop();
+  }
+}
+
+TEST_F(NetServeTest, StartRejectsWalRecordsOutOfOrder) {
+  const std::string follow =
+      EncodeFollowRecord(0, workload_.users[0].subscriptions[0]);
+  const std::string seal = EncodeSealRecord(1);
+  const std::string first = EncodePostRecord(workload_.stream[0]);
+  const std::string second = EncodePostRecord(workload_.stream[1]);
+  struct Case {
+    std::string error;
+    std::vector<std::string> records;
+  };
+  const Case cases[] = {
+      {"record 2 is a follow after the seal", {follow, seal, follow}},
+      {"record 2 is a second seal", {follow, seal, seal}},
+      {"record 1 is a post before the seal", {follow, first, seal}},
+      {"record 3 has post id", {follow, seal, second, first}},
+      {"record 3 has post id", {follow, seal, first, first}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.error);
+    std::filesystem::remove_all(data_dir_);
+    dur::WalOptions wal_options;
+    wal_options.dir = data_dir_ + "/wal";
+    {
+      dur::WalWriter wal(wal_options);
+      ASSERT_TRUE(wal.Open(0));
+      for (const std::string& record : c.records) {
+        ASSERT_TRUE(wal.Append(record));
+      }
+      ASSERT_TRUE(wal.Close());
+    }
+    Server server(Options(2, data_dir_), &workload_.graph);
+    std::string error;
+    EXPECT_FALSE(server.Start(&error));
+    EXPECT_NE(error.find("server WAL " + c.error), std::string::npos) << error;
+  }
 }
 
 TEST_F(NetServeTest, PollSinceReturnsTheSuffix) {
@@ -416,8 +586,8 @@ TEST_F(NetServeTest, HelloWithWrongMagicIsRejected) {
 }
 
 TEST_F(NetServeTest, ControlRecordCodecsRoundTripThroughTheWal) {
-  // The control-WAL payloads are tiny; pin their exact shape so a
-  // recovery of today's records keeps working after future edits.
+  // Pin the exact shape of the server-WAL records so a recovery of
+  // today's records keeps working after future edits.
   const std::string follow = EncodeFollowRecord(7, 99);
   const std::string seal = EncodeSealRecord(298);
   EXPECT_EQ(follow[0], 1);
@@ -435,6 +605,18 @@ TEST_F(NetServeTest, ControlRecordCodecsRoundTripThroughTheWal) {
   ASSERT_TRUE(seal_reader.GetVarint(&num_users));
   EXPECT_EQ(num_users, 298u);
   EXPECT_TRUE(seal_reader.AtEnd());
+
+  const Post& post = workload_.stream[3];
+  const std::string logged = EncodePostRecord(post);
+  EXPECT_EQ(logged[0], 3);
+  Post decoded;
+  ASSERT_TRUE(
+      dur::DecodePostRecord(std::string_view(logged).substr(1), &decoded));
+  EXPECT_EQ(decoded.id, post.id);
+  EXPECT_EQ(decoded.author, post.author);
+  EXPECT_EQ(decoded.time_ms, post.time_ms);
+  EXPECT_EQ(decoded.simhash, post.simhash);
+  EXPECT_EQ(decoded.text, post.text);
 }
 
 }  // namespace

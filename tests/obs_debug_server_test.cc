@@ -48,6 +48,14 @@ TEST(DebugServerTest, HealthzAndUnknownRoute) {
   EXPECT_EQ(Fetch(server, "/healthz", &status), "ok\n");
   EXPECT_EQ(status, 200);
 
+  // A published problem turns the probe unhealthy until it is cleared.
+  server.state()->PublishHealth("wal failed (2 refused)");
+  EXPECT_EQ(Fetch(server, "/healthz", &status), "wal failed (2 refused)\n");
+  EXPECT_EQ(status, 503);
+  server.state()->PublishHealth("");
+  EXPECT_EQ(Fetch(server, "/healthz", &status), "ok\n");
+  EXPECT_EQ(status, 200);
+
   const std::string missing = Fetch(server, "/definitely-not-a-route",
                                     &status);
   EXPECT_EQ(status, 404);

@@ -3,9 +3,10 @@
 // socket. The clean path must verify byte-identical against the
 // in-process S_* engine, and the kill-loop path SIGKILLs the server
 // mid-stream — twice, at different points, via FIREHOSE_CRASH_AFTER —
-// restarts it over the same data_dir, resends the stream from the
-// start, and requires the recovered timelines to be byte-identical
-// (loadgen --verify) with the resent prefix deduped, not re-ingested.
+// restarts it over the same data_dir at another --shards each time,
+// resends the stream from the start, and requires the recovered
+// timelines to be byte-identical (loadgen --verify) with the resent
+// prefix deduped, not re-ingested.
 
 #include <gtest/gtest.h>
 
@@ -185,18 +186,18 @@ TEST_F(ServingSmokeTest, KillLoopRecoversToByteIdenticalTimelines) {
       << "loadgen survived an incarnation that SIGKILLed itself";
   AwaitServerExit();
 
-  // Incarnation 2: recovers, then dies again — two thirds in, counted
-  // across the full resend (duplicates included), so the kill lands at
-  // a different stream position than the first.
+  // Incarnation 2: recovers onto 3 shards, then dies again — two thirds
+  // in, counted across the full resend (duplicates included), so the
+  // kill lands at a different stream position than the first.
   StartServer("FIREHOSE_CRASH_AFTER=" + std::to_string(2 * stream_size_ / 3),
-              "--shards=2 --data_dir=" + data_dir_ + " --wal_sync=always");
+              "--shards=3 --data_dir=" + data_dir_ + " --wal_sync=always");
   EXPECT_NE(RunLoadgen("--flush_every=50"), 0);
   AwaitServerExit();
 
-  // Final incarnation: recovers everything durable, takes the full
-  // resend (dedupes the durable prefix), and must verify byte-identical
-  // against the in-process engine.
-  StartServer("", "--shards=2 --data_dir=" + data_dir_ + " --wal_sync=always");
+  // Final incarnation: recovers everything durable onto 1 shard, takes
+  // the full resend (dedupes the durable prefix), and must verify
+  // byte-identical against the in-process engine.
+  StartServer("", "--shards=1 --data_dir=" + data_dir_ + " --wal_sync=always");
   const int exit_code =
       RunLoadgen("--graph=" + graph_path_ + " --verify --shutdown");
   ASSERT_EQ(exit_code, 0) << Slurp(loadgen_log_);

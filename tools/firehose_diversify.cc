@@ -43,27 +43,6 @@ using namespace firehose;
 
 namespace {
 
-bool ParseAlgorithm(const std::string& name, Algorithm* algorithm) {
-  if (name == "unibin") {
-    *algorithm = Algorithm::kUniBin;
-  } else if (name == "neighborbin") {
-    *algorithm = Algorithm::kNeighborBin;
-  } else if (name == "cliquebin") {
-    *algorithm = Algorithm::kCliqueBin;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool WriteStringToFile(const std::string& path, const std::string& content) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const size_t written = std::fwrite(content.data(), 1, content.size(), file);
-  const bool closed = std::fclose(file) == 0;
-  return written == content.size() && closed;
-}
-
 bool EndsWith(const std::string& s, const char* suffix) {
   const size_t n = std::strlen(suffix);
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
@@ -198,8 +177,8 @@ int main(int argc, char** argv) {
           .Kv("progress", progress)
           .Kv("depth", depth)
           .Kv("trace", crash_trace_path);
-      (void)WriteStringToFile(crash_trace_path,
-                              flight.DumpJson(30ull * 1000 * 1000 * 1000));
+      (void)WriteFileAtomic(crash_trace_path,
+                            flight.DumpJson(30ull * 1000 * 1000 * 1000));
     });
   } else {
     watchdog.SetTripCallback([](int, const char* name, uint64_t progress,
@@ -461,7 +440,7 @@ int main(int argc, char** argv) {
         EndsWith(path, ".prom")
             ? obs::ExportPrometheus(metrics, {/*include_timing=*/true})
             : obs::ExportJson(metrics, {/*include_timing=*/false});
-    if (!WriteStringToFile(path, body)) {
+    if (!WriteFileAtomic(path, body)) {
       std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
       return 1;
     }
@@ -469,7 +448,7 @@ int main(int argc, char** argv) {
   }
   if (want_trace) {
     const std::string path = flags.GetString("trace_out", "");
-    if (!WriteStringToFile(path, trace.ToJson())) {
+    if (!WriteFileAtomic(path, trace.ToJson())) {
       std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
       return 1;
     }

@@ -33,27 +33,6 @@ using namespace firehose;
 
 namespace {
 
-bool ParseAlgorithm(const std::string& name, Algorithm* algorithm) {
-  if (name == "unibin") {
-    *algorithm = Algorithm::kUniBin;
-  } else if (name == "neighborbin") {
-    *algorithm = Algorithm::kNeighborBin;
-  } else if (name == "cliquebin") {
-    *algorithm = Algorithm::kCliqueBin;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool WriteStringToFile(const std::string& path, const std::string& content) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const size_t written = std::fwrite(content.data(), 1, content.size(), file);
-  const bool closed = std::fclose(file) == 0;
-  return written == content.size() && closed;
-}
-
 int ReadPortFile(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return 0;
@@ -291,7 +270,7 @@ int main(int argc, char** argv) {
                                   replay_ms)
                             : 0);
     const std::string path = flags.GetString("bench_out", "");
-    if (!WriteStringToFile(
+    if (!WriteFileAtomic(
             path, obs::ExportJson(metrics, {/*include_timing=*/true}))) {
       std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
       return 1;

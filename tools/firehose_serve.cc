@@ -4,15 +4,18 @@
 // --shards worker threads, with components placed by consistent hashing
 // so a component never straddles shards.
 //
-// Durability: --data_dir gives every shard its own WAL directory plus a
-// control WAL for follow/seal events; a SIGKILL at any instant is
-// recovered on restart by replaying the WALs, and clients that resend
-// the stream from the start are deduped by the per-shard watermark —
-// the recovered timelines are byte-identical to an uninterrupted run
-// (tests/serving_smoke_test.cc kill-loops exactly this).
+// Durability: --data_dir holds one server WAL, <data_dir>/wal, that the
+// dispatcher appends follows, the seal and each routed post to before
+// any shard sees them. A SIGKILL at any instant is recovered on restart
+// by replaying it, at any --shards; clients that resend the stream from
+// the start are deduped by the server's post-id watermark, and the
+// recovered timelines are byte-identical to an uninterrupted run
+// (tests/serving_smoke_test.cc kill-loops exactly this). A failed WAL
+// write fails closed: it is refused with an error, never acted on.
 //
 // Introspection: --debug_port serves /metricsz /varz /statusz /tracez
-// on 127.0.0.1 with serve.* counters published by the dispatcher.
+// /healthz on 127.0.0.1 with serve.* counters published by the
+// dispatcher; /healthz answers 503 once a WAL write has failed.
 //
 // FIREHOSE_CRASH_AFTER=N in the environment SIGKILLs the process after
 // N posts received (the kill-loop harness's deterministic kill switch).
@@ -42,19 +45,6 @@ namespace {
 std::atomic<bool> g_signal{false};
 
 void HandleSignal(int) { g_signal.store(true, std::memory_order_release); }
-
-bool ParseAlgorithm(const std::string& name, Algorithm* algorithm) {
-  if (name == "unibin") {
-    *algorithm = Algorithm::kUniBin;
-  } else if (name == "neighborbin") {
-    *algorithm = Algorithm::kNeighborBin;
-  } else if (name == "cliquebin") {
-    *algorithm = Algorithm::kCliqueBin;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 }  // namespace
 
