@@ -52,9 +52,10 @@ int main() {
       std::printf("%-12s %9.0fx %12.0f %10.1f %10.1f %10.1f %8zu\n",
                   std::string(diversifier->name()).c_str(), speedup,
                   report.achieved_posts_per_sec,
-                  report.queueing_latency.p50_us,
-                  report.queueing_latency.p99_us,
-                  report.queueing_latency.max_us, report.queue_high_water);
+                  report.queueing_latency.p50 / 1000.0,
+                  report.queueing_latency.p99 / 1000.0,
+                  report.queueing_latency.max / 1000.0,
+                  report.queue_high_water);
     }
   }
   std::printf(

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
-#include <sstream>
+#include <string_view>
 
-#include "src/analysis/cache.h"
 #include "src/analysis/passes.h"
 #include "src/analysis/sema/functions.h"
 #include "src/analysis/sema/passes.h"
@@ -22,84 +20,61 @@ const std::vector<RegisteredPass>& PassRegistry() {
   static const std::vector<RegisteredPass> kPasses = {
       {{"layering",
         "cross-module include edge not allowed by the tools/layers.txt DAG"},
-       CheckLayering, false, true},
+       CheckLayering, false},
       {{"include-cycle",
         "files that include each other, possibly transitively"},
-       CheckIncludeCycles, false, false},
+       CheckIncludeCycles, false},
       {{"unused-include",
         "internal include none of whose declared names the file references"},
-       CheckUnusedIncludes, false, true},
+       CheckUnusedIncludes, false},
       {{"unchecked-error",
         "silently discarded [[nodiscard]] bool/Status result from a "
         "src/io, src/dur or src/runtime API"},
-       CheckUncheckedErrors, false, true},
+       CheckUncheckedErrors, false},
       {{"banned-nondeterminism",
         "raw entropy or wall-clock source outside src/util/random"},
-       CheckBannedNondeterminism, false, true},
+       CheckBannedNondeterminism, false},
       {{"unordered-iteration",
         "range-for over an unordered container feeding an output path"},
-       CheckUnorderedIteration, false, true},
+       CheckUnorderedIteration, false},
       {{"include-guard", "missing or malformed #ifndef include guard"},
-       CheckIncludeGuards, false, true},
+       CheckIncludeGuards, false},
       {{"raw-new-delete", "raw new/delete instead of owning containers"},
-       CheckRawNewDelete, false, true},
+       CheckRawNewDelete, false},
       {{"obs-seam", "direct time/IO in src/obs instead of obs::Clock"},
-       CheckObsSeam, false, true},
+       CheckObsSeam, false},
       {{"dur-seam", "file mutation outside src/io and src/dur"},
-       CheckDurSeam, false, true},
+       CheckDurSeam, false},
       {{"view-invalidation",
         "SoA ring view (PostBin::LaneSpan) read after a mutating call "
         "invalidated it"},
-       sema::CheckViewInvalidation, true, true},
+       sema::CheckViewInvalidation, true},
       {{"lock-discipline",
         "FIREHOSE_GUARDED_BY/FIREHOSE_REQUIRES violation: guarded state "
         "touched without the mutex held"},
-       sema::CheckLockDiscipline, true, false},
+       sema::CheckLockDiscipline, true},
       {{"atomic-ordering",
         "raw memory_order_relaxed outside allowlisted seams, or "
         "seq_cst-default operation on an atomic"},
-       sema::CheckAtomicOrdering, true, true},
+       sema::CheckAtomicOrdering, true},
       {{"blocking-in-hot-path",
         "IO or sleep call reachable from the per-post Offer decide path"},
-       sema::CheckBlockingInHotPath, true, false},
+       sema::CheckBlockingInHotPath, true},
       {{"thread-confinement",
         "FIREHOSE_THREAD_OWNED/PRODUCER_ONLY/CONSUMER_ONLY state touched "
         "from a function reachable on the wrong FIREHOSE_RUNS_ON thread"},
-       sema::CheckThreadConfinement, true, false},
+       sema::CheckThreadConfinement, true},
       {{"untrusted-input",
         "tainted bytes from a FIREHOSE_TAINT_SOURCE or frame payload used "
         "as an allocation size, resize argument or index without a bound "
         "check"},
-       sema::CheckUntrustedInput, true, false},
+       sema::CheckUntrustedInput, true},
       {{"ordering-discipline",
         "condvar wait outside a predicate loop, or a decide-path call "
         "preceding the WAL append in the same function"},
-       sema::CheckOrderingDiscipline, true, false},
+       sema::CheckOrderingDiscipline, true},
   };
   return kPasses;
-}
-
-bool IsFileScopedCheck(const std::string& check) {
-  for (const RegisteredPass& pass : PassRegistry()) {
-    if (pass.check.name == check) return pass.file_scoped;
-  }
-  return false;
-}
-
-uint64_t RuleTableHash() {
-  // Bump when pass semantics change without a registry text edit, so
-  // stale caches from older binaries are discarded.
-  // Epoch 2: blocking-in-hot-path learned the ResolveKernelOps cold-init
-  // seam and view-invalidation learned PostBin::PushBatch.
-  // Epoch 3: view-invalidation dropped PostBin::PushBatch (deleted).
-  constexpr uint64_t kAnalyzerCacheEpoch = 3;
-  uint64_t hash = HashBytes(std::to_string(kAnalyzerCacheEpoch));
-  for (const RegisteredPass& pass : PassRegistry()) {
-    hash = HashBytes(pass.check.name, hash);
-    hash = HashBytes(pass.check.description, hash);
-    hash = HashBytes(pass.file_scoped ? "F" : "G", hash);
-  }
-  return hash;
 }
 
 const std::vector<CheckInfo>& AllChecks() {
@@ -172,53 +147,6 @@ AnalysisResult Analyze(const std::vector<SourceFile>& files,
   context.graph = &graph;
   context.layers = have_layers ? &layers : nullptr;
 
-  // Per-file content and include-closure hashes, for the result cache.
-  // The closure hash folds in every transitively included analyzed file,
-  // so editing a header invalidates all its includers.
-  std::map<std::string, uint64_t> content_hashes;
-  std::vector<uint64_t> closure_hashes;
-  std::set<std::string> skip;
-  if (options.cache != nullptr) {
-    for (const SourceFile& file : files) {
-      content_hashes[file.path] = HashBytes(file.text);
-    }
-    closure_hashes.resize(graph.files.size(), 0);
-    for (size_t i = 0; i < graph.files.size(); ++i) {
-      std::set<int> closure;
-      std::deque<int> queue;
-      closure.insert(static_cast<int>(i));
-      queue.push_back(static_cast<int>(i));
-      while (!queue.empty()) {
-        const int at = queue.front();
-        queue.pop_front();
-        for (const IncludeRef& ref : graph.files[at].includes) {
-          if (ref.resolved >= 0 && closure.insert(ref.resolved).second) {
-            queue.push_back(ref.resolved);
-          }
-        }
-      }
-      uint64_t hash = kFnvOffset;
-      for (const int index : closure) {  // sorted — files sorted by path
-        const FileNode& node = graph.files[index];
-        hash = HashBytes(node.path, hash);
-        hash = HashBytes(std::to_string(content_hashes[node.path]), hash);
-      }
-      closure_hashes[i] = hash;
-    }
-    for (size_t i = 0; i < graph.files.size(); ++i) {
-      const FileNode& node = graph.files[i];
-      auto it = options.cache->files.find(node.path);
-      if (it != options.cache->files.end() &&
-          it->second.content_hash == content_hashes[node.path] &&
-          it->second.closure_hash == closure_hashes[i]) {
-        skip.insert(node.path);
-      }
-    }
-    context.skip_paths = &skip;
-    result.cache_hits = skip.size();
-    result.cache_misses = files.size() - skip.size();
-  }
-
   const auto enabled = [&options](std::string_view name) {
     return options.checks.empty() ||
            options.checks.count(std::string(name)) > 0;
@@ -269,16 +197,6 @@ AnalysisResult Analyze(const std::vector<SourceFile>& files,
           }),
       findings.end());
 
-  // Replay cached file-scoped findings for skipped files (already
-  // suppression-filtered when they were cached).
-  if (options.cache != nullptr) {
-    for (const std::string& path : skip) {
-      const CacheEntry& entry = options.cache->files[path];
-      findings.insert(findings.end(), entry.findings.begin(),
-                      entry.findings.end());
-    }
-  }
-
   // Collapse findings carrying the same (check, path, token) — one
   // violation reachable via several call chains — keeping the shortest
   // message (shortest chain; ties to the smallest line).
@@ -321,95 +239,10 @@ AnalysisResult Analyze(const std::vector<SourceFile>& files,
                              }),
                  findings.end());
 
-  // Refresh the cache: entries for exactly the current file set, with
-  // the final (post-suppression, post-dedupe) file-scoped findings.
-  if (options.cache != nullptr) {
-    std::map<std::string, CacheEntry> fresh;
-    for (size_t i = 0; i < graph.files.size(); ++i) {
-      CacheEntry& entry = fresh[graph.files[i].path];
-      entry.content_hash = content_hashes[graph.files[i].path];
-      entry.closure_hash = closure_hashes[i];
-    }
-    for (const Finding& finding : findings) {
-      auto it = fresh.find(finding.path);
-      if (it != fresh.end() && IsFileScopedCheck(finding.check)) {
-        it->second.findings.push_back(finding);
-      }
-    }
-    options.cache->files = std::move(fresh);
-    options.cache->all_findings = findings;
-    options.cache->file_count = files.size();
-  }
-
   result.ok = true;
   result.findings = std::move(findings);
   result.file_count = files.size();
   return result;
-}
-
-// --- Baseline ----------------------------------------------------------------
-
-std::string BaselineKey(const Finding& finding) {
-  return finding.check + "\t" + finding.path + "\t" + finding.message;
-}
-
-std::set<std::string> ParseBaseline(std::string_view text) {
-  std::set<std::string> keys;
-  std::istringstream in{std::string(text)};
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    keys.insert(line);
-  }
-  return keys;
-}
-
-std::string FormatBaselineKeys(const std::set<std::string>& keys) {
-  std::string out =
-      "# firehose_analyze baseline — known findings exempt from failing "
-      "the build.\n"
-      "# One `<check>\\t<path>\\t<message>` per line (no line numbers, so\n"
-      "# unrelated edits don't invalidate entries). Regenerate with\n"
-      "#   firehose_analyze --write-baseline ...\n"
-      "# and keep this list shrinking.\n";
-  for (const std::string& key : keys) {
-    out += key;
-    out += '\n';
-  }
-  return out;
-}
-
-std::string FormatBaseline(const std::vector<Finding>& findings) {
-  std::set<std::string> keys;
-  for (const Finding& finding : findings) keys.insert(BaselineKey(finding));
-  return FormatBaselineKeys(keys);
-}
-
-std::set<std::string> StaleBaselineKeys(const std::set<std::string>& baseline,
-                                        const std::vector<Finding>& findings) {
-  std::set<std::string> live;
-  for (const Finding& finding : findings) live.insert(BaselineKey(finding));
-  std::set<std::string> stale;
-  for (const std::string& key : baseline) {
-    if (live.count(key) == 0) stale.insert(key);
-  }
-  return stale;
-}
-
-void ApplyBaseline(const std::set<std::string>& baseline,
-                   std::vector<Finding>* findings,
-                   std::vector<Finding>* baselined) {
-  std::vector<Finding> kept;
-  kept.reserve(findings->size());
-  for (Finding& finding : *findings) {
-    if (baseline.count(BaselineKey(finding)) > 0) {
-      baselined->push_back(std::move(finding));
-    } else {
-      kept.push_back(std::move(finding));
-    }
-  }
-  *findings = std::move(kept);
 }
 
 }  // namespace analysis

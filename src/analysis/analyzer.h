@@ -1,11 +1,9 @@
 #ifndef FIREHOSE_ANALYSIS_ANALYZER_H_
 #define FIREHOSE_ANALYSIS_ANALYZER_H_
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -15,8 +13,7 @@ namespace firehose {
 namespace analysis {
 
 /// One diagnostic. `check` is the stable pass name used by suppression
-/// comments (`firehose-lint: allow(<check>)`), the baseline file and the
-/// SARIF ruleId.
+/// comments (`firehose-lint: allow(<check>)`) and `--check` filters.
 struct Finding {
   std::string path;
   int line = 0;
@@ -25,7 +22,7 @@ struct Finding {
   /// Optional dedupe key. Findings with the same (check, path, token)
   /// collapse to one — the one with the shortest message (shortest call
   /// chain) — so a violation reachable via several chains is reported
-  /// once. Empty disables collapsing. Not part of the baseline key.
+  /// once. Empty disables collapsing.
   std::string token;
 };
 
@@ -54,13 +51,6 @@ struct AnalysisContext {
   /// Semantic model (functions, types, annotations). Built only when a
   /// sema pass is enabled; null otherwise — sema passes no-op on null.
   const sema::SemaModel* sema = nullptr;
-  /// Paths whose per-file findings are replayed from the result cache;
-  /// file-scoped passes must skip them. Null or empty: analyze all.
-  const std::set<std::string>* skip_paths = nullptr;
-
-  bool Skipped(const std::string& path) const {
-    return skip_paths != nullptr && skip_paths->count(path) > 0;
-  }
 };
 
 using PassFn = void (*)(const AnalysisContext&, std::vector<Finding>*);
@@ -71,12 +61,6 @@ struct RegisteredPass {
   /// True when the pass reads context.sema; Analyze builds the model on
   /// demand when any such pass is enabled.
   bool needs_sema = false;
-  /// True when the pass's findings for a file depend only on that file
-  /// and its include closure — the precondition for replaying them from
-  /// the per-file result cache. Interprocedural passes (call chains can
-  /// start anywhere) and cross-file aggregations are global and always
-  /// rerun.
-  bool file_scoped = false;
 };
 
 /// The pass registry; execution order is registration order: the graph
@@ -87,31 +71,14 @@ struct RegisteredPass {
 /// ordering-discipline).
 const std::vector<RegisteredPass>& PassRegistry();
 
-/// True when `check` is registered file-scoped (see RegisteredPass).
-bool IsFileScopedCheck(const std::string& check);
-
-/// Stable hash of the registered rule tables: every check name and
-/// description plus an epoch bumped when pass semantics change without
-/// a registry edit. A cache written under a different rule-table hash
-/// is discarded wholesale.
-uint64_t RuleTableHash();
-
 /// CheckInfo of every registered pass, in execution order.
 const std::vector<CheckInfo>& AllChecks();
-
-struct AnalysisCache;
 
 struct AnalysisOptions {
   /// Contents of tools/layers.txt. Empty disables the layering pass.
   std::string layers_text;
   /// Check names to run; empty means all. Unknown names are an error.
   std::set<std::string> checks;
-  /// Optional per-file result cache (in/out). Files whose content and
-  /// include-closure hashes match their cache entry have their
-  /// file-scoped findings replayed instead of recomputed; entries are
-  /// refreshed for everything analyzed. The caller owns config matching
-  /// — hand Analyze a cache only if its config_hash matches the run.
-  AnalysisCache* cache = nullptr;
 };
 
 struct AnalysisResult {
@@ -123,11 +90,6 @@ struct AnalysisResult {
   /// suppressions already applied.
   std::vector<Finding> findings;
   size_t file_count = 0;
-  /// Files whose file-scoped findings were replayed from the cache /
-  /// recomputed this run (cache_hits + cache_misses == file_count when
-  /// a cache was supplied; both 0 otherwise).
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
   /// (pass name, milliseconds) in execution order, for --stats.
   std::vector<std::pair<std::string, double>> pass_ms;
 };
@@ -142,33 +104,6 @@ AnalysisResult Analyze(const std::vector<SourceFile>& files,
 /// line; a directive on line N suppresses its check on lines N and N+1.
 std::map<int, std::set<std::string>> CollectSuppressions(
     const std::vector<Token>& tokens);
-
-// --- Baseline ---------------------------------------------------------------
-//
-// The baseline file freezes known findings so new code is held to a
-// clean bar while legacy findings burn down incrementally. Keys omit
-// line numbers — a baseline survives unrelated edits shifting code.
-// One finding per line: `<check>\t<path>\t<message>`.
-
-std::string BaselineKey(const Finding& finding);
-std::set<std::string> ParseBaseline(std::string_view text);
-std::string FormatBaseline(const std::vector<Finding>& findings);
-
-/// Serializes explicit keys with the standard baseline header — what
-/// `--prune-baseline` writes back after dropping stale entries.
-std::string FormatBaselineKeys(const std::set<std::string>& keys);
-
-/// Keys in `baseline` that no current finding matches: stale
-/// suppressions that should be pruned so the baseline only ever
-/// shrinks for real reasons.
-std::set<std::string> StaleBaselineKeys(const std::set<std::string>& baseline,
-                                        const std::vector<Finding>& findings);
-
-/// Moves findings whose key is in `baseline` out of `findings` and into
-/// `baselined` (order preserved).
-void ApplyBaseline(const std::set<std::string>& baseline,
-                   std::vector<Finding>* findings,
-                   std::vector<Finding>* baselined);
 
 }  // namespace analysis
 }  // namespace firehose

@@ -76,7 +76,6 @@ void CheckLayering(const AnalysisContext& context,
   const LayerConfig& layers = *context.layers;
   std::set<std::string> unknown_reported;
   for (const FileNode& node : context.graph->files) {
-    if (context.Skipped(node.path)) continue;
     auto rule_it = layers.rules.find(node.module);
     if (rule_it == layers.rules.end()) {
       if (unknown_reported.insert(node.module).second) {
@@ -297,7 +296,6 @@ void CheckUnusedIncludes(const AnalysisContext& context,
   const IncludeGraph& graph = *context.graph;
   std::map<int, std::set<std::string>> provided_cache;
   for (const FileNode& node : graph.files) {
-    if (context.Skipped(node.path)) continue;
     if (!InSrc(node) || node.module == "api") continue;
     std::set<std::string> used;
     for (const Token& token : node.tokens) {
@@ -450,7 +448,6 @@ void CheckUncheckedErrors(const AnalysisContext& context,
   const std::map<std::string, MustCheckApi> apis = CollectMustCheck(graph);
   if (apis.empty()) return;
   for (const FileNode& node : graph.files) {
-    if (context.Skipped(node.path)) continue;
     if (!InSrc(node) && node.module != "tools") continue;
     const Code code = CodeTokens(node);
     for (size_t i = 0; i < code.size(); ++i) {
@@ -502,7 +499,6 @@ void CheckBannedNondeterminism(const AnalysisContext& context,
       "rand", "srand", "drand48", "rand48", "lrand48", "time",
       "gettimeofday"};
   for (const FileNode& node : context.graph->files) {
-    if (context.Skipped(node.path)) continue;
     if (!InSrc(node)) continue;
     // src/util/random wraps the one sanctioned entropy-free generator.
     if (node.path.find("util/random") != std::string::npos) continue;
@@ -618,7 +614,6 @@ void CheckUnorderedIteration(const AnalysisContext& context,
   const std::set<std::string> unordered = CollectUnorderedNames(*context.graph);
   if (unordered.empty()) return;
   for (const FileNode& node : context.graph->files) {
-    if (context.Skipped(node.path)) continue;
     if (!InSrc(node)) continue;
     const Code code = CodeTokens(node);
     for (size_t i = 0; i + 1 < code.size(); ++i) {
@@ -657,7 +652,6 @@ void CheckUnorderedIteration(const AnalysisContext& context,
 void CheckIncludeGuards(const AnalysisContext& context,
                         std::vector<Finding>* findings) {
   for (const FileNode& node : context.graph->files) {
-    if (context.Skipped(node.path)) continue;
     if (!InSrc(node) || !IsHeader(node)) continue;
     const Code code = CodeTokens(node);
 
@@ -714,7 +708,6 @@ void CheckIncludeGuards(const AnalysisContext& context,
 void CheckRawNewDelete(const AnalysisContext& context,
                        std::vector<Finding>* findings) {
   for (const FileNode& node : context.graph->files) {
-    if (context.Skipped(node.path)) continue;
     if (!InSrc(node)) continue;
     const Code code = CodeTokens(node);
     for (size_t i = 0; i < code.size(); ++i) {
@@ -744,7 +737,6 @@ void CheckObsSeam(const AnalysisContext& context,
                                                        "fstream"};
   static const std::set<std::string> kBannedStd = {"cout", "cerr", "clog"};
   for (const FileNode& node : context.graph->files) {
-    if (context.Skipped(node.path)) continue;
     if (node.module != "obs") continue;
     // obs/clock.* is the one sanctioned wrapper around the real clock,
     // and obs/log.cc owns the default stderr sink (one fwrite per line;
@@ -785,7 +777,6 @@ void CheckDurSeam(const AnalysisContext& context,
       "fopen", "fwrite", "fsync", "fdatasync", "ftruncate", "rename"};
   static const std::set<std::string> kBannedStreams = {"ofstream", "fstream"};
   for (const FileNode& node : context.graph->files) {
-    if (context.Skipped(node.path)) continue;
     if (!InSrc(node)) continue;
     // src/io (artifact persistence) and src/dur (WAL/checkpoints) are
     // the two sanctioned file-writing directories. obs/log.cc's stderr

@@ -471,7 +471,6 @@ void CheckViewInvalidation(const AnalysisContext& context,
   if (model == nullptr || context.graph == nullptr) return;
   for (const FileSema& fs : model->files) {
     const FileNode& node = context.graph->files[fs.file];
-    if (context.Skipped(node.path)) continue;
     bool mentions_view = false;
     for (const Token* token : fs.code) {
       if (token->kind != TokenKind::kIdentifier) continue;
@@ -569,7 +568,7 @@ void CheckAtomicOrdering(const AnalysisContext& context,
 
   for (size_t i = 0; i < model->files.size(); ++i) {
     const FileNode& node = context.graph->files[i];
-    if (context.Skipped(node.path) || !InSrc(node.path)) continue;
+    if (!InSrc(node.path)) continue;
     const TokenView& code = model->files[i].code;
 
     std::set<std::string> atomics = per_file[i];

@@ -21,11 +21,8 @@ struct HistogramSummary {
 /// Log-bucketed histogram over uint64 values: buckets at ~8% resolution
 /// (9 per octave) covering 1 .. 2^36, constant memory, O(1) record.
 /// Mergeable, so per-shard histograms aggregate into one distribution.
-///
-/// This is the structure that previously lived inside LatencyRecorder
-/// (src/runtime/latency.h); LatencyRecorder now delegates here, and the
-/// same buckets serve any long-tailed quantity (latencies in nanoseconds,
-/// comparisons per post, queue depths).
+/// The same buckets serve any long-tailed quantity: the runtime drivers'
+/// latencies in nanoseconds, comparisons per post, queue depths.
 class LogHistogram {
  public:
   static constexpr int kBucketsPerOctave = 9;  // ~8% resolution

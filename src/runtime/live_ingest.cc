@@ -85,7 +85,7 @@ LiveIngestReport RunLiveIngest(Diversifier& diversifier,
       options.metrics != nullptr
           ? options.metrics->GetGauge("live.queue_depth")
           : nullptr;
-  LatencyRecorder latency;
+  obs::LogHistogram latency;
   size_t high_water = 0;
   QueuedPost item;
   DebugPublisher publisher(options.debug, options.publish_interval_nanos);
@@ -137,7 +137,7 @@ LiveIngestReport RunLiveIngest(Diversifier& diversifier,
         }
         decide(*item.post);
         const uint64_t now = clock.NowNanos();
-        latency.RecordNanos(now - item.enqueue_nanos);
+        latency.Record(now - item.enqueue_nanos);
         if (options.flight != nullptr) {
           options.flight->RecordComplete(/*tid=*/0, "decide", "live",
                                          item.enqueue_nanos, now);
@@ -147,7 +147,7 @@ LiveIngestReport RunLiveIngest(Diversifier& diversifier,
         // Drain anything pushed between the last pop and the flag.
         if (!queue.TryPop(&item)) break;
         decide(*item.post);
-        latency.RecordNanos(clock.NowNanos() - item.enqueue_nanos);
+        latency.Record(clock.NowNanos() - item.enqueue_nanos);
       } else {
         if (publisher.enabled()) {
           const uint64_t now = clock.NowNanos();
@@ -178,7 +178,7 @@ LiveIngestReport RunLiveIngest(Diversifier& diversifier,
     if (queue_depth != nullptr) queue_depth->Set(0);  // drained
     options.metrics
         ->GetHistogram("live.queueing_latency_ns", /*timing=*/true)
-        ->MergeFrom(latency.histogram());
+        ->MergeFrom(latency);
     options.metrics->GetGauge("live.wall_ns", /*timing=*/true)
         ->Set(static_cast<int64_t>(
             clock.NowNanos() - start_nanos));

@@ -7,10 +7,10 @@
 #include "src/obs/clock.h"
 #include "src/obs/debug_server.h"
 #include "src/obs/flight_recorder.h"
+#include "src/obs/log_histogram.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/obs/watchdog.h"
-#include "src/runtime/latency.h"
 #include "src/stream/post.h"
 #include "src/util/thread_annotations.h"
 
@@ -56,7 +56,7 @@ struct LiveIngestReport {
   double achieved_posts_per_sec = 0.0;
   size_t queue_high_water = 0;       ///< worst backlog observed
   uint64_t producer_blocked = 0;     ///< pushes that had to retry
-  LatencySummary queueing_latency;   ///< enqueue -> decision, per post
+  obs::HistogramSummary queueing_latency;  ///< enqueue -> decision, ns
 };
 
 /// Two-thread live replay: a producer thread releases each post of

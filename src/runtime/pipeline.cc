@@ -6,24 +6,6 @@
 
 namespace firehose {
 
-namespace {
-
-/// Folds the per-run counters and the latency histogram into `metrics`.
-void RecordRunMetrics(obs::MetricsRegistry* metrics,
-                      const PipelineReport& report,
-                      const LatencyRecorder& latency, uint64_t wall_nanos) {
-  metrics->GetCounter("pipeline.posts_in")->Add(report.posts_in);
-  metrics->GetCounter("pipeline.posts_out")->Add(report.posts_out);
-  metrics->GetCounter("pipeline.posts_suppressed")
-      ->Add(report.posts_in - report.posts_out);
-  metrics->GetHistogram("pipeline.decision_latency_ns", /*timing=*/true)
-      ->MergeFrom(latency.histogram());
-  metrics->GetGauge("pipeline.wall_ns", /*timing=*/true)
-      ->Set(static_cast<int64_t>(wall_nanos));
-}
-
-}  // namespace
-
 PipelineReport Pipeline::Run(PostSource& source, const PipelineObs& o,
                              const PipelineDur& d) {
   const obs::Clock* clock = o.clock != nullptr ? o.clock : obs::RealClock();
@@ -33,7 +15,7 @@ PipelineReport Pipeline::Run(PostSource& source, const PipelineObs& o,
           ? o.metrics->GetHistogram("pipeline.decision_comparisons")
           : nullptr;
   PipelineReport report;
-  LatencyRecorder latency;
+  obs::LogHistogram latency;
   const uint64_t pruned_at_start = diversifier_->stats().pruned;
   const uint64_t run_start = clock->NowNanos();
   DebugPublisher publisher(o.debug, o.publish_interval_nanos);
@@ -58,7 +40,7 @@ PipelineReport Pipeline::Run(PostSource& source, const PipelineObs& o,
       admitted = diversifier_->Offer(post);
     }
     const uint64_t end = clock->NowNanos();
-    latency.RecordNanos(end - start);
+    latency.Record(end - start);
     if (o.flight != nullptr) {
       o.flight->RecordComplete(/*tid=*/0, "decide", "pipeline", start, end);
     }
@@ -105,7 +87,14 @@ PipelineReport Pipeline::Run(PostSource& source, const PipelineObs& o,
   report.wall_ms = static_cast<double>(wall_nanos) / 1e6;
   report.decision_latency = latency.Summarize();
   if (o.metrics != nullptr) {
-    RecordRunMetrics(o.metrics, report, latency, wall_nanos);
+    o.metrics->GetCounter("pipeline.posts_in")->Add(report.posts_in);
+    o.metrics->GetCounter("pipeline.posts_out")->Add(report.posts_out);
+    o.metrics->GetCounter("pipeline.posts_suppressed")
+        ->Add(report.posts_in - report.posts_out);
+    o.metrics->GetHistogram("pipeline.decision_latency_ns", /*timing=*/true)
+        ->MergeFrom(latency);
+    o.metrics->GetGauge("pipeline.wall_ns", /*timing=*/true)
+        ->Set(static_cast<int64_t>(wall_nanos));
     o.metrics->GetCounter("pipeline.candidates_pruned")
         ->Add(diversifier_->stats().pruned - pruned_at_start);
   }
@@ -121,39 +110,6 @@ PipelineReport Pipeline::Run(PostSource& source, const PipelineObs& o,
     status.push_back('}');
     publisher.Publish(clock->NowNanos(), o.metrics, diversifier_, {},
                       std::move(status));
-  }
-  return report;
-}
-
-PipelineReport MultiUserPipeline::Run(PostSource& source,
-                                      const PipelineObs& o) {
-  const obs::Clock* clock = o.clock != nullptr ? o.clock : obs::RealClock();
-  obs::TraceScope run_span(o.trace, "MultiUserPipeline::Run", "pipeline");
-  PipelineReport report;
-  LatencyRecorder latency;
-  uint64_t deliveries = 0;
-  const uint64_t run_start = clock->NowNanos();
-  Post post;
-  std::vector<UserId> delivered;
-  while (source.Next(&post)) {
-    ++report.posts_in;
-    const uint64_t start = clock->NowNanos();
-    engine_->Offer(post, &delivered);
-    latency.RecordNanos(clock->NowNanos() - start);
-    if (!delivered.empty()) ++report.posts_out;
-    deliveries += delivered.size();
-    if (on_delivery_) {
-      for (UserId user : delivered) on_delivery_(post, user);
-    }
-  }
-  const uint64_t wall_nanos = clock->NowNanos() - run_start;
-  report.wall_ms = static_cast<double>(wall_nanos) / 1e6;
-  report.decision_latency = latency.Summarize();
-  if (o.metrics != nullptr) {
-    RecordRunMetrics(o.metrics, report, latency, wall_nanos);
-    o.metrics->GetCounter("pipeline.deliveries")->Add(deliveries);
-    o.metrics->GetCounter("pipeline.candidates_pruned")
-        ->Add(engine_->AggregateStats().pruned);
   }
   return report;
 }

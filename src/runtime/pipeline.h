@@ -7,15 +7,14 @@
 #include <vector>
 
 #include "src/core/diversifier.h"
-#include "src/core/multi_user.h"
 #include "src/dur/durable.h"
 #include "src/obs/clock.h"
 #include "src/obs/debug_server.h"
 #include "src/obs/flight_recorder.h"
+#include "src/obs/log_histogram.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/obs/watchdog.h"
-#include "src/runtime/latency.h"
 #include "src/stream/post.h"
 
 namespace firehose {
@@ -120,7 +119,7 @@ struct PipelineReport {
   uint64_t posts_in = 0;
   uint64_t posts_out = 0;
   double wall_ms = 0.0;
-  LatencySummary decision_latency;  ///< per-post Offer latency
+  obs::HistogramSummary decision_latency;  ///< per-post Offer latency, ns
   /// True when a durability hook failed (WAL append or checkpoint); the
   /// run stopped at that post and the remaining source is undrained.
   bool io_error = false;
@@ -149,24 +148,6 @@ class Pipeline {
  private:
   Diversifier* diversifier_;
   PostSink* sink_;
-};
-
-/// Multi-user real-time pipeline (the M-SPSD deployment of Figure 1b):
-/// one central engine, per-user delivery callbacks.
-class MultiUserPipeline {
- public:
-  using DeliveryFn = std::function<void(const Post&, UserId)>;
-
-  MultiUserPipeline(MultiUserEngine* engine, DeliveryFn on_delivery)
-      : engine_(engine), on_delivery_(std::move(on_delivery)) {}
-
-  /// As Pipeline::Run; `pipeline.deliveries` counts per-user fanout.
-  /// (No per-post comparisons histogram: AggregateStats is O(users).)
-  PipelineReport Run(PostSource& source, const PipelineObs& o = {});
-
- private:
-  MultiUserEngine* engine_;
-  DeliveryFn on_delivery_;
 };
 
 }  // namespace firehose

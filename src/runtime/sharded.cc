@@ -28,7 +28,7 @@ struct Shard {
   uint64_t posts_in FIREHOSE_THREAD_OWNED(shard_worker) = 0;
   obs::MetricsRegistry metrics
       FIREHOSE_THREAD_OWNED(shard_worker);  // merged in shard order
-  LatencyRecorder latency FIREHOSE_THREAD_OWNED(shard_worker);
+  obs::LogHistogram latency FIREHOSE_THREAD_OWNED(shard_worker);
   IngestStats stats
       FIREHOSE_THREAD_OWNED(shard_worker);  // merged after Run
 
@@ -54,7 +54,7 @@ struct Shard {
         const uint64_t start = clock.NowNanos();
         const bool admitted = c.diversifier().Offer(post);
         const uint64_t end = clock.NowNanos();
-        latency.RecordNanos(end - start);
+        latency.Record(end - start);
         if (o.flight != nullptr) {
           o.flight->RecordComplete(shard_index, "offer", "shard", start, end);
         }
@@ -71,7 +71,7 @@ struct Shard {
     metrics.GetCounter("sharded.insertions")->Add(stats.insertions);
     metrics.GetCounter("sharded.evictions")->Add(stats.evictions);
     metrics.GetHistogram("sharded.decision_latency_ns", /*timing=*/true)
-        ->MergeFrom(latency.histogram());
+        ->MergeFrom(latency);
   }
 };
 
@@ -124,7 +124,7 @@ ShardedRunResult RunShardedSUser(
 
   // Merge shard-private observability state in shard order, so repeated
   // runs with the same shard count export identical counters.
-  LatencyRecorder merged_latency;
+  obs::LogHistogram merged_latency;
   std::vector<std::pair<PostId, UserId>> merged;
   result.shard_stats.reserve(shards.size());
   for (Shard& shard : shards) {

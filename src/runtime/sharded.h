@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "src/core/multi_user.h"
-#include "src/runtime/latency.h"
+#include "src/obs/log_histogram.h"
 #include "src/runtime/pipeline.h"
 #include "src/stream/post.h"
 
@@ -23,9 +23,9 @@ struct ShardedRunResult {
   /// `stats.peak_bytes`) is the engine-wide resident high-water bound.
   IngestStats stats;
   std::vector<IngestStats> shard_stats;  ///< per shard, in shard order
-  /// Per-offer decision latency, merged from the per-shard recorders via
-  /// LatencyRecorder::MergeFrom in shard order (count == posts_in).
-  LatencySummary decision_latency;
+  /// Per-offer decision latency in nanoseconds, merged from the
+  /// per-shard histograms in shard order (count == posts_in).
+  obs::HistogramSummary decision_latency;
 };
 
 /// Parallel S_* engine execution: the distinct connected components of
@@ -47,7 +47,7 @@ struct ShardedRunResult {
 /// `num_shards <= 1` degenerates to a sequential pass (no threads).
 ///
 /// Observability: every shard owns a private obs::MetricsRegistry and
-/// LatencyRecorder (no cross-thread metric writes); after the join they
+/// obs::LogHistogram (no cross-thread metric writes); after the join they
 /// merge into `o.metrics` in shard order, so counters are deterministic
 /// for a fixed shard count. `o.trace` (thread-safe) gets one table-build
 /// span and one scan span per shard with tid = shard index. `o.clock` must be thread-safe when

@@ -1,7 +1,8 @@
 // Pass-level tests on synthetic file sets: unchecked-error statement
 // analysis, IWYU-lite unused includes, the token-aware seam/hygiene
 // checks (no false positives from strings or comments — the reason the
-// regex lint was replaced), and the `firehose-lint: allow(...)` hatch.
+// regex lint was replaced), the `firehose-lint: allow(...)` hatch, and
+// the driver's per-pass timers and output format.
 
 #include <set>
 #include <string>
@@ -343,6 +344,19 @@ TEST(AnalyzeTest, FindingsAreSortedByPathLineCheck) {
   EXPECT_EQ(result.findings[2].path, "src/core/b.cc");
 }
 
+TEST(AnalyzeTest, StatsTimersCoverEveryEnabledPass) {
+  const AnalysisResult result = RunAnalysis(
+      {{"src/core/a.cc", "int* Make() {\n  return new int;\n}\n"},
+       {"src/core/b.cc", "void Idle() {}\n"}},
+      {"raw-new-delete", "include-guard"});
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_EQ(result.pass_ms.size(), 2u);
+  for (const auto& [name, ms] : result.pass_ms) {
+    EXPECT_TRUE(name == "raw-new-delete" || name == "include-guard") << name;
+    EXPECT_GE(ms, 0.0);
+  }
+}
+
 TEST(AnalyzeTest, AllChecksHaveUniqueNamesAndDescriptions) {
   std::set<std::string> names;
   for (const CheckInfo& check : AllChecks()) {
@@ -355,6 +369,13 @@ TEST(AnalyzeTest, AllChecksHaveUniqueNamesAndDescriptions) {
         "raw-new-delete", "obs-seam", "dur-seam"}) {
     EXPECT_EQ(names.count(legacy), 1u) << legacy;
   }
+}
+
+TEST(FormatFindingTest, MatchesLegacyLintFormat) {
+  const Finding finding = {"src/core/a.cc", 10, "raw-new-delete",
+                           "raw `new`; use containers", ""};
+  EXPECT_EQ(FormatFinding(finding),
+            "src/core/a.cc:10: [raw-new-delete] raw `new`; use containers");
 }
 
 }  // namespace

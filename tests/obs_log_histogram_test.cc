@@ -17,6 +17,10 @@ TEST(LogHistogramQuantileTest, EmptyHistogramIsZeroEverywhere) {
   EXPECT_EQ(histogram.ValueAtQuantile(0.0), 0.0);
   EXPECT_EQ(histogram.ValueAtQuantile(0.5), 0.0);
   EXPECT_EQ(histogram.ValueAtQuantile(1.0), 0.0);
+  const HistogramSummary summary = histogram.Summarize();
+  EXPECT_EQ(summary.count, 0u);
+  EXPECT_EQ(summary.mean, 0.0);
+  EXPECT_EQ(summary.p99, 0.0);
 }
 
 TEST(LogHistogramQuantileTest, SingleValueCollapsesEveryQuantile) {
@@ -27,6 +31,10 @@ TEST(LogHistogramQuantileTest, SingleValueCollapsesEveryQuantile) {
   for (double q : {0.0, 0.01, 0.5, 0.95, 1.0}) {
     EXPECT_EQ(histogram.ValueAtQuantile(q), 1000.0) << q;
   }
+  const HistogramSummary summary = histogram.Summarize();
+  EXPECT_EQ(summary.count, 1u);
+  EXPECT_EQ(summary.mean, 1000.0);
+  EXPECT_EQ(summary.max, 1000.0);
 }
 
 TEST(LogHistogramQuantileTest, InterpolatesInsideABucket) {
@@ -61,6 +69,78 @@ TEST(LogHistogramQuantileTest, ZeroRecordsClampIntoDomain) {
   // The quantile stays in the histogram's [1, 2^(1/9)) first bucket
   // instead of being dragged to 0 by the raw recorded value.
   EXPECT_GT(histogram.ValueAtQuantile(0.5), 0.0);
+}
+
+TEST(LogHistogramTest, MeanIsExact) {
+  LogHistogram histogram;
+  histogram.Record(1000);
+  histogram.Record(3000);
+  EXPECT_NEAR(histogram.Summarize().mean, 2000.0, 1e-6);
+}
+
+TEST(LogHistogramTest, PercentilesApproximateUniform) {
+  LogHistogram histogram;
+  // Uniform 10 .. 1e6: p50 ≈ 5e5, p99 ≈ 9.9e5 (within bucket resolution).
+  for (uint64_t i = 1; i <= 100000; ++i) histogram.Record(i * 10);
+  const HistogramSummary summary = histogram.Summarize();
+  EXPECT_NEAR(summary.p50, 500000.0, 60000.0);
+  EXPECT_NEAR(summary.p99, 990000.0, 110000.0);
+}
+
+TEST(LogHistogramTest, HugeValuesClampToLastBucket) {
+  LogHistogram histogram;
+  histogram.Record(~0ULL);
+  const HistogramSummary summary = histogram.Summarize();
+  EXPECT_EQ(summary.count, 1u);
+  EXPECT_EQ(histogram.buckets().back(), 1u);
+  EXPECT_GT(summary.max, 1e12);  // > 1000 s of nanoseconds, via exact max
+}
+
+TEST(LogHistogramTest, MergeFromCombinesDistributions) {
+  // Per-shard histograms merged in shard order must summarize exactly
+  // like one histogram that saw every sample.
+  LogHistogram shard0, shard1, direct;
+  for (uint64_t i = 1; i <= 5000; ++i) {
+    shard0.Record(i * 10);
+    direct.Record(i * 10);
+  }
+  for (uint64_t i = 5001; i <= 10000; ++i) {
+    shard1.Record(i * 10);
+    direct.Record(i * 10);
+  }
+  LogHistogram merged;
+  merged.MergeFrom(shard0);
+  merged.MergeFrom(shard1);
+  EXPECT_EQ(merged.count(), 10000u);
+  const HistogramSummary a = merged.Summarize();
+  const HistogramSummary b = direct.Summarize();
+  EXPECT_DOUBLE_EQ(a.mean, b.mean);
+  EXPECT_DOUBLE_EQ(a.p50, b.p50);
+  EXPECT_DOUBLE_EQ(a.p95, b.p95);
+  EXPECT_DOUBLE_EQ(a.p99, b.p99);
+  EXPECT_DOUBLE_EQ(a.max, b.max);
+  EXPECT_EQ(merged.buckets(), direct.buckets());
+}
+
+TEST(LogHistogramTest, MergeFromEmptyIsIdentity) {
+  LogHistogram histogram, empty;
+  histogram.Record(500);
+  histogram.MergeFrom(empty);
+  EXPECT_EQ(histogram.count(), 1u);
+  EXPECT_DOUBLE_EQ(histogram.Summarize().max, 500.0);
+}
+
+TEST(LogHistogramTest, BucketResolutionWithinTenPercent) {
+  // For any value, the reported percentile (interpolated inside the
+  // value's bucket, then clamped to the observed range) stays within
+  // ~+10% of the true sample.
+  for (uint64_t value : {50ULL, 1234ULL, 987654ULL, 55555555ULL}) {
+    LogHistogram histogram;
+    histogram.Record(value);
+    const double p50 = histogram.Summarize().p50;
+    EXPECT_GE(p50, static_cast<double>(value) * 0.99);
+    EXPECT_LE(p50, static_cast<double>(value) * 1.12);
+  }
 }
 
 // The property the interpolation must never violate: for any data set

@@ -1,7 +1,5 @@
 #include "src/runtime/pipeline.h"
 
-#include <map>
-
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
@@ -45,7 +43,7 @@ TEST(PipelineTest, DeliversExactlyTheDiversifiedSubStream) {
   EXPECT_EQ(delivered[1].id, 1u);  // P2
   EXPECT_EQ(delivered[2].id, 3u);  // P4
   EXPECT_EQ(report.decision_latency.count, 5u);
-  EXPECT_GT(report.decision_latency.mean_us, 0.0);
+  EXPECT_GT(report.decision_latency.mean, 0.0);
 }
 
 TEST(PipelineTest, CountingSinkCounts) {
@@ -72,42 +70,6 @@ TEST(PipelineTest, EmptyStream) {
   EXPECT_EQ(report.posts_in, 0u);
   EXPECT_EQ(report.posts_out, 0u);
   EXPECT_EQ(sink.count(), 0u);
-}
-
-TEST(MultiUserPipelineTest, RoutesDeliveriesPerUser) {
-  const AuthorGraph graph = PaperExampleGraph();
-  // Two users: u0 follows {0,1}, u1 follows {2,3}.
-  const std::vector<User> users = {User{0, {0, 1}}, User{1, {2, 3}}};
-  auto engine = MakeSUserEngine(Algorithm::kUniBin, PaperExampleThresholds(),
-                                graph, users);
-  std::map<UserId, std::vector<PostId>> timelines;
-  MultiUserPipeline pipeline(engine.get(),
-                             [&](const Post& post, UserId user) {
-                               timelines[user].push_back(post.id);
-                             });
-  const PostStream stream = PaperExamplePosts();
-  VectorSource source(&stream);
-  const PipelineReport report = pipeline.Run(source);
-
-  EXPECT_EQ(report.posts_in, 5u);
-  // u0 sees P1 (author 0) and P2 (author 1): no coverage within {0,1}
-  // because their contents are far (0x0 vs 0xFF = 8 bits > 3).
-  EXPECT_EQ(timelines[0], (std::vector<PostId>{0, 1}));
-  // u1 sees P3 (author 2, uncovered within {2,3}) and P4 (author 3);
-  // P5 (author 2) is covered by P4 via the 2-3 edge.
-  EXPECT_EQ(timelines[1], (std::vector<PostId>{2, 3}));
-}
-
-TEST(MultiUserPipelineTest, NullDeliveryCallbackIsSafe) {
-  const AuthorGraph graph = PaperExampleGraph();
-  const std::vector<User> users = {User{0, {0, 1, 2, 3}}};
-  auto engine = MakeMUserEngine(Algorithm::kUniBin, PaperExampleThresholds(),
-                                graph, users);
-  MultiUserPipeline pipeline(engine.get(), nullptr);
-  const PostStream stream = PaperExamplePosts();
-  VectorSource source(&stream);
-  const PipelineReport report = pipeline.Run(source);
-  EXPECT_EQ(report.posts_out, 3u);
 }
 
 }  // namespace

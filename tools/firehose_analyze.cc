@@ -8,46 +8,35 @@
 // checks (banned-nondeterminism, unordered-iteration, include-guard,
 // raw-new-delete, obs-seam, dur-seam), and the semantic passes built on
 // the sema layer (view-invalidation, lock-discipline, atomic-ordering,
-// blocking-in-hot-path).
+// blocking-in-hot-path, thread-confinement, untrusted-input,
+// ordering-discipline). Every run analyzes every file from scratch.
 //
 // Usage:
 //   firehose_analyze [options] <file-or-dir>...
 //     --root=DIR        repo root; paths are reported relative to it (default .)
 //     --layers=FILE     layer DAG (default <root>/tools/layers.txt)
-//     --baseline=FILE   suppression baseline (default <root>/tools/analysis_baseline.txt)
-//     --sarif=FILE      also write findings as SARIF 2.1.0
 //     --check=a,b       run only the named checks
-//     --write-baseline  rewrite the baseline from current findings and exit
-//     --prune-baseline  drop baseline entries no finding matches and exit
-//     --fail-on-stale-baseline  exit 1 when the baseline has prunable entries
 //     --list-checks     print registered checks and exit
-//     --cache=FILE      content-hash result cache: unchanged files skip their
-//                       file-scoped passes; a fully unchanged run replays the
-//                       previous findings without analyzing at all
-//     --stats           print per-pass timing and cache hit rate to stderr
+//     --stats           print file count, wall time and per-pass timing to stderr
 //
 // Directories named `fixtures` are skipped: they hold deliberately
 // broken inputs for the analyzer's own tests.
 //
-// Exit status: 0 when every finding is baselined or suppressed, 1
-// otherwise, 2 on usage/configuration errors. Suppress a single line
-// with `// firehose-lint: allow(<check>)` on that line or the line
-// above.
+// Findings print as `path:line: [check] message`. Exit status: 0 when
+// every finding is suppressed, 1 otherwise, 2 on usage/configuration
+// errors. Suppress a single line with `// firehose-lint: allow(<check>)`
+// on that line or the line above.
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include <chrono>
-
 #include "src/analysis/analyzer.h"
-#include "src/analysis/cache.h"
-#include "src/analysis/sarif.h"
 
 namespace fs = std::filesystem;
 using firehose::analysis::AnalysisOptions;
@@ -93,12 +82,6 @@ void CollectFiles(const fs::path& path, std::vector<fs::path>* out) {
 int main(int argc, char** argv) {
   std::string root = ".";
   std::string layers_path;
-  std::string baseline_path;
-  std::string sarif_path;
-  bool write_baseline = false;
-  bool prune_baseline = false;
-  bool fail_on_stale = false;
-  std::string cache_path;
   bool stats = false;
   AnalysisOptions options;
   std::vector<std::string> inputs;
@@ -112,26 +95,14 @@ int main(int argc, char** argv) {
       root = value("--root=");
     } else if (arg.rfind("--layers=", 0) == 0) {
       layers_path = value("--layers=");
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = value("--baseline=");
-    } else if (arg.rfind("--sarif=", 0) == 0) {
-      sarif_path = value("--sarif=");
     } else if (arg.rfind("--check=", 0) == 0) {
       std::istringstream list(value("--check="));
       std::string name;
       while (std::getline(list, name, ',')) {
         if (!name.empty()) options.checks.insert(name);
       }
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      cache_path = value("--cache=");
     } else if (arg == "--stats") {
       stats = true;
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
-    } else if (arg == "--prune-baseline") {
-      prune_baseline = true;
-    } else if (arg == "--fail-on-stale-baseline") {
-      fail_on_stale = true;
     } else if (arg == "--list-checks") {
       for (const auto& check : firehose::analysis::AllChecks()) {
         std::cout << check.name << "\t" << check.description << "\n";
@@ -146,8 +117,8 @@ int main(int argc, char** argv) {
   }
   if (inputs.empty()) {
     std::cerr << "usage: firehose_analyze [--root=DIR] [--layers=FILE] "
-                 "[--baseline=FILE] [--sarif=FILE] [--check=a,b] "
-                 "[--write-baseline] <file-or-dir>...\n";
+                 "[--check=a,b] [--list-checks] [--stats] "
+                 "<file-or-dir>...\n";
     return 2;
   }
 
@@ -157,9 +128,6 @@ int main(int argc, char** argv) {
     // The default is best-effort: analyzing a tree without a layers file
     // just skips the layering pass.
     if (!fs::exists(layers_path)) layers_path.clear();
-  }
-  if (baseline_path.empty()) {
-    baseline_path = (root_dir / "tools" / "analysis_baseline.txt").string();
   }
 
   if (!layers_path.empty() &&
@@ -197,53 +165,9 @@ int main(int argc, char** argv) {
     files.push_back(std::move(file));
   }
 
-  // The cache key: rule tables + enabled checks + layer config. Any
-  // mismatch makes the whole cache cold (never partially wrong).
-  uint64_t config_hash = firehose::analysis::RuleTableHash();
-  for (const std::string& check : options.checks) {
-    config_hash = firehose::analysis::HashBytes(check, config_hash);
-  }
-  config_hash = firehose::analysis::HashBytes(options.layers_text, config_hash);
-
-  firehose::analysis::AnalysisCache cache;
-  bool cache_loaded = false;
-  if (!cache_path.empty()) {
-    std::string cache_text;
-    if (ReadFile(cache_path, &cache_text) &&
-        firehose::analysis::ParseCache(cache_text, &cache) &&
-        cache.config_hash == config_hash) {
-      cache_loaded = true;
-    } else {
-      cache = firehose::analysis::AnalysisCache{};
-    }
-    cache.config_hash = config_hash;
-    options.cache = &cache;
-  }
-
-  // Full hit: same config, same file set, every byte identical — replay
-  // the previous run's findings without lexing anything.
-  bool full_hit = cache_loaded && cache.file_count == files.size();
-  if (full_hit) {
-    for (const auto& file : files) {
-      const auto it = cache.files.find(file.path);
-      if (it == cache.files.end() ||
-          it->second.content_hash != firehose::analysis::HashBytes(file.text)) {
-        full_hit = false;
-        break;
-      }
-    }
-  }
-
   const auto wall_start = std::chrono::steady_clock::now();
-  firehose::analysis::AnalysisResult result;
-  if (full_hit) {
-    result.ok = true;
-    result.findings = cache.all_findings;
-    result.file_count = files.size();
-    result.cache_hits = files.size();
-  } else {
-    result = firehose::analysis::Analyze(files, options);
-  }
+  const firehose::analysis::AnalysisResult result =
+      firehose::analysis::Analyze(files, options);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - wall_start)
@@ -253,113 +177,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!cache_path.empty() && !full_hit) {
-    std::ofstream out(cache_path, std::ios::binary);
-    out << firehose::analysis::FormatCache(cache);
-    if (!out) {
-      std::cerr << "firehose_analyze: warning: cannot write cache "
-                << cache_path << "\n";  // a lost cache is only a slow rerun
-    }
-  }
-
   if (stats) {
     std::cerr << "firehose_analyze stats:\n"
               << "  files:        " << result.file_count << "\n"
-              << "  cache:        " << result.cache_hits << " hits, "
-              << result.cache_misses << " misses";
-    if (result.file_count > 0) {
-      std::cerr << " ("
-                << (100.0 * static_cast<double>(result.cache_hits) /
-                    static_cast<double>(result.file_count))
-                << "% hit rate" << (full_hit ? ", full replay" : "") << ")";
-    }
-    std::cerr << "\n  wall:         " << wall_ms << " ms\n";
+              << "  wall:         " << wall_ms << " ms\n";
     for (const auto& [pass, ms] : result.pass_ms) {
       std::cerr << "  pass " << pass << ": " << ms << " ms\n";
     }
   }
 
-  if (write_baseline) {
-    std::ofstream out(baseline_path, std::ios::binary);
-    out << firehose::analysis::FormatBaseline(result.findings);
-    if (!out) {
-      std::cerr << "firehose_analyze: cannot write " << baseline_path << "\n";
-      return 2;
-    }
-    std::cout << "firehose_analyze: wrote " << result.findings.size()
-              << " baseline entr" << (result.findings.size() == 1 ? "y" : "ies")
-              << " to " << baseline_path << "\n";
-    return 0;
-  }
-
-  std::set<std::string> baseline;
-  std::string baseline_text;
-  if (ReadFile(baseline_path, &baseline_text)) {
-    baseline = firehose::analysis::ParseBaseline(baseline_text);
-  }
-
-  // Stale-entry accounting is only meaningful on a full run: a --check
-  // filter would make every other check's entries look unmatched.
-  const bool full_run = options.checks.empty();
-  std::set<std::string> stale;
-  if (full_run) {
-    stale = firehose::analysis::StaleBaselineKeys(baseline, result.findings);
-  }
-
-  if (prune_baseline) {
-    if (!full_run) {
-      std::cerr << "firehose_analyze: --prune-baseline needs a full run "
-                   "(drop --check=)\n";
-      return 2;
-    }
-    std::set<std::string> kept = baseline;
-    for (const std::string& key : stale) kept.erase(key);
-    std::ofstream out(baseline_path, std::ios::binary);
-    out << firehose::analysis::FormatBaselineKeys(kept);
-    if (!out) {
-      std::cerr << "firehose_analyze: cannot write " << baseline_path << "\n";
-      return 2;
-    }
-    std::cout << "firehose_analyze: pruned " << stale.size()
-              << " stale baseline entr" << (stale.size() == 1 ? "y" : "ies")
-              << ", kept " << kept.size() << " in " << baseline_path << "\n";
-    return 0;
-  }
-
-  std::vector<Finding> findings = result.findings;
-  std::vector<Finding> baselined;
-  firehose::analysis::ApplyBaseline(baseline, &findings, &baselined);
-
-  for (const Finding& finding : findings) {
+  for (const Finding& finding : result.findings) {
     std::cout << firehose::analysis::FormatFinding(finding) << "\n";
   }
-  if (!sarif_path.empty()) {
-    std::ofstream out(sarif_path, std::ios::binary);
-    out << firehose::analysis::ToSarif(findings);
-    if (!out) {
-      std::cerr << "firehose_analyze: cannot write " << sarif_path << "\n";
-      return 2;
-    }
-  }
-
   std::cout << "firehose_analyze: " << result.file_count << " files, "
-            << findings.size() << " violations";
-  if (!baselined.empty()) {
-    std::cout << " (" << baselined.size() << " baselined)";
-  }
-  if (!stale.empty()) {
-    std::cout << ", " << stale.size() << " stale baseline entr"
-              << (stale.size() == 1 ? "y" : "ies");
-  }
-  std::cout << "\n";
-  if (fail_on_stale && !stale.empty()) {
-    for (const std::string& key : stale) {
-      std::cerr << "stale baseline entry (no finding matches): " << key
-                << "\n";
-    }
-    std::cerr << "firehose_analyze: run --prune-baseline and commit the "
-                 "result\n";
-    return 1;
-  }
-  return findings.empty() ? 0 : 1;
+            << result.findings.size() << " violations\n";
+  return result.findings.empty() ? 0 : 1;
 }

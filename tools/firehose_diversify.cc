@@ -91,6 +91,9 @@ int main(int argc, char** argv) {
   }
   if (!unknown.empty() || flags.Has("help") || !flags.Has("graph") ||
       !flags.Has("stream")) {
+    for (const std::string& name : unknown) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+    }
     std::fprintf(
         stderr,
         "usage: firehose_diversify --graph=PATH --stream=PATH [--out=PATH]\n"
@@ -391,9 +394,10 @@ int main(int argc, char** argv) {
     std::printf(
         "queueing latency us: p50=%.1f p95=%.1f p99=%.1f max=%.1f; "
         "backlog high-water %zu\n",
-        report.queueing_latency.p50_us, report.queueing_latency.p95_us,
-        report.queueing_latency.p99_us, report.queueing_latency.max_us,
-        report.queue_high_water);
+        report.queueing_latency.p50 / 1000.0,
+        report.queueing_latency.p95 / 1000.0,
+        report.queueing_latency.p99 / 1000.0,
+        report.queueing_latency.max / 1000.0, report.queue_high_water);
     // Re-run sequentially to materialize the kept stream for --out.
     auto rerun = MakeDiversifier(algorithm, thresholds, &graph,
                                  have_cover ? &cover : nullptr);

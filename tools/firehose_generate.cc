@@ -24,6 +24,9 @@ int main(int argc, char** argv) {
       {"authors", "out_dir", "communities", "avg_followees",
        "posts_per_author", "dup_prob", "seed", "tsv", "help"});
   if (!unknown.empty() || flags.Has("help")) {
+    for (const std::string& name : unknown) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+    }
     std::fprintf(stderr,
                  "usage: firehose_generate --authors=N --out_dir=DIR "
                  "[--communities=N] [--avg_followees=F] "

@@ -64,6 +64,9 @@ int main(int argc, char** argv) {
   if (!unknown.empty() || flags.Has("help") || !flags.Has("social") ||
       !flags.Has("stream") || (!flags.Has("port") && !flags.Has("port_file")) ||
       (verify && !flags.Has("graph"))) {
+    for (const std::string& name : unknown) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+    }
     std::fprintf(
         stderr,
         "usage: firehose_loadgen --port=N|--port_file=PATH --social=PATH\n"

@@ -21,6 +21,9 @@ int main(int argc, char** argv) {
   const auto unknown = flags.UnknownFlags(
       {"social", "out_dir", "lambda_a", "min_similarity", "hub_cap", "help"});
   if (!unknown.empty() || flags.Has("help") || !flags.Has("social")) {
+    for (const std::string& name : unknown) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+    }
     std::fprintf(stderr,
                  "usage: firehose_precompute --social=PATH --out_dir=DIR "
                  "[--lambda_a=0.7] [--min_similarity=0.05] [--hub_cap=N]\n");

@@ -59,6 +59,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!unknown.empty() || flags.Has("help") || !flags.Has("graph")) {
+    for (const std::string& name : unknown) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+    }
     std::fprintf(
         stderr,
         "usage: firehose_serve --graph=PATH [--port=0] [--port_file=PATH]\n"
