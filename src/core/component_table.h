@@ -34,10 +34,11 @@ struct OwnedDiversifier {
 /// The S_* engines' state (§5): one OwnedDiversifier per shared component,
 /// over the component's induced subgraph of the global author graph, plus
 /// the author -> component routing. The sequential S_* engine holds one
-/// table over every component; each RunShardedSUser shard and each serve
-/// shard worker holds one over its share. Callers keep their own per-post
-/// loop: offer the post to every component of ComponentsOf(post.author),
-/// in that order, and deliver an admitted post to the component's users.
+/// table over every component; each RunShardedSUser shard holds one over
+/// its share (serve shards share one set of bins instead: SharedBinTable).
+/// Callers keep their own per-post loop: offer the post to every
+/// component of ComponentsOf(post.author), in that order, and deliver an
+/// admitted post to the component's users.
 class ComponentTable {
  public:
   struct Component {

@@ -1,0 +1,144 @@
+#ifndef FIREHOSE_CORE_SHARED_BINS_H_
+#define FIREHOSE_CORE_SHARED_BINS_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "src/author/clique_cover.h"
+#include "src/author/similarity_graph.h"
+#include "src/core/engine.h"
+#include "src/core/multi_user.h"
+
+namespace firehose {
+
+/// One set of bins shared by every component it holds (DESIGN.md §4i):
+/// the serve shard's table. Where a ComponentTable gives each component
+/// its own diversifier, this table stores each admitted post once, with
+/// the ascending ids of the components that admitted it, and decides a
+/// post once for all of its author's components. Per user, the
+/// deliveries equal the S_* engines' exactly.
+///
+/// `algorithm` picks the paper's bin layout, applied once over the union
+/// of the components' authors:
+///   - kUniBin: one bin; a content hit counts only when its author is the
+///     post's author or a neighbour of it.
+///   - kNeighborBin: one window per author, each post stored in its
+///     author's window; a post reads its author's and its neighbours'.
+///   - kCliqueBin: one bin per clique of a greedy cover of the union's
+///     author subgraph; a post reads and writes its author's cliques.
+///
+/// A stored post leaves every bin it was written to in global time
+/// order, so no bin holds a post older than λt behind the newest offered
+/// post, even for authors who stopped posting.
+class SharedBinTable {
+ public:
+  /// Builds the layout over the subgraph of `graph` induced by the union
+  /// of the components' authors; `graph` need not outlive the table.
+  /// Component `i` is the i-th of `components`. Every component must use
+  /// `t`, with both coverage dimensions on: the layouts take their
+  /// candidates from the author graph.
+  SharedBinTable(Algorithm algorithm, const DiversityThresholds& t,
+                 const AuthorGraph& graph,
+                 std::vector<SharedComponent> components);
+
+  /// Indices of the components containing `author`, ascending; empty when
+  /// no component does.
+  std::span<const uint32_t> ComponentsOf(AuthorId author) const {
+    if (author >= author_components_.size()) return {};
+    return author_components_[author];
+  }
+
+  /// One past the largest author any component contains (0 when empty).
+  size_t author_bound() const { return author_components_.size(); }
+
+  /// Owners of component `index`, sorted.
+  std::span<const UserId> users(size_t index) const { return users_[index]; }
+
+  /// Offers the next post (non-decreasing time order) to every component
+  /// of ComponentsOf(post.author) at once, and sets `*admitted` to the
+  /// ascending ids of the components it is non-redundant for.
+  void Offer(const Post& post, std::vector<uint32_t>* admitted);
+
+  /// Posts stored in the bins, each counted once however many bins hold
+  /// it.
+  size_t window_posts() const { return window_.size(); }
+
+  /// Bin entries tested against an offered post's fingerprint so far.
+  uint64_t comparisons() const { return comparisons_; }
+
+  /// Bin entries, over every bin, that hold a post by `author`. O(all
+  /// entries): a check, not a hot-path call.
+  size_t BinnedPostsBy(AuthorId author) const;
+
+ private:
+  /// A queue over one vector whose live part stays contiguous: Push
+  /// appends, PopFront advances the head, and the dead prefix is erased
+  /// once it is as long as the live part, so both are amortized O(1).
+  /// Elements keep their absolute position: the n-th ever pushed is at n.
+  template <typename T>
+  class Fifo {
+   public:
+    void Push(const T& value) { items_.push_back(value); }
+    void PopFront() {
+      if (++head_ * 2 < items_.size()) return;
+      items_.erase(items_.begin(), items_.begin() + head_);
+      base_ += head_;
+      head_ = 0;
+    }
+    size_t size() const { return items_.size() - head_; }
+    bool empty() const { return size() == 0; }
+    const T& front() const { return items_[head_]; }
+    /// Position the next Push takes.
+    uint64_t end() const { return base_ + items_.size(); }
+    const T& at(uint64_t position) const { return items_[position - base_]; }
+    /// The live elements, oldest first.
+    std::span<const T> live() const { return {items_.data() + head_, size()}; }
+
+   private:
+    std::vector<T> items_;
+    size_t head_ = 0;    // index of the oldest live element
+    uint64_t base_ = 0;  // absolute position of items_[0]
+  };
+
+  /// A bin: its posts' fingerprints (the λc kernel's lane) and their
+  /// positions in window_, oldest first, in lockstep.
+  struct Bin {
+    Fifo<uint64_t> simhash;
+    Fifo<uint64_t> post;
+  };
+
+  /// An admitted post, stored once.
+  struct StoredPost {
+    int64_t time_ms;
+    uint64_t admitted_begin;  // position of its first id in admitted_
+    AuthorId author;
+    uint32_t num_admitted;
+  };
+
+  /// Calls fn(bin) for each bin a post by `author` reads when `read`, or
+  /// is written to otherwise, until fn returns false.
+  template <typename Fn>
+  void ForEachBin(AuthorId author, bool read, Fn&& fn);
+
+  /// Removes every stored post older than `cutoff_ms` from the window,
+  /// from each bin it was written to and from admitted_.
+  void Evict(int64_t cutoff_ms);
+
+  Algorithm algorithm_;
+  DiversityThresholds thresholds_;
+  std::vector<std::vector<UserId>> users_;                // per component
+  std::vector<std::vector<uint32_t>> author_components_;  // index = author
+  AuthorGraph graph_;  // the union's subgraph; empty for kCliqueBin
+  CliqueCover cover_;  // kCliqueBin only
+  std::vector<Bin> bins_;
+  Fifo<StoredPost> window_;  // every stored post, in offer order
+  Fifo<uint32_t> admitted_;  // the stored posts' admitted lists, in order
+  std::vector<uint8_t> covered_;  // Offer: one flag per ComponentsOf entry
+  uint64_t comparisons_ = 0;
+};
+
+}  // namespace firehose
+
+#endif  // FIREHOSE_CORE_SHARED_BINS_H_

@@ -9,7 +9,7 @@
 
 #include "src/core/kernels/dispatch.h"
 
-#include "src/core/component_table.h"
+#include "src/core/shared_bins.h"
 #include "src/dur/durable.h"
 #include "src/io/socket.h"
 #include "src/obs/clock.h"
@@ -86,20 +86,21 @@ struct Barrier {
 struct ShardCmd {
   enum class Kind : uint8_t { kStop, kPost, kFlush };
   Kind kind = Kind::kStop;
-  Post post;                   // kPost
+  Post post;                   // kPost, without its text
   Barrier* barrier = nullptr;  // kFlush
 };
 
-/// One shard: a consumer thread exclusively owning a ComponentTable over
-/// a subset of the shared components, plus the timelines of every user
-/// (populated only for posts this shard admits) behind a mutex the
-/// dispatcher takes to answer polls. It only decides: the dispatcher
-/// logged every post before routing it here. Structure mirrors
-/// runtime/sharded.cc's Shard; lifetime is the server, not one batch run.
+/// One shard: a consumer thread exclusively owning one SharedBinTable, a
+/// set of bins shared by all of the shard's components, plus the
+/// timelines of every user (populated only for posts this shard admits)
+/// behind a mutex the dispatcher takes to answer polls. It decides each
+/// post once for all of its author's components on the shard, and only
+/// decides: the dispatcher logged every post before routing it here.
+/// Lifetime is the server, not one batch run.
 class ShardWorker {
  public:
   ShardWorker(uint32_t index, const ServeOptions& options,
-              ComponentTable table, uint64_t num_users)
+              SharedBinTable table, uint64_t num_users)
       : index_(index),
         options_(options),
         table_(std::move(table)),
@@ -109,30 +110,34 @@ class ShardWorker {
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  /// The one ingest path: under the timeline lock, offers `post` to this
-  /// shard's components in routing order, appending it to the timelines
-  /// of every admitting component's users. Runs on the worker thread in
-  /// steady state, and on the recovering thread during WAL replay,
-  /// before Spawn.
+  /// The one ingest path: decides `post` once for this shard's
+  /// components, then, under the timeline lock, appends it to the
+  /// timelines of every admitting component's users. Runs on the worker
+  /// thread in steady state, and on the recovering thread during WAL
+  /// replay, before Spawn.
   void Ingest(const Post& post) {
     const obs::Clock* clock =
         options_.flight != nullptr ? obs::RealClock() : nullptr;
-    std::lock_guard<std::mutex> lock(timelines_mu_);
-    for (size_t index : table_.ComponentsOf(post.author)) {
-      ComponentTable::Component& c = table_.component(index);
-      const uint64_t start = clock != nullptr ? clock->NowNanos() : 0;
-      const bool admitted = c.diversifier().Offer(post);
-      if (clock != nullptr) {
-        options_.flight->RecordComplete(index_, "offer", "serve", start,
-                                        clock->NowNanos());
-      }
-      if (admitted) {
-        for (UserId user : c.users) {
+    const uint64_t start = clock != nullptr ? clock->NowNanos() : 0;
+    table_.Offer(post, &admitted_);
+    if (clock != nullptr) {
+      options_.flight->RecordComplete(index_, "offer", "serve", start,
+                                      clock->NowNanos());
+    }
+    uint64_t delivered = 0;
+    {
+      std::lock_guard<std::mutex> lock(timelines_mu_);
+      for (uint32_t component : admitted_) {
+        const std::span<const UserId> users = table_.users(component);
+        for (UserId user : users) {
           if (user < timelines_.size()) timelines_[user].push_back(post.id);
         }
-        deliveries_.fetch_add(c.users.size(), std::memory_order_seq_cst);
+        delivered += users.size();
       }
     }
+    deliveries_.fetch_add(delivered, std::memory_order_seq_cst);
+    comparisons_.store(table_.comparisons(), std::memory_order_seq_cst);
+    window_posts_.store(table_.window_posts(), std::memory_order_seq_cst);
   }
 
   void Spawn() {
@@ -173,6 +178,12 @@ class ShardWorker {
 
   uint64_t deliveries() const {
     return deliveries_.load(std::memory_order_seq_cst);
+  }
+  uint64_t comparisons() const {
+    return comparisons_.load(std::memory_order_seq_cst);
+  }
+  uint64_t window_posts() const {
+    return window_posts_.load(std::memory_order_seq_cst);
   }
   size_t queue_depth() const { return queue_.ApproxSize(); }
 
@@ -218,7 +229,8 @@ class ShardWorker {
   // Worker-confined state: built single-threaded before Spawn (the
   // exclusive phase), then owned by the worker thread until Join. The
   // thread-confinement pass enforces this statically.
-  ComponentTable table_ FIREHOSE_THREAD_OWNED(shard_worker);
+  SharedBinTable table_ FIREHOSE_THREAD_OWNED(shard_worker);
+  std::vector<uint32_t> admitted_ FIREHOSE_THREAD_OWNED(shard_worker);
 
   // Written by the worker once per post, read by the dispatcher once
   // per poll, after AwaitDrained; never contended.
@@ -234,7 +246,10 @@ class ShardWorker {
   uint64_t routed_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
   std::atomic<uint64_t> finished_{0};
 
+  // Published by the worker after each post for stats() and /statusz.
   std::atomic<uint64_t> deliveries_{0};
+  std::atomic<uint64_t> comparisons_{0};
+  std::atomic<uint64_t> window_posts_{0};
 };
 
 }  // namespace internal
@@ -315,7 +330,10 @@ ServeStats Server::stats() const {
   s.polls = polls_.load(std::memory_order_seq_cst);
   s.malformed = malformed_.load(std::memory_order_seq_cst);
   s.wal_failures = wal_failures_.load(std::memory_order_seq_cst);
-  for (const auto& shard : shards_) s.deliveries += shard->deliveries();
+  for (const auto& shard : shards_) {
+    s.deliveries += shard->deliveries();
+    s.comparisons += shard->comparisons();
+  }
   return s;
 }
 
@@ -354,7 +372,7 @@ bool Server::Recover(std::string* error) {
     } else if (type == kRecordSeal && reader.GetVarint(&a) && reader.AtEnd()) {
       if (sealed()) return reject("is a second seal");
       num_users_ = a;
-      BuildShards();
+      BuildShards(std::exchange(follows_, {}));
       sealed_.store(true, std::memory_order_release);
     } else if (type == kRecordPost &&
                dur::DecodePostRecord(
@@ -381,12 +399,12 @@ bool Server::Recover(std::string* error) {
   return true;
 }
 
-void Server::BuildShards() {
+void Server::BuildShards(std::vector<std::pair<UserId, AuthorId>> follows) {
   // Users are dense 0..num_users-1; subscriptions deduped + sorted so
   // replayed follow streams with repeats build the same components.
   std::vector<std::vector<AuthorId>> subscriptions(
       static_cast<size_t>(num_users_));
-  for (const auto& [user, author] : follows_) {
+  for (const auto& [user, author] : follows) {
     if (user < subscriptions.size()) subscriptions[user].push_back(author);
   }
   std::vector<User> users;
@@ -411,7 +429,8 @@ void Server::BuildShards() {
   author_shards_.clear();
   shards_.clear();
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    ComponentTable table(options_.algorithm, *graph_, std::move(placed[s]));
+    SharedBinTable table(options_.algorithm, options_.thresholds, *graph_,
+                         std::move(placed[s]));
     for (AuthorId a = 0; a < table.author_bound(); ++a) {
       if (table.ComponentsOf(a).empty()) continue;
       if (a >= author_shards_.size()) author_shards_.resize(a + 1);
@@ -529,7 +548,7 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
       // The seal is the one event whose loss changes recovery's shape
       // entirely, so it is always synced regardless of policy.
       if (!Log(fd, EncodeSealRecord(num_users_), /*sync=*/true)) return false;
-      BuildShards();
+      BuildShards(std::exchange(follows_, {}));
       for (auto& shard : shards_) shard->Spawn();
       sealed_.store(true, std::memory_order_release);
       return true;
@@ -562,7 +581,9 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
       posts_ingested_.fetch_add(1, std::memory_order_seq_cst);
       internal::ShardCmd cmd;
       cmd.kind = internal::ShardCmd::Kind::kPost;
-      cmd.post = post;
+      // No shard reads the text, which the WAL record above keeps: a
+      // queued copy of it would cost a heap allocation per shard.
+      cmd.post = Post{post.id, post.author, post.time_ms, post.simhash, {}};
       for (uint32_t shard : shards) shards_[shard]->PushBlocking(cmd);
       return true;
     }
@@ -646,6 +667,7 @@ void Server::PublishIntrospection() {
   registry.GetCounter("serve.posts_ingested")->Add(s.posts_ingested);
   registry.GetCounter("serve.duplicates")->Add(s.duplicates);
   registry.GetCounter("serve.deliveries")->Add(s.deliveries);
+  registry.GetCounter("serve.comparisons")->Add(s.comparisons);
   registry.GetCounter("serve.polls")->Add(s.polls);
   registry.GetCounter("serve.malformed")->Add(s.malformed);
   registry.GetCounter("serve.wal_failures")->Add(s.wal_failures);
@@ -668,6 +690,11 @@ void Server::PublishIntrospection() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (i > 0) status += ",";
     status += std::to_string(shards_[i]->queue_depth());
+  }
+  status += "],\"window_posts\":[";
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (i > 0) status += ",";
+    status += std::to_string(shards_[i]->window_posts());
   }
   status += "]}";
 

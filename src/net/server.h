@@ -30,6 +30,9 @@ class ShardWorker;
 struct ServeOptions {
   int port = 0;              ///< 0 = bind an ephemeral port (see port())
   uint32_t num_shards = 1;
+  /// The bin layout of each shard's one set of bins, which all of the
+  /// shard's components share (SharedBinTable). Every layout serves the
+  /// S_* engines' timelines.
   Algorithm algorithm = Algorithm::kCliqueBin;
   DiversityThresholds thresholds;
 
@@ -59,21 +62,23 @@ struct ServeStats {
   uint64_t posts_ingested = 0;  ///< posts logged and routed, once each
   uint64_t duplicates = 0;      ///< resends at or below the watermark
   uint64_t deliveries = 0;      ///< (post, user) timeline appends
+  uint64_t comparisons = 0;     ///< bin entries the shards' tables tested
   uint64_t polls = 0;
   uint64_t malformed = 0;       ///< poisoned connections
   uint64_t wal_failures = 0;    ///< writes refused because the WAL failed
 };
 
 /// The networked serving layer (DESIGN.md §4i): an ingest/delivery
-/// service wrapping the S_* shared-component engine of the in-process
-/// sharded pipeline.
+/// service whose per-user timelines equal the S_* shared-component
+/// engine's. Each shard keeps one set of bins for all of its components
+/// (SharedBinTable) and decides each post once for them.
 ///
 /// Threading: one dispatcher thread owns the listening socket and serves
 /// one connection at a time (the protocol is client-driven and the
 /// loadgen is a single client; this is a reproduction testbed, not a
 /// production frontend). The dispatcher is the single producer of every
 /// shard's SpscQueue<ShardCmd>; each shard worker thread is the single
-/// consumer of its own queue and exclusively owns its ComponentTable —
+/// consumer of its own queue and exclusively owns its SharedBinTable —
 /// the same thread-confinement contract as RunShardedSUser, extended to
 /// long-lived workers. Workers only decide. A worker's timelines sit
 /// behind its own mutex: the worker appends under it once per post, and
@@ -135,9 +140,11 @@ class Server {
   /// Replays `<data_dir>/wal` in order (follows, the seal, posts) into
   /// shards whose threads have not started, then opens it for appends.
   [[nodiscard]] bool Recover(std::string* error) FIREHOSE_RUNS_ON(exclusive);
-  // Builds the shards without starting their threads: a single-threaded
-  // phase (recovery, or the seal before any worker exists).
-  void BuildShards() FIREHOSE_RUNS_ON(exclusive);
+  // Builds the shards from the sealed `follows` without starting their
+  // threads: a single-threaded phase (recovery, or the seal before any
+  // worker exists). Callers hand over follows_, which is never read again.
+  void BuildShards(std::vector<std::pair<UserId, AuthorId>> follows)
+      FIREHOSE_RUNS_ON(exclusive);
   std::span<const uint32_t> ShardsOf(AuthorId author) const;
   /// Appends `record` (none when empty) to the WAL, then syncs when
   /// `sync`; true without a data_dir. On failure, counts it and sends
@@ -156,14 +163,15 @@ class Server {
   bool started_ = false;
 
   // Pre-seal state, owned by the dispatcher after Start (and by Start
-  // itself during recovery, before the dispatcher exists).
+  // itself during recovery, before the dispatcher exists). The seal
+  // hands follows_ to BuildShards, which frees it.
   std::vector<std::pair<UserId, AuthorId>> follows_
       FIREHOSE_THREAD_OWNED(dispatcher);
   uint64_t num_users_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
   std::atomic<bool> sealed_{false};
 
-  // Post-seal routing, author -> shards whose ComponentTable routes the
-  // author (read off the tables at seal/recovery, read-only after).
+  // Post-seal routing, author -> shards whose table routes the author
+  // (read off the tables at seal/recovery, read-only after).
   std::vector<std::vector<uint32_t>> author_shards_;
   std::vector<std::unique_ptr<internal::ShardWorker>> shards_;
 

@@ -3,8 +3,9 @@
 // components, per-user custom thresholds) over random author graphs and
 // clustered streams. The per-user M_* engines and the shared-component
 // S_* engines must deliver identical timelines for all three algorithms,
-// and the sharded S_* runtime must reproduce the sequential deliveries
-// for every shard count.
+// the sharded S_* runtime must reproduce the sequential deliveries for
+// every shard count, and the serve shards' SharedBinTable must deliver
+// S_UniBin's timelines in every bin layout.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/multi_user.h"
+#include "src/core/shared_bins.h"
 #include "src/runtime/sharded.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
@@ -151,6 +153,180 @@ TEST_P(MultiUserFuzzEquivalenceTest, ShardedRuntimeMatchesSequentialS) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiUserFuzzEquivalenceTest,
                          ::testing::Values(101, 202, 303, 404, 505));
+
+/// A population without custom thresholds in which authors sit in many
+/// components: each user follows a random handful of the first
+/// `followed` authors, so one author meets many different co-followee
+/// sets. Authors `followed` and up are followed by no one.
+std::vector<User> OverlappingUsers(int num_users, int followed, Rng& rng) {
+  std::vector<User> users;
+  for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
+    std::vector<AuthorId> subs;
+    const int count = 1 + static_cast<int>(rng.UniformInt(6));
+    for (int i = 0; i < count; ++i) {
+      subs.push_back(static_cast<AuthorId>(
+          rng.UniformInt(static_cast<uint64_t>(followed))));
+    }
+    std::sort(subs.begin(), subs.end());
+    subs.erase(std::unique(subs.begin(), subs.end()), subs.end());
+    users.emplace_back(u, std::move(subs));
+  }
+  return users;
+}
+
+/// The components split round-robin over `parts` tables, as the server
+/// splits them over its shards' tables; every post is offered to every
+/// table, each of which routes only its own authors.
+std::vector<SharedBinTable> PlacedTables(Algorithm algorithm,
+                                         const DiversityThresholds& t,
+                                         const AuthorGraph& graph,
+                                         const std::vector<User>& users,
+                                         size_t parts) {
+  std::vector<std::vector<SharedComponent>> placed(parts);
+  std::vector<SharedComponent> components =
+      ComputeSharedComponents(t, graph, users);
+  for (size_t i = 0; i < components.size(); ++i) {
+    placed[i % parts].push_back(std::move(components[i]));
+  }
+  std::vector<SharedBinTable> tables;
+  for (auto& part : placed) {
+    tables.emplace_back(algorithm, t, graph, std::move(part));
+  }
+  return tables;
+}
+
+/// Offers `post` to every table and appends it to the timelines of the
+/// admitting components' users.
+void OfferToTables(std::vector<SharedBinTable>& tables, const Post& post,
+                   Timelines* timelines) {
+  std::vector<uint32_t> admitted;
+  for (SharedBinTable& table : tables) {
+    table.Offer(post, &admitted);
+    for (uint32_t component : admitted) {
+      for (UserId user : table.users(component)) {
+        (*timelines)[user].push_back(post.id);
+      }
+    }
+  }
+}
+
+class SharedBinTableFuzzTest : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(SharedBinTableFuzzTest, TimelinesEqualSUniBinOnRandomPopulations) {
+  const std::pair<int, int64_t> kThresholds[] = {
+      {2, 150}, {6, 400}, {12, 1200}, {20, 3000}};
+  Rng rng(9001);
+  size_t max_components_per_author = 0;
+  size_t unfollowed_posts = 0;
+  uint64_t comparisons = 0;
+  for (int round = 0; round < 12; ++round) {
+    const int num_authors = 12 + static_cast<int>(rng.UniformInt(28));
+    const int followed = num_authors - 3;
+    const AuthorGraph graph =
+        RandomAuthorGraph(num_authors, 0.15 + 0.1 * (round % 3), rng);
+    const std::vector<User> users =
+        OverlappingUsers(10 + static_cast<int>(rng.UniformInt(40)), followed,
+                         rng);
+    const PostStream stream = RandomStream(
+        300 + static_cast<int>(rng.UniformInt(300)), num_authors, 25, rng);
+    for (const Post& post : stream) {
+      unfollowed_posts += post.author >= static_cast<AuthorId>(followed);
+    }
+    for (const auto& [lambda_c, lambda_t_ms] : kThresholds) {
+      DiversityThresholds t;
+      t.lambda_c = lambda_c;
+      t.lambda_t_ms = lambda_t_ms;
+      auto reference = MakeSUserEngine(Algorithm::kUniBin, t, graph, users);
+      const Timelines expected = CollectTimelines(*reference, stream, users);
+      for (size_t parts : {1, 3}) {
+        std::vector<SharedBinTable> tables =
+            PlacedTables(GetParam(), t, graph, users, parts);
+        Timelines served;
+        for (const User& user : users) served[user.id];
+        for (const Post& post : stream) OfferToTables(tables, post, &served);
+        ASSERT_EQ(served, expected)
+            << AlgorithmName(GetParam()) << " round=" << round
+            << " lambda_c=" << lambda_c << " lambda_t=" << lambda_t_ms
+            << " parts=" << parts;
+        for (const SharedBinTable& table : tables) {
+          comparisons += table.comparisons();
+          for (AuthorId a = 0; a < table.author_bound(); ++a) {
+            max_components_per_author = std::max(
+                max_components_per_author, table.ComponentsOf(a).size());
+          }
+        }
+      }
+    }
+  }
+  // The populations exercise what the table exists for, an author in
+  // many components decided once for all of them, and posts no table
+  // routes.
+  EXPECT_GE(max_components_per_author, 5u);
+  EXPECT_GT(unfollowed_posts, 0u);
+  EXPECT_GT(comparisons, 0u);
+}
+
+TEST_P(SharedBinTableFuzzTest, SilentAuthorLeavesEveryBinAfterLambdaT) {
+  Rng rng(77);
+  const int num_authors = 16;
+  const AuthorGraph graph = RandomAuthorGraph(num_authors, 0.3, rng);
+  const std::vector<User> users = OverlappingUsers(30, num_authors, rng);
+  DiversityThresholds t;
+  t.lambda_c = 4;
+  t.lambda_t_ms = 500;
+  std::vector<SharedBinTable> tables =
+      PlacedTables(GetParam(), t, graph, users, 1);
+  SharedBinTable& table = tables.front();
+
+  // Author `silent` posts distinct content until time 1000, then stops;
+  // everyone else keeps posting for three more λt.
+  const AuthorId silent = users.front().subscriptions.front();
+  PostStream stream;
+  for (int64_t time = 0; time <= 1000 + 3 * t.lambda_t_ms; time += 5) {
+    Post post;
+    post.id = static_cast<PostId>(stream.size());
+    post.time_ms = time;
+    post.simhash = rng.Next();
+    post.author = static_cast<AuthorId>(
+        rng.UniformInt(static_cast<uint64_t>(num_authors)));
+    if (time <= 1000 && stream.size() % 4 == 0) post.author = silent;
+    if (time > 1000 && post.author == silent) continue;
+    stream.push_back(post);
+  }
+
+  auto reference = MakeSUserEngine(Algorithm::kUniBin, t, graph, users);
+  const Timelines expected = CollectTimelines(*reference, stream, users);
+  Timelines served;
+  for (const User& user : users) served[user.id];
+  std::vector<bool> delivered(stream.size(), false);
+  for (const Post& post : stream) {
+    OfferToTables(tables, post, &served);
+    if (post.time_ms == 1000) {
+      EXPECT_GT(table.BinnedPostsBy(silent), 0u) << "nothing to evict";
+    }
+  }
+  ASSERT_EQ(served, expected) << AlgorithmName(GetParam());
+  EXPECT_EQ(table.BinnedPostsBy(silent), 0u) << AlgorithmName(GetParam());
+
+  // The window is exactly the posts some component admitted within λt of
+  // the newest post.
+  for (const auto& [user, timeline] : expected) {
+    for (PostId id : timeline) delivered[id] = true;
+  }
+  const int64_t cutoff = stream.back().time_ms - t.lambda_t_ms;
+  size_t in_window = 0;
+  for (const Post& post : stream) {
+    in_window += delivered[post.id] && post.time_ms >= cutoff ? 1 : 0;
+  }
+  EXPECT_GT(in_window, 0u);
+  EXPECT_EQ(table.window_posts(), in_window);
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, SharedBinTableFuzzTest,
+                         ::testing::ValuesIn(kAllAlgorithms),
+                         [](const ::testing::TestParamInfo<Algorithm>& info) {
+                           return std::string(AlgorithmName(info.param));
+                         });
 
 }  // namespace
 }  // namespace firehose

@@ -5,17 +5,21 @@
 // deliveries byte for byte — plus the poll contract (a poll sees every
 // post sent before it, flushed or not, and `since` selects the suffix),
 // durability (graceful stop, restart at another shard count, resend,
-// dedupe, refused writes when the WAL fails, the WAL's record order) and
-// protocol error handling.
+// dedupe, refused writes when the WAL fails, the WAL's record order),
+// the introspection of the shards' shared bins and protocol error
+// handling.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -181,6 +185,63 @@ TEST_P(NetServeTest, ServedTimelinesEqualSequentialEngineThreeShards) {
   EXPECT_EQ(stats.posts_received, workload_.stream.size());
   EXPECT_EQ(stats.duplicates, 0u);
   EXPECT_GT(stats.deliveries, 0u);
+}
+
+/// The unsigned integers of the JSON array `"key":[...]` in `json`;
+/// empty when the key is missing.
+std::vector<uint64_t> JsonArray(const std::string& json,
+                                const std::string& key) {
+  std::vector<uint64_t> values;
+  const std::string open = "\"" + key + "\":[";
+  const size_t at = json.find(open);
+  if (at == std::string::npos) return values;
+  const size_t begin = at + open.size();
+  std::istringstream items(json.substr(begin, json.find(']', begin) - begin));
+  for (std::string item; std::getline(items, item, ',');) {
+    values.push_back(std::stoull(item));
+  }
+  return values;
+}
+
+TEST_F(NetServeTest, StatusAndVarzReportTheSharedWindow) {
+  obs::DebugState debug;
+  ServeOptions options = Options(2);
+  options.debug = &debug;
+  Server server(options, &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+  SealUsers(client);
+  SendStream(client);
+
+  // The flush ack means every shard decided every post, and the
+  // dispatcher publishes at each idle tick. The count moves when the
+  // metrics of a publication land, before its status, so two more
+  // publications mean one whole publication began after the ack.
+  const uint64_t published = debug.publish_count();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (debug.publish_count() < published + 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(debug.publish_count(), published + 2);
+
+  const std::vector<uint64_t> windows =
+      JsonArray(debug.status_json(), "window_posts");
+  ASSERT_EQ(windows.size(), 2u) << debug.status_json();
+  EXPECT_GT(windows[0] + windows[1], 0u) << debug.status_json();
+
+  const std::string varz = debug.varz_json();
+  const std::string key = "\"serve.comparisons\": ";
+  const size_t at = varz.find(key);
+  ASSERT_NE(at, std::string::npos) << varz;
+  const uint64_t comparisons = std::stoull(varz.substr(at + key.size()));
+  EXPECT_GT(comparisons, 0u);
+  EXPECT_EQ(comparisons, server.stats().comparisons);
+  client.Disconnect();
+  server.Stop();
 }
 
 TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {

@@ -1,8 +1,10 @@
 // firehose_serve: the networked serving layer (DESIGN.md §4i). Loads a
 // precomputed author graph, then accepts follow/seal/post/poll traffic
-// on a loopback socket and runs the S_* shared-component engine across
-// --shards worker threads, with components placed by consistent hashing
-// so a component never straddles shards.
+// on a loopback socket and serves the S_* shared-component engine's
+// timelines from --shards worker threads, with components placed by
+// consistent hashing so a component never straddles shards. Each shard
+// keeps one set of bins shared by all of its components and decides a
+// post once for them; --algorithm picks the bin layout that set uses.
 //
 // Durability: --data_dir holds one server WAL, <data_dir>/wal, that the
 // dispatcher appends follows, the seal and each routed post to before
@@ -65,7 +67,8 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: firehose_serve --graph=PATH [--port=0] [--port_file=PATH]\n"
-        "    [--shards=N] [--algorithm=unibin|neighborbin|cliquebin]\n"
+        "    [--shards=N] [--algorithm=unibin|neighborbin|cliquebin\n"
+        "        (the bin layout each shard's components share)]\n"
         "    [--lambda_c=18] [--lambda_t_min=30]\n"
         "    [--data_dir=DIR] [--wal_sync=none|always|every=N]\n"
         "    [--debug_port=N (0 = ephemeral)] [--version]\n");
