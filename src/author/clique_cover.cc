@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 namespace firehose {
 
@@ -12,69 +13,120 @@ uint64_t EdgeKey(AuthorId a, AuthorId b) {
   return (static_cast<uint64_t>(a) << 32) | b;
 }
 
-// Intersects sorted `candidates` with the sorted neighbor list of `v`.
-std::vector<AuthorId> IntersectSorted(const std::vector<AuthorId>& candidates,
-                                      const std::vector<AuthorId>& neighbors) {
-  std::vector<AuthorId> out;
-  std::set_intersection(candidates.begin(), candidates.end(),
-                        neighbors.begin(), neighbors.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
 }  // namespace
 
 CliqueCover CliqueCover::Greedy(const AuthorGraph& graph) {
   CliqueCover cover;
   cover.num_authors_ = graph.num_vertices();
-  std::unordered_set<uint64_t> covered;
-  covered.reserve(static_cast<size_t>(graph.num_edges()) * 2);
 
-  for (AuthorId u : graph.vertices()) {
-    for (AuthorId v : graph.Neighbors(u)) {
-      if (v < u) continue;  // visit each edge once, from its lower endpoint
-      if (covered.count(EdgeKey(u, v)) > 0) continue;
+  // A dense-index copy of the graph: vertex i is ids[i], and its
+  // neighbours are adjacency[offsets[i] .. offsets[i + 1]), ascending.
+  // ids ascend, so index order is id order and every smallest-index
+  // choice below is the smallest id.
+  const std::vector<AuthorId>& ids = graph.vertices();
+  const uint32_t n = static_cast<uint32_t>(ids.size());
+  std::vector<uint32_t> offsets(n + 1, 0);
+  std::vector<uint32_t> adjacency;
+  adjacency.reserve(static_cast<size_t>(graph.num_edges()) * 2);
+  for (uint32_t i = 0; i < n; ++i) {
+    auto from = ids.begin();
+    for (AuthorId neighbor : graph.Neighbors(ids[i])) {
+      from = std::lower_bound(from, ids.end(), neighbor);
+      adjacency.push_back(static_cast<uint32_t>(from - ids.begin()));
+    }
+    offsets[i + 1] = static_cast<uint32_t>(adjacency.size());
+  }
+  // One flag per adjacency slot: slot s of i is covered once some clique
+  // holds the edge {i, adjacency[s]}. Both slots of an edge are set.
+  std::vector<uint8_t> covered(adjacency.size(), 0);
 
-      // Seed the clique with the uncovered edge {u, v} and grow it.
-      std::vector<AuthorId> clique = {u, v};
-      std::vector<AuthorId> candidates =
-          IntersectSorted(graph.Neighbors(u), graph.Neighbors(v));
+  // Growing a clique: the candidates (common neighbours of every member,
+  // ascending) and, in lockstep, each one's gain: the still-uncovered
+  // edges it would add into the clique. When a member joins, its
+  // neighbours are marked with `stamp` (edge covered) or `stamp + 1`
+  // (uncovered), which filters the candidates and updates their gains.
+  // Each use of marks takes a fresh stamp, so none is ever cleared.
+  std::vector<uint32_t> clique;
+  std::vector<uint32_t> candidates;
+  std::vector<uint32_t> gains;
+  std::vector<uint64_t> marks(n, 0);
+  uint64_t stamp = 0;
+  for (uint32_t u = 0; u < n; ++u) {
+    for (uint32_t s = offsets[u]; s < offsets[u + 1]; ++s) {
+      const uint32_t v = adjacency[s];
+      if (v < u || covered[s] != 0) continue;  // each uncovered edge once
+
+      // Seed the clique with the uncovered edge {u, v}: the candidates
+      // are N(u) ∩ N(v), by a merge walk that reads both edges' flags.
+      clique.assign({u, v});
+      candidates.clear();
+      gains.clear();
+      for (uint32_t a = offsets[u], b = offsets[v];
+           a < offsets[u + 1] && b < offsets[v + 1];) {
+        if (adjacency[a] < adjacency[b]) {
+          ++a;
+        } else if (adjacency[b] < adjacency[a]) {
+          ++b;
+        } else {
+          candidates.push_back(adjacency[a]);
+          gains.push_back(static_cast<uint32_t>(covered[a] == 0) +
+                          static_cast<uint32_t>(covered[b] == 0));
+          ++a;
+          ++b;
+        }
+      }
       while (!candidates.empty()) {
-        // Pick the candidate contributing the most still-uncovered edges
-        // into the clique; ties break to the smallest id for determinism.
-        AuthorId best = candidates.front();
-        int best_gain = -1;
-        for (AuthorId cand : candidates) {
-          int gain = 0;
-          for (AuthorId member : clique) {
-            if (covered.count(EdgeKey(cand, member)) == 0) ++gain;
-          }
-          if (gain > best_gain) {
-            best_gain = gain;
-            best = cand;
-          }
+        // The candidate adding the most uncovered edges joins; ties go
+        // to the smallest id.
+        size_t best = 0;
+        for (size_t i = 1; i < candidates.size(); ++i) {
+          if (gains[i] > gains[best]) best = i;
         }
-        clique.push_back(best);
-        candidates = IntersectSorted(candidates, graph.Neighbors(best));
-        candidates.erase(
-            std::remove(candidates.begin(), candidates.end(), best),
-            candidates.end());
+        const uint32_t member = candidates[best];
+        clique.push_back(member);
+        stamp += 2;
+        for (uint32_t t = offsets[member]; t < offsets[member + 1]; ++t) {
+          marks[adjacency[t]] = stamp + static_cast<uint64_t>(covered[t] == 0);
+        }
+        // The member is no neighbour of itself, so it leaves too.
+        size_t kept = 0;
+        for (size_t i = 0; i < candidates.size(); ++i) {
+          const uint64_t mark = marks[candidates[i]];
+          if (mark < stamp) continue;
+          candidates[kept] = candidates[i];
+          gains[kept] = gains[i] + static_cast<uint32_t>(mark - stamp);
+          ++kept;
+        }
+        candidates.resize(kept);
+        gains.resize(kept);
       }
+
+      // Mark the clique's edges covered: stamp the members, then each
+      // member's slots that hold a stamped neighbour.
       std::sort(clique.begin(), clique.end());
-      for (size_t i = 0; i < clique.size(); ++i) {
-        for (size_t j = i + 1; j < clique.size(); ++j) {
-          covered.insert(EdgeKey(clique[i], clique[j]));
+      stamp += 2;
+      for (uint32_t member : clique) marks[member] = stamp;
+      for (uint32_t member : clique) {
+        for (uint32_t t = offsets[member]; t < offsets[member + 1]; ++t) {
+          covered[t] |= static_cast<uint8_t>(marks[adjacency[t]] == stamp);
         }
       }
-      cover.cliques_.push_back(std::move(clique));
+      // Grown from a pair one push at a time: ApproxBytes counts the
+      // capacity, and the peak_bytes bench keys were recorded with
+      // cliques grown this way.
+      std::vector<AuthorId> members = {ids[clique[0]], ids[clique[1]]};
+      for (size_t i = 2; i < clique.size(); ++i) {
+        members.push_back(ids[clique[i]]);
+      }
+      cover.cliques_.push_back(std::move(members));
     }
   }
 
   // Singleton cliques for vertices covered by no clique, so same-author
   // posts of isolated authors can still cover each other. Every edge lies
   // in some clique, so exactly the isolated vertices are uncovered.
-  for (AuthorId a : graph.vertices()) {
-    if (graph.Neighbors(a).empty()) cover.cliques_.push_back({a});
+  for (uint32_t i = 0; i < n; ++i) {
+    if (offsets[i] == offsets[i + 1]) cover.cliques_.push_back({ids[i]});
   }
   cover.IndexAuthors();
   return cover;

@@ -96,7 +96,7 @@ class MUserEngine final : public MultiUserEngine {
   int64_t peak_live_bytes_ = 0;
 };
 
-uint64_t AuthorSetKey(const std::vector<AuthorId>& sorted_authors) {
+uint64_t AuthorSetKey(std::span<const AuthorId> sorted_authors) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (AuthorId a : sorted_authors) h = HashCombine(h, Fmix64(a));
   return h;
@@ -170,15 +170,94 @@ std::vector<SharedComponent> ComputeSharedComponents(
   std::vector<SharedComponent> components;
   std::unordered_map<uint64_t, std::vector<size_t>> by_key;
   constexpr size_t kNotFound = static_cast<size_t>(-1);
+  constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+
+  // Arrays indexed by author id are sized by the graph, never by a
+  // followed id: an id past the last vertex has no neighbours and stays
+  // a singleton, as in InducedSubgraph. The graph's edges are copied
+  // once, each listed at its lower endpoint: vertex v's higher
+  // neighbours are higher[higher_begin[v] .. higher_begin[v + 1]).
+  const std::vector<AuthorId>& vertices = graph.vertices();
+  const size_t vertex_bound =
+      vertices.empty() ? 0 : size_t{vertices.back()} + 1;
+  std::vector<uint32_t> vertex_of(vertex_bound, kNone);
+  std::vector<uint32_t> higher_begin(vertices.size() + 1, 0);
+  std::vector<AuthorId> higher;
+  higher.reserve(static_cast<size_t>(graph.num_edges()));
+  for (uint32_t v = 0; v < vertices.size(); ++v) {
+    vertex_of[vertices[v]] = v;
+    const std::vector<AuthorId>& neighbors = graph.Neighbors(vertices[v]);
+    higher.insert(higher.end(),
+                  std::upper_bound(neighbors.begin(), neighbors.end(),
+                                   vertices[v]),
+                  neighbors.end());
+    higher_begin[v + 1] = static_cast<uint32_t>(higher.size());
+  }
+  // position[a] is a's index in the current user's subscriptions.
+  std::vector<uint32_t> position(vertex_bound, kNone);
+  // Per user, reused: the sorted subscriptions, a union-find forest over
+  // their indices, and the subscriptions grouped by component.
+  std::vector<AuthorId> subs;
+  std::vector<uint32_t> parent;
+  std::vector<uint64_t> keyed;
+  std::vector<AuthorId> grouped;
+  const auto find = [&parent](uint32_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
   for (const User& user : users) {
     const DiversityThresholds user_t = user.custom_thresholds.value_or(t);
-    AuthorGraph gi = graph.InducedSubgraph(user.subscriptions);
-    for (std::vector<AuthorId>& component : gi.ConnectedComponents()) {
+    const uint64_t thresholds_key = ThresholdsKey(user_t);
+    subs.assign(user.subscriptions.begin(), user.subscriptions.end());
+    std::sort(subs.begin(), subs.end());
+    subs.erase(std::unique(subs.begin(), subs.end()), subs.end());
+    const uint32_t k = static_cast<uint32_t>(subs.size());
+
+    // One union per edge of G_i, from its lower endpoint. The smaller
+    // root wins, so each root is its component's smallest index.
+    for (uint32_t i = 0; i < k; ++i) {
+      if (subs[i] < vertex_bound) position[subs[i]] = i;
+    }
+    parent.resize(k);
+    for (uint32_t i = 0; i < k; ++i) parent[i] = i;
+    for (uint32_t i = 0; i < k; ++i) {
+      const uint32_t v = subs[i] < vertex_bound ? vertex_of[subs[i]] : kNone;
+      if (v == kNone) continue;
+      for (uint32_t e = higher_begin[v]; e < higher_begin[v + 1]; ++e) {
+        const uint32_t j = position[higher[e]];
+        if (j == kNone) continue;
+        const uint32_t ri = find(i);
+        const uint32_t rj = find(j);
+        parent[std::max(ri, rj)] = std::min(ri, rj);
+      }
+    }
+    for (uint32_t i = 0; i < k; ++i) {
+      if (subs[i] < vertex_bound) position[subs[i]] = kNone;
+    }
+
+    // Sorting (root, index) keys lists each component's authors together
+    // and ascending, and the components in order of their smallest
+    // author, as each root is its component's smallest index: the order
+    // of AuthorGraph::ConnectedComponents.
+    keyed.resize(k);
+    for (uint32_t i = 0; i < k; ++i) {
+      keyed[i] = (uint64_t{find(i)} << 32) | i;
+    }
+    std::sort(keyed.begin(), keyed.end());
+    grouped.resize(k);
+    for (uint32_t i = 0; i < k; ++i) {
+      grouped[i] = subs[static_cast<uint32_t>(keyed[i])];
+    }
+    for (uint32_t begin = 0, end = 0; begin < k; begin = end) {
+      while (end < k && keyed[end] >> 32 == keyed[begin] >> 32) ++end;
+      const std::span<const AuthorId> component(grouped.data() + begin,
+                                                end - begin);
       const uint64_t key =
-          HashCombine(AuthorSetKey(component), ThresholdsKey(user_t));
+          HashCombine(AuthorSetKey(component), thresholds_key);
+      std::vector<size_t>& same_key = by_key[key];
       size_t index = kNotFound;
-      for (size_t cand : by_key[key]) {
-        if (components[cand].authors == component &&
+      for (size_t cand : same_key) {
+        if (std::ranges::equal(components[cand].authors, component) &&
             components[cand].thresholds == user_t) {
           index = cand;
           break;
@@ -186,9 +265,13 @@ std::vector<SharedComponent> ComputeSharedComponents(
       }
       if (index == kNotFound) {
         index = components.size();
-        by_key[key].push_back(index);
-        components.push_back(
-            SharedComponent{std::move(component), {}, user_t});
+        same_key.push_back(index);
+        // Grown one push at a time, as ConnectedComponents grows its
+        // components: ComponentTable::ApproxBytes counts the capacity,
+        // and the S_* peak_bytes bench keys were recorded with it.
+        std::vector<AuthorId> authors;
+        for (AuthorId a : component) authors.push_back(a);
+        components.push_back(SharedComponent{std::move(authors), {}, user_t});
       }
       components[index].users.push_back(user.id);
     }

@@ -368,9 +368,17 @@ bool Server::Recover(std::string* error) {
     if (type == kRecordFollow && reader.GetVarint(&a) &&
         reader.GetVarint(&b) && reader.AtEnd()) {
       if (sealed()) return reject("is a follow after the seal");
+      if (a >= kServeIdBound || b >= kServeIdBound) {
+        return reject("follows with an id past " +
+                      std::to_string(kServeIdBound));
+      }
       follows_.emplace_back(static_cast<UserId>(a), static_cast<AuthorId>(b));
     } else if (type == kRecordSeal && reader.GetVarint(&a) && reader.AtEnd()) {
       if (sealed()) return reject("is a second seal");
+      if (a > kServeIdBound) {
+        return reject("seals " + std::to_string(a) + " users, past " +
+                      std::to_string(kServeIdBound));
+      }
       num_users_ = a;
       BuildShards(std::exchange(follows_, {}));
       sealed_.store(true, std::memory_order_release);
@@ -400,6 +408,8 @@ bool Server::Recover(std::string* error) {
 }
 
 void Server::BuildShards(std::vector<std::pair<UserId, AuthorId>> follows) {
+  const obs::Clock* clock = obs::RealClock();
+  const uint64_t start_ns = clock->NowNanos();
   // Users are dense 0..num_users-1; subscriptions deduped + sorted so
   // replayed follow streams with repeats build the same components.
   std::vector<std::vector<AuthorId>> subscriptions(
@@ -416,10 +426,13 @@ void Server::BuildShards(std::vector<std::pair<UserId, AuthorId>> follows) {
     users.emplace_back(id, std::move(subs));
   }
 
+  std::vector<SharedComponent> components =
+      ComputeSharedComponents(options_.thresholds, *graph_, users);
+  const uint64_t components_ns = clock->NowNanos();
+
   const PlacementRing ring(options_.num_shards);
   std::vector<std::vector<SharedComponent>> placed(options_.num_shards);
-  for (SharedComponent& component :
-       ComputeSharedComponents(options_.thresholds, *graph_, users)) {
+  for (SharedComponent& component : components) {
     const uint32_t shard = ring.ShardFor(ComponentKey(component.authors));
     placed[shard].push_back(std::move(component));
   }
@@ -439,6 +452,8 @@ void Server::BuildShards(std::vector<std::pair<UserId, AuthorId>> follows) {
     shards_.push_back(std::make_unique<internal::ShardWorker>(
         s, options_, std::move(table), num_users_));
   }
+  seal_components_us_ = (components_ns - start_ns) / 1000;
+  seal_tables_us_ = (clock->NowNanos() - components_ns) / 1000;
 }
 
 std::span<const uint32_t> Server::ShardsOf(AuthorId author) const {
@@ -527,6 +542,14 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
         (void)SendError(fd, "subscriptions are sealed");
         return false;
       }
+      if (message.user >= kServeIdBound || message.author >= kServeIdBound) {
+        malformed_.fetch_add(1, std::memory_order_seq_cst);
+        (void)SendError(fd, "follow (" + std::to_string(message.user) + ", " +
+                                std::to_string(message.author) +
+                                ") has an id past " +
+                                std::to_string(kServeIdBound));
+        return false;
+      }
       if (!Log(fd, EncodeFollowRecord(message.user, message.author),
                /*sync=*/false)) {
         return false;
@@ -538,6 +561,13 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
       if (sealed()) {
         malformed_.fetch_add(1, std::memory_order_seq_cst);
         (void)SendError(fd, "already sealed");
+        return false;
+      }
+      if (message.num_users > kServeIdBound) {
+        malformed_.fetch_add(1, std::memory_order_seq_cst);
+        (void)SendError(fd, "seal of " + std::to_string(message.num_users) +
+                                " users is past " +
+                                std::to_string(kServeIdBound));
         return false;
       }
       num_users_ = message.num_users;
@@ -674,6 +704,10 @@ void Server::PublishIntrospection() {
   registry.GetGauge("serve.num_shards")
       ->Set(static_cast<int64_t>(options_.num_shards));
   registry.GetGauge("serve.sealed")->Set(sealed() ? 1 : 0);
+  registry.GetGauge("serve.seal.components_us")
+      ->Set(static_cast<int64_t>(seal_components_us_));
+  registry.GetGauge("serve.seal.tables_us")
+      ->Set(static_cast<int64_t>(seal_tables_us_));
 
   std::string status = "{\"sealed\":";
   status += sealed() ? "true" : "false";

@@ -27,6 +27,16 @@ namespace internal {
 class ShardWorker;
 }  // namespace internal
 
+/// Every user and author id a client sends must be below this bound,
+/// and a seal's user count at most it. The seal sizes each shard's
+/// per-user timelines by the user count (24 bytes a user, so ~100 MB
+/// per shard at the bound) and the author routing by the largest
+/// followed author, so an id from the wire past it could exhaust memory
+/// at the seal and again at every restart. A Follow or Seal frame
+/// outside it is refused before it is logged, and Start refuses a WAL
+/// record outside it.
+inline constexpr uint64_t kServeIdBound = uint64_t{1} << 22;
+
 struct ServeOptions {
   int port = 0;              ///< 0 = bind an ephemeral port (see port())
   uint32_t num_shards = 1;
@@ -169,6 +179,13 @@ class Server {
       FIREHOSE_THREAD_OWNED(dispatcher);
   uint64_t num_users_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
   std::atomic<bool> sealed_{false};
+
+  // The two steps of the last BuildShards, live or replayed: the
+  // shared components, then the shards' tables (placement, bins, clique
+  // covers and routing). Published as serve.seal.components_us and
+  // serve.seal.tables_us.
+  uint64_t seal_components_us_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
+  uint64_t seal_tables_us_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
 
   // Post-seal routing, author -> shards whose table routes the author
   // (read off the tables at seal/recovery, read-only after).

@@ -1,13 +1,20 @@
 #include "src/author/clique_cover.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <span>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/author/follow_graph.h"
+#include "src/author/similarity.h"
+#include "src/core/multi_user.h"
+#include "src/gen/social_graph_gen.h"
 #include "src/util/random.h"
 
 namespace firehose {
@@ -51,6 +58,75 @@ std::vector<CliqueId> CliquesHolding(const CliqueCover& cover, AuthorId a) {
 
 std::vector<CliqueId> AsVector(std::span<const CliqueId> ids) {
   return {ids.begin(), ids.end()};
+}
+
+// The greedy of §4.3 as first written, over a hash set of covered edges,
+// kept as the reference the dense-index CliqueCover::Greedy must equal
+// clique for clique, order included.
+std::vector<std::vector<AuthorId>> ReferenceGreedy(const AuthorGraph& graph) {
+  const auto edge_key = [](AuthorId a, AuthorId b) {
+    if (a > b) std::swap(a, b);
+    return (static_cast<uint64_t>(a) << 32) | b;
+  };
+  const auto intersect = [](const std::vector<AuthorId>& a,
+                            const std::vector<AuthorId>& b) {
+    std::vector<AuthorId> out;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(out));
+    return out;
+  };
+  std::vector<std::vector<AuthorId>> cliques;
+  std::unordered_set<uint64_t> covered;
+  for (AuthorId u : graph.vertices()) {
+    for (AuthorId v : graph.Neighbors(u)) {
+      if (v < u || covered.count(edge_key(u, v)) > 0) continue;
+      std::vector<AuthorId> clique = {u, v};
+      std::vector<AuthorId> candidates =
+          intersect(graph.Neighbors(u), graph.Neighbors(v));
+      while (!candidates.empty()) {
+        AuthorId best = candidates.front();
+        int best_gain = -1;
+        for (AuthorId cand : candidates) {
+          int gain = 0;
+          for (AuthorId member : clique) {
+            if (covered.count(edge_key(cand, member)) == 0) ++gain;
+          }
+          if (gain > best_gain) {
+            best_gain = gain;
+            best = cand;
+          }
+        }
+        clique.push_back(best);
+        candidates = intersect(candidates, graph.Neighbors(best));
+        candidates.erase(
+            std::remove(candidates.begin(), candidates.end(), best),
+            candidates.end());
+      }
+      std::sort(clique.begin(), clique.end());
+      for (size_t i = 0; i < clique.size(); ++i) {
+        for (size_t j = i + 1; j < clique.size(); ++j) {
+          covered.insert(edge_key(clique[i], clique[j]));
+        }
+      }
+      cliques.push_back(std::move(clique));
+    }
+  }
+  for (AuthorId a : graph.vertices()) {
+    if (graph.Neighbors(a).empty()) cliques.push_back({a});
+  }
+  return cliques;
+}
+
+// Greedy equals the reference, and each clique's capacity equals the
+// reference's, so ApproxBytes (and every peak_bytes bench key) is
+// unchanged too.
+void ExpectGreedyEqualsReference(const AuthorGraph& graph) {
+  const CliqueCover cover = CliqueCover::Greedy(graph);
+  const std::vector<std::vector<AuthorId>> reference = ReferenceGreedy(graph);
+  ASSERT_EQ(cover.cliques(), reference);
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(cover.cliques()[i].capacity(), reference[i].capacity()) << i;
+  }
 }
 
 TEST(CliqueCoverTest, TriangleBecomesOneClique) {
@@ -179,6 +255,59 @@ TEST_P(RandomGraphCoverTest, GreedyCoverIsAlwaysValid) {
     EXPECT_EQ(AsVector(cover.CliquesOf(a)), CliquesHolding(cover, a)) << a;
   }
   EXPECT_TRUE(cover.CliquesOf(n).empty());
+  ExpectGreedyEqualsReference(g);
+}
+
+TEST_P(RandomGraphCoverTest, GreedyEqualsReferenceOnSparseIds) {
+  // Ids spread over a range four times the vertex count, isolated
+  // vertices among them, and densities from a few edges to most pairs.
+  Rng rng(GetParam() * 977 + 3);
+  for (const double density : {0.02, 0.1, 0.3, 0.7}) {
+    std::vector<AuthorId> vertices;
+    for (AuthorId id = 0; vertices.size() < 60; ++id) {
+      if (rng.Bernoulli(0.25)) vertices.push_back(id * 7 + 100);
+    }
+    std::vector<std::pair<AuthorId, AuthorId>> edges;
+    for (size_t i = 0; i < vertices.size(); ++i) {
+      if (i % 9 == 4) continue;  // isolated
+      for (size_t j = i + 1; j < vertices.size(); ++j) {
+        if (j % 9 != 4 && rng.Bernoulli(density)) {
+          edges.emplace_back(vertices[i], vertices[j]);
+        }
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << "density " << density);
+    ExpectGreedyEqualsReference(AuthorGraph::FromEdges(vertices, edges));
+  }
+}
+
+TEST_P(RandomGraphCoverTest, GreedyEqualsReferenceOnPopulationComponents) {
+  // A generated §6.3 population: the author graph, and the subgraph of
+  // every shared component, which the S_* engines each cover.
+  SocialGraphOptions options;
+  options.num_authors = 150;
+  options.num_communities = 6;
+  options.avg_followees = 14.0;
+  options.seed = GetParam();
+  const FollowGraph social = GenerateSocialGraph(options);
+  std::vector<AuthorId> authors;
+  for (AuthorId a = 0; a < social.num_authors(); ++a) authors.push_back(a);
+  const AuthorGraph graph = AuthorGraph::FromSimilarities(
+      authors, AllPairsSimilarity(social, authors, 0.05), 0.7);
+  ASSERT_GT(graph.num_edges(), 0u);
+  ExpectGreedyEqualsReference(graph);
+
+  std::vector<User> users;
+  for (AuthorId a = 0; a < social.num_authors(); ++a) {
+    if (social.Followees(a).empty()) continue;
+    users.emplace_back(static_cast<UserId>(users.size()), social.Followees(a));
+  }
+  const std::vector<SharedComponent> components =
+      ComputeSharedComponents(DiversityThresholds{}, graph, users);
+  ASSERT_GT(components.size(), 10u);
+  for (const SharedComponent& c : components) {
+    ExpectGreedyEqualsReference(graph.InducedSubgraph(c.authors));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphCoverTest,

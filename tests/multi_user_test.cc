@@ -1,7 +1,10 @@
 #include "src/core/multi_user.h"
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -273,6 +276,115 @@ TEST(MultiUserTest, CustomThresholdSAndMStillAgree) {
         << AlgorithmName(algorithm);
   }
 }
+
+// ComputeSharedComponents by its definition: per user, the connected
+// components of InducedSubgraph(subscriptions), deduplicated by author set
+// and effective thresholds in order of discovery.
+std::vector<SharedComponent> ReferenceSharedComponents(
+    const DiversityThresholds& t, const AuthorGraph& graph,
+    const std::vector<User>& users) {
+  std::vector<SharedComponent> components;
+  for (const User& user : users) {
+    const DiversityThresholds user_t = user.custom_thresholds.value_or(t);
+    for (std::vector<AuthorId>& authors :
+         graph.InducedSubgraph(user.subscriptions).ConnectedComponents()) {
+      auto it = std::find_if(
+          components.begin(), components.end(), [&](const auto& c) {
+            return c.authors == authors && c.thresholds == user_t;
+          });
+      if (it == components.end()) {
+        components.push_back(SharedComponent{std::move(authors), {}, user_t});
+        it = components.end() - 1;
+      }
+      it->users.push_back(user.id);
+    }
+  }
+  for (SharedComponent& c : components) {
+    std::sort(c.users.begin(), c.users.end());
+    c.users.erase(std::unique(c.users.begin(), c.users.end()), c.users.end());
+  }
+  return components;
+}
+
+class SharedComponentsTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SharedComponentsTest, EqualTheDefinitionOnRandomPopulations) {
+  Rng rng(GetParam());
+  for (int round = 0; round < 8; ++round) {
+    // Vertex ids with gaps; subscriptions drawn past the last vertex too,
+    // and now and then an id far past it.
+    std::vector<AuthorId> vertices;
+    const AuthorId span = 20 + static_cast<AuthorId>(rng.UniformInt(60));
+    for (AuthorId a = 0; a < span; ++a) {
+      if (rng.Bernoulli(0.6)) vertices.push_back(a);
+    }
+    const double density = 0.02 + 0.3 * rng.UniformDouble();
+    std::vector<std::pair<AuthorId, AuthorId>> edges;
+    for (size_t i = 0; i < vertices.size(); ++i) {
+      for (size_t j = i + 1; j < vertices.size(); ++j) {
+        if (rng.Bernoulli(density)) {
+          edges.emplace_back(vertices[i], vertices[j]);
+        }
+      }
+    }
+    const AuthorGraph graph = AuthorGraph::FromEdges(vertices, edges);
+    DiversityThresholds t;
+    t.lambda_c = 3 + static_cast<int>(rng.UniformInt(10));
+    t.lambda_t_ms = 100 + static_cast<int64_t>(rng.UniformInt(900));
+
+    // Users copy one of a few interest sets, so components repeat, then
+    // add private authors; subscriptions are unsorted and repeat ids.
+    // Some users carry custom thresholds, some equal to the default.
+    std::vector<std::vector<AuthorId>> interests(4);
+    for (auto& interest : interests) {
+      const int size = 1 + static_cast<int>(rng.UniformInt(8));
+      for (int i = 0; i < size; ++i) {
+        interest.push_back(static_cast<AuthorId>(rng.UniformInt(span + 5)));
+      }
+    }
+    std::vector<User> users;
+    const int num_users = 5 + static_cast<int>(rng.UniformInt(30));
+    for (int u = 0; u < num_users; ++u) {
+      std::vector<AuthorId> subs = interests[rng.UniformInt(interests.size())];
+      const int extra = static_cast<int>(rng.UniformInt(5));
+      for (int i = 0; i < extra; ++i) {
+        subs.push_back(static_cast<AuthorId>(rng.UniformInt(span + 5)));
+      }
+      if (!subs.empty() && rng.Bernoulli(0.3)) subs.push_back(subs.front());
+      if (rng.Bernoulli(0.1)) subs.push_back(0xFFFFFFF0u);
+      rng.Shuffle(subs);
+      std::optional<DiversityThresholds> custom;
+      if (rng.Bernoulli(0.15)) {
+        custom = t;
+      } else if (rng.Bernoulli(0.2)) {
+        DiversityThresholds own = t;
+        own.lambda_c = static_cast<int>(rng.UniformInt(4));
+        custom = own;
+      }
+      users.push_back(User{static_cast<UserId>(u), std::move(subs), custom});
+    }
+    rng.Shuffle(users);  // users need not come in id order
+
+    const std::vector<SharedComponent> got =
+        ComputeSharedComponents(t, graph, users);
+    const std::vector<SharedComponent> want =
+        ReferenceSharedComponents(t, graph, users);
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    for (size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "round " << round << " component "
+                                        << i);
+      EXPECT_EQ(got[i].authors, want[i].authors);
+      // ComponentTable::ApproxBytes counts the capacity, and with it
+      // every S_* peak_bytes bench key.
+      EXPECT_EQ(got[i].authors.capacity(), want[i].authors.capacity());
+      EXPECT_EQ(got[i].users, want[i].users);
+      EXPECT_TRUE(got[i].thresholds == want[i].thresholds);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SharedComponentsTest,
+                         ::testing::Values(11, 12, 13, 14, 15, 16));
 
 TEST(MultiUserTest, NamesIdentifyEngineAndAlgorithm) {
   const AuthorGraph graph = Figure7Graph();

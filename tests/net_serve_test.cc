@@ -203,22 +203,20 @@ std::vector<uint64_t> JsonArray(const std::string& json,
   return values;
 }
 
-TEST_F(NetServeTest, StatusAndVarzReportTheSharedWindow) {
-  obs::DebugState debug;
-  ServeOptions options = Options(2);
-  options.debug = &debug;
-  Server server(options, &workload_.graph);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  ServeClient client;
-  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
-  SealUsers(client);
-  SendStream(client);
+/// The value of the gauge `name` in a /varz JSON scrape; fails the test
+/// when it is missing.
+int64_t GaugeValue(const std::string& varz, const std::string& name) {
+  const std::string key = "\"" + name + "\": {\"value\": ";
+  const size_t at = varz.find(key);
+  EXPECT_NE(at, std::string::npos) << name << " missing from " << varz;
+  if (at == std::string::npos) return -1;
+  return std::stoll(varz.substr(at + key.size()));
+}
 
-  // The flush ack means every shard decided every post, and the
-  // dispatcher publishes at each idle tick. The count moves when the
-  // metrics of a publication land, before its status, so two more
-  // publications mean one whole publication began after the ack.
+/// Waits until a whole publication of `debug` began after this call: the
+/// count moves when the metrics of a publication land, before its
+/// status, so two more publications mean one whole one began after.
+void AwaitFreshPublication(const obs::DebugState& debug) {
   const uint64_t published = debug.publish_count();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -227,20 +225,52 @@ TEST_F(NetServeTest, StatusAndVarzReportTheSharedWindow) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_GE(debug.publish_count(), published + 2);
+}
 
-  const std::vector<uint64_t> windows =
-      JsonArray(debug.status_json(), "window_posts");
-  ASSERT_EQ(windows.size(), 2u) << debug.status_json();
-  EXPECT_GT(windows[0] + windows[1], 0u) << debug.status_json();
+TEST_F(NetServeTest, StatusAndVarzReportTheSharedWindow) {
+  obs::DebugState debug;
+  ServeOptions options = Options(2, data_dir_);
+  options.debug = &debug;
+  {
+    Server server(options, &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    SealUsers(client);
+    SendStream(client);
 
+    // The flush ack means every shard decided every post, and the
+    // dispatcher publishes at each idle tick.
+    AwaitFreshPublication(debug);
+    const std::vector<uint64_t> windows =
+        JsonArray(debug.status_json(), "window_posts");
+    ASSERT_EQ(windows.size(), 2u) << debug.status_json();
+    EXPECT_GT(windows[0] + windows[1], 0u) << debug.status_json();
+
+    const std::string varz = debug.varz_json();
+    const std::string key = "\"serve.comparisons\": ";
+    const size_t at = varz.find(key);
+    ASSERT_NE(at, std::string::npos) << varz;
+    const uint64_t comparisons = std::stoull(varz.substr(at + key.size()));
+    EXPECT_GT(comparisons, 0u);
+    EXPECT_EQ(comparisons, server.stats().comparisons);
+    // The live seal timed both of its steps.
+    EXPECT_GT(GaugeValue(varz, "serve.seal.components_us"), 0) << varz;
+    EXPECT_GT(GaugeValue(varz, "serve.seal.tables_us"), 0) << varz;
+    client.Disconnect();
+    server.Stop();
+  }
+
+  // A restart replays the seal from the WAL and times it the same way.
+  Server server(options, &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ASSERT_TRUE(server.sealed());
+  AwaitFreshPublication(debug);
   const std::string varz = debug.varz_json();
-  const std::string key = "\"serve.comparisons\": ";
-  const size_t at = varz.find(key);
-  ASSERT_NE(at, std::string::npos) << varz;
-  const uint64_t comparisons = std::stoull(varz.substr(at + key.size()));
-  EXPECT_GT(comparisons, 0u);
-  EXPECT_EQ(comparisons, server.stats().comparisons);
-  client.Disconnect();
+  EXPECT_GT(GaugeValue(varz, "serve.seal.components_us"), 0) << varz;
+  EXPECT_GT(GaugeValue(varz, "serve.seal.tables_us"), 0) << varz;
   server.Stop();
 }
 
@@ -432,12 +462,20 @@ TEST_F(NetServeTest, StartRejectsWalRecordsOutOfOrder) {
     std::string error;
     std::vector<std::string> records;
   };
+  // Ids past kServeIdBound would have the seal size its vectors by them.
+  const std::string bound = std::to_string(kServeIdBound);
   const Case cases[] = {
       {"record 2 is a follow after the seal", {follow, seal, follow}},
       {"record 2 is a second seal", {follow, seal, seal}},
       {"record 1 is a post before the seal", {follow, first, seal}},
       {"record 3 has post id", {follow, seal, second, first}},
       {"record 3 has post id", {follow, seal, first, first}},
+      {"record 1 follows with an id past " + bound,
+       {follow, EncodeFollowRecord(0, 0xFFFFFFFFu), seal}},
+      {"record 0 follows with an id past " + bound,
+       {EncodeFollowRecord(static_cast<UserId>(kServeIdBound), 0), seal}},
+      {"record 1 seals 1099511627776 users, past " + bound,
+       {follow, EncodeSealRecord(uint64_t{1} << 40)}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.error);
@@ -456,6 +494,104 @@ TEST_F(NetServeTest, StartRejectsWalRecordsOutOfOrder) {
     std::string error;
     EXPECT_FALSE(server.Start(&error));
     EXPECT_NE(error.find("server WAL " + c.error), std::string::npos) << error;
+  }
+}
+
+/// The follow and seal records in the server WAL under `data_dir`.
+std::vector<std::string> ControlRecords(const std::string& data_dir) {
+  dur::WalOptions wal_options;
+  wal_options.dir = data_dir + "/wal";
+  std::vector<std::string> records;
+  for (const dur::WalRecord& record :
+       dur::ReadWal(wal_options, /*start_seq=*/0, /*truncate_tail=*/false)
+           .records) {
+    if (!record.payload.empty() && record.payload[0] != 3) {
+      records.push_back(record.payload);
+    }
+  }
+  return records;
+}
+
+TEST_F(NetServeTest, FollowWithAnIdPastTheBoundIsRefused) {
+  // Logged, such a follow would size the seal's routing by its ids and
+  // abort the seal, and every restart replaying it, with std::bad_alloc.
+  const std::string good = EncodeFollowRecord(0, 1);
+  const std::pair<UserId, AuthorId> kBadFollows[] = {
+      {0, 0xFFFFFFFFu},
+      {0, static_cast<AuthorId>(kServeIdBound)},
+      {static_cast<UserId>(kServeIdBound), 1},
+  };
+  for (const auto& [user, author] : kBadFollows) {
+    SCOPED_TRACE(::testing::Message() << "Follow(" << user << ", " << author
+                                      << ")");
+    std::filesystem::remove_all(data_dir_);
+    {
+      Server server(Options(2, data_dir_), &workload_.graph);
+      std::string error;
+      ASSERT_TRUE(server.Start(&error)) << error;
+      ServeClient client;
+      ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+      ASSERT_TRUE(client.Follow(0, 1));
+      ASSERT_TRUE(client.Follow(user, author));
+      ASSERT_TRUE(client.Seal(1));
+      EXPECT_FALSE(client.Flush());
+      EXPECT_NE(client.last_error().find("past " +
+                                         std::to_string(kServeIdBound)),
+                std::string::npos)
+          << client.last_error();
+      EXPECT_EQ(server.stats().malformed, 1u);
+      EXPECT_FALSE(server.sealed());
+      server.Stop();
+    }
+    // The refused follow, and the seal behind it, never reached the WAL.
+    EXPECT_EQ(ControlRecords(data_dir_), std::vector<std::string>{good});
+
+    Server server(Options(2, data_dir_), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    EXPECT_FALSE(server.sealed());
+    server.Stop();
+  }
+}
+
+TEST_F(NetServeTest, SealPastTheIdBoundIsRefused) {
+  // Logged, such a seal would size every shard's timelines by its user
+  // count and abort, and again at every restart, with std::bad_alloc.
+  for (const uint64_t num_users : {uint64_t{1} << 40, kServeIdBound + 1}) {
+    SCOPED_TRACE(::testing::Message() << "Seal(" << num_users << ")");
+    std::filesystem::remove_all(data_dir_);
+    {
+      Server server(Options(2, data_dir_), &workload_.graph);
+      std::string error;
+      ASSERT_TRUE(server.Start(&error)) << error;
+      ServeClient client;
+      ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+      ASSERT_TRUE(client.Follow(0, 1));
+      ASSERT_TRUE(client.Seal(num_users));
+      EXPECT_FALSE(client.Flush());
+      EXPECT_NE(client.last_error().find("past " +
+                                         std::to_string(kServeIdBound)),
+                std::string::npos)
+          << client.last_error();
+      EXPECT_EQ(server.stats().malformed, 1u);
+      EXPECT_FALSE(server.sealed());
+      server.Stop();
+    }
+    EXPECT_EQ(ControlRecords(data_dir_),
+              std::vector<std::string>{EncodeFollowRecord(0, 1)});
+
+    // A restart starts unsealed, and a seal within the bound then works.
+    Server server(Options(2, data_dir_), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    EXPECT_FALSE(server.sealed());
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    ASSERT_TRUE(client.Seal(1));
+    ASSERT_TRUE(client.Flush()) << client.last_error();
+    EXPECT_TRUE(server.sealed());
+    client.Disconnect();
+    server.Stop();
   }
 }
 
