@@ -29,32 +29,6 @@ constexpr uint8_t kRecordPost = 3;
 
 constexpr size_t kShardQueueCapacity = 4096;
 
-/// How long the dispatcher waits in accept/read before re-checking the
-/// stop flag and republishing introspection snapshots.
-constexpr int kDispatchPollMs = 100;
-
-/// Appends the ids of the sorted, pairwise disjoint `lists` to `*out` in
-/// ascending order, skipping the first `skip` of them, so only the
-/// suffix is copied.
-void MergeSuffix(std::vector<std::span<const PostId>> lists, uint64_t skip,
-                 std::vector<PostId>* out) {
-  for (;;) {
-    std::span<const PostId>* next = nullptr;
-    for (std::span<const PostId>& list : lists) {
-      if (!list.empty() && (next == nullptr || list.front() < next->front())) {
-        next = &list;
-      }
-    }
-    if (next == nullptr) return;
-    if (skip > 0) {
-      --skip;
-    } else {
-      out->push_back(next->front());
-    }
-    *next = next->subspan(1);
-  }
-}
-
 }  // namespace
 
 // ShardCmd/Barrier live in internal (not the anonymous namespace):
@@ -89,6 +63,73 @@ struct ShardCmd {
   Post post;                   // kPost, without its text
   Barrier* barrier = nullptr;  // kFlush
 };
+
+/// One user's timeline on one shard, stored as the unsigned LEB128 gaps
+/// between its post ids, the first gap taken from 0. The dispatcher logs
+/// and routes posts in strictly ascending id order, so every later gap is
+/// at least 1, and a gap below 2^7 takes one byte and one below 2^14 two,
+/// where a plain id takes four. A gap list has no random access, so a
+/// reader decodes it from the front (TimelineCursor).
+class Timeline {
+ public:
+  /// Adds `id`, which exceeds every id already held; returns the bytes
+  /// its gap took.
+  size_t Push(PostId id) {
+    const size_t before = gaps_.size();
+    gaps_.PutVarint(id - last_);
+    last_ = id;
+    return gaps_.size() - before;
+  }
+
+  std::string_view gaps() const { return gaps_.buffer(); }
+
+ private:
+  BinaryWriter gaps_;
+  PostId last_ = 0;
+};
+
+/// Decodes a Timeline's gaps from the front, one ascending id at a time.
+class TimelineCursor {
+ public:
+  explicit TimelineCursor(std::string_view gaps) : gaps_(gaps) { Advance(); }
+
+  bool done() const { return done_; }
+  PostId id() const { return static_cast<PostId>(id_); }
+
+  /// Moves to the next id; done() once the gaps run out.
+  void Advance() {
+    uint64_t gap = 0;
+    done_ = !gaps_.GetVarint(&gap);
+    id_ += gap;
+  }
+
+ private:
+  BinaryReader gaps_;
+  uint64_t id_ = 0;
+  bool done_ = false;
+};
+
+/// Appends the ids of the pairwise disjoint timelines under `cursors` to
+/// `*out` in ascending order, skipping the first `skip` of them, so only
+/// the suffix is copied. The skipped prefix is still decoded.
+void MergeSuffix(std::vector<TimelineCursor> cursors, uint64_t skip,
+                 std::vector<PostId>* out) {
+  for (;;) {
+    TimelineCursor* next = nullptr;
+    for (TimelineCursor& cursor : cursors) {
+      if (!cursor.done() && (next == nullptr || cursor.id() < next->id())) {
+        next = &cursor;
+      }
+    }
+    if (next == nullptr) return;
+    if (skip > 0) {
+      --skip;
+    } else {
+      out->push_back(next->id());
+    }
+    next->Advance();
+  }
+}
 
 /// One shard: a consumer thread exclusively owning one SharedBinTable, a
 /// set of bins shared by all of the shard's components, plus the
@@ -125,17 +166,20 @@ class ShardWorker {
                                       clock->NowNanos());
     }
     uint64_t delivered = 0;
+    uint64_t bytes = 0;
     {
       std::lock_guard<std::mutex> lock(timelines_mu_);
       for (uint32_t component : admitted_) {
         const std::span<const UserId> users = table_.users(component);
         for (UserId user : users) {
-          if (user < timelines_.size()) timelines_[user].push_back(post.id);
+          if (user >= timelines_.size()) continue;
+          bytes += timelines_[user].Push(post.id);
         }
         delivered += users.size();
       }
     }
     deliveries_.fetch_add(delivered, std::memory_order_seq_cst);
+    timeline_bytes_.fetch_add(bytes, std::memory_order_seq_cst);
     comparisons_.store(table_.comparisons(), std::memory_order_seq_cst);
     window_posts_.store(table_.window_posts(), std::memory_order_seq_cst);
   }
@@ -162,14 +206,14 @@ class ShardWorker {
   }
 
   /// Locks this shard's timelines into `*lock` and returns `user`'s
-  /// list, which stays valid while the lock is held.
-  std::span<const PostId> LockTimeline(UserId user,
-                                       std::unique_lock<std::mutex>* lock) {
+  /// gaps, which stay valid while the lock is held.
+  std::string_view LockTimeline(UserId user,
+                                std::unique_lock<std::mutex>* lock) {
     std::unique_lock<std::mutex> held(timelines_mu_);
-    std::span<const PostId> timeline;
-    if (user < timelines_.size()) timeline = timelines_[user];
+    std::string_view gaps;
+    if (user < timelines_.size()) gaps = timelines_[user].gaps();
     *lock = std::move(held);
-    return timeline;
+    return gaps;
   }
 
   void Join() {
@@ -184,6 +228,9 @@ class ShardWorker {
   }
   uint64_t window_posts() const {
     return window_posts_.load(std::memory_order_seq_cst);
+  }
+  uint64_t timeline_bytes() const {
+    return timeline_bytes_.load(std::memory_order_seq_cst);
   }
   size_t queue_depth() const { return queue_.ApproxSize(); }
 
@@ -235,8 +282,7 @@ class ShardWorker {
   // Written by the worker once per post, read by the dispatcher once
   // per poll, after AwaitDrained; never contended.
   std::mutex timelines_mu_;
-  std::vector<std::vector<PostId>> timelines_
-      FIREHOSE_GUARDED_BY(timelines_mu_);
+  std::vector<Timeline> timelines_ FIREHOSE_GUARDED_BY(timelines_mu_);
 
   SpscQueue<ShardCmd> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
       FIREHOSE_CONSUMER_ONLY(shard_worker);
@@ -250,6 +296,7 @@ class ShardWorker {
   std::atomic<uint64_t> deliveries_{0};
   std::atomic<uint64_t> comparisons_{0};
   std::atomic<uint64_t> window_posts_{0};
+  std::atomic<uint64_t> timeline_bytes_{0};  ///< gaps held, all users
 };
 
 }  // namespace internal
@@ -514,6 +561,13 @@ void Server::HandleConnection(int fd) {
         break;
     }
     if (!HandleMessage(fd, message)) return;
+    // A connection that never idles long enough to time out would
+    // otherwise leave every scrape at the state from before it.
+    if (options_.debug != nullptr &&
+        obs::RealClock()->NowNanos() - published_ns_ >=
+            uint64_t{kDispatchPollMs} * 1000 * 1000) {
+      PublishIntrospection();
+    }
   }
 }
 
@@ -643,12 +697,15 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
         // shard order and a worker only ever holds its own, so this
         // cannot deadlock.
         std::vector<std::unique_lock<std::mutex>> locks(shards_.size());
-        std::vector<std::span<const PostId>> lists;
+        std::vector<internal::TimelineCursor> cursors;
+        cursors.reserve(shards_.size());
         for (size_t s = 0; s < shards_.size(); ++s) {
           shards_[s]->AwaitDrained();
-          lists.push_back(shards_[s]->LockTimeline(message.user, &locks[s]));
+          cursors.emplace_back(
+              shards_[s]->LockTimeline(message.user, &locks[s]));
         }
-        MergeSuffix(std::move(lists), message.since, &timeline.post_ids);
+        internal::MergeSuffix(std::move(cursors), message.since,
+                              &timeline.post_ids);
       }
       return SendMessage(fd, timeline);
     }
@@ -689,6 +746,7 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
 
 void Server::PublishIntrospection() {
   if (options_.debug == nullptr) return;
+  published_ns_ = obs::RealClock()->NowNanos();
   const ServeStats s = stats();
 
   obs::MetricsRegistry registry;
@@ -729,6 +787,11 @@ void Server::PublishIntrospection() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (i > 0) status += ",";
     status += std::to_string(shards_[i]->window_posts());
+  }
+  status += "],\"timeline_bytes\":[";
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (i > 0) status += ",";
+    status += std::to_string(shards_[i]->timeline_bytes());
   }
   status += "]}";
 

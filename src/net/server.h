@@ -29,13 +29,19 @@ class ShardWorker;
 
 /// Every user and author id a client sends must be below this bound,
 /// and a seal's user count at most it. The seal sizes each shard's
-/// per-user timelines by the user count (24 bytes a user, so ~100 MB
+/// per-user timelines by the user count (40 bytes a user, so ~170 MB
 /// per shard at the bound) and the author routing by the largest
 /// followed author, so an id from the wire past it could exhaust memory
 /// at the seal and again at every restart. A Follow or Seal frame
 /// outside it is refused before it is logged, and Start refuses a WAL
 /// record outside it.
 inline constexpr uint64_t kServeIdBound = uint64_t{1} << 22;
+
+/// How long the dispatcher waits in accept or read before it re-checks
+/// the stop flag and republishes introspection. A connection that never
+/// goes idle republishes once this long has passed since the last
+/// publication, so /varz and /statusz lag a busy client by at most this.
+inline constexpr int kDispatchPollMs = 100;
 
 struct ServeOptions {
   int port = 0;              ///< 0 = bind an ephemeral port (see port())
@@ -90,8 +96,9 @@ struct ServeStats {
 /// shard's SpscQueue<ShardCmd>; each shard worker thread is the single
 /// consumer of its own queue and exclusively owns its SharedBinTable —
 /// the same thread-confinement contract as RunShardedSUser, extended to
-/// long-lived workers. Workers only decide. A worker's timelines sit
-/// behind its own mutex: the worker appends under it once per post, and
+/// long-lived workers. Workers only decide. A worker's timelines, each
+/// the LEB128 gaps between a user's ascending post ids, sit behind its
+/// own mutex: the worker appends under it once per post, and
 /// the dispatcher answers a poll itself, without a queued command, by
 /// waiting until every shard finished the commands routed before the
 /// poll and then merging the shards' lists under their locks. Flush
@@ -186,6 +193,10 @@ class Server {
   // serve.seal.tables_us.
   uint64_t seal_components_us_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
   uint64_t seal_tables_us_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
+
+  // obs::RealClock() time of the last publication; kept only while
+  // options_.debug is attached, the one case that reads the clock.
+  uint64_t published_ns_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
 
   // Post-seal routing, author -> shards whose table routes the author
   // (read off the tables at seal/recovery, read-only after).

@@ -6,8 +6,9 @@
 // post sent before it, flushed or not, and `since` selects the suffix),
 // durability (graceful stop, restart at another shard count, resend,
 // dedupe, refused writes when the WAL fails, the WAL's record order),
-// the introspection of the shards' shared bins and protocol error
-// handling.
+// the gap-encoded timelines at every varint width, the introspection of
+// the shards' shared bins (kept live while a client stays busy) and
+// protocol error handling.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -122,6 +124,27 @@ class NetServeTest : public ::testing::TestWithParam<Algorithm> {
     }
   }
 
+  /// Polls each of `users` at every `since` from 0 to one past the end
+  /// of its expected timeline, and once far past it.
+  void ExpectEverySuffixMatches(
+      ServeClient& client, const std::vector<UserId>& users,
+      const std::vector<std::vector<PostId>>& expected) {
+    for (const UserId user : users) {
+      const auto& want = expected[user];
+      const uint32_t size = static_cast<uint32_t>(want.size());
+      for (uint32_t since = 0; since <= size + 1; ++since) {
+        std::vector<PostId> suffix;
+        ASSERT_TRUE(client.Poll(user, since, &suffix)) << client.last_error();
+        EXPECT_EQ(suffix, std::vector<PostId>(
+                              want.begin() + std::min(since, size), want.end()))
+            << "user " << user << " since " << since;
+      }
+      std::vector<PostId> past_end;
+      ASSERT_TRUE(client.Poll(user, size + 10, &past_end));
+      EXPECT_TRUE(past_end.empty());
+    }
+  }
+
   ServeOptions Options(uint32_t num_shards, const std::string& data_dir = "",
                        Algorithm algorithm = Algorithm::kCliqueBin,
                        const std::string& wal_sync = "none") {
@@ -213,6 +236,16 @@ int64_t GaugeValue(const std::string& varz, const std::string& name) {
   return std::stoll(varz.substr(at + key.size()));
 }
 
+/// The value of the counter `name` in a /varz JSON scrape; fails the
+/// test when it is missing.
+uint64_t CounterValue(const std::string& varz, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const size_t at = varz.find(key);
+  EXPECT_NE(at, std::string::npos) << name << " missing from " << varz;
+  if (at == std::string::npos) return 0;
+  return std::stoull(varz.substr(at + key.size()));
+}
+
 /// Waits until a whole publication of `debug` began after this call: the
 /// count moves when the metrics of a publication land, before its
 /// status, so two more publications mean one whole one began after.
@@ -249,12 +282,18 @@ TEST_F(NetServeTest, StatusAndVarzReportTheSharedWindow) {
     EXPECT_GT(windows[0] + windows[1], 0u) << debug.status_json();
 
     const std::string varz = debug.varz_json();
-    const std::string key = "\"serve.comparisons\": ";
-    const size_t at = varz.find(key);
-    ASSERT_NE(at, std::string::npos) << varz;
-    const uint64_t comparisons = std::stoull(varz.substr(at + key.size()));
+    const uint64_t comparisons = CounterValue(varz, "serve.comparisons");
     EXPECT_GT(comparisons, 0u);
     EXPECT_EQ(comparisons, server.stats().comparisons);
+
+    // Each delivery is one gap of a uint32 id: 1 to 5 LEB128 bytes.
+    const std::vector<uint64_t> bytes =
+        JsonArray(debug.status_json(), "timeline_bytes");
+    ASSERT_EQ(bytes.size(), 2u) << debug.status_json();
+    const uint64_t deliveries = CounterValue(varz, "serve.deliveries");
+    EXPECT_GT(deliveries, 0u);
+    EXPECT_GE(bytes[0] + bytes[1], deliveries) << debug.status_json();
+    EXPECT_LE(bytes[0] + bytes[1], 5 * deliveries) << debug.status_json();
     // The live seal timed both of its steps.
     EXPECT_GT(GaugeValue(varz, "serve.seal.components_us"), 0) << varz;
     EXPECT_GT(GaugeValue(varz, "serve.seal.tables_us"), 0) << varz;
@@ -271,6 +310,35 @@ TEST_F(NetServeTest, StatusAndVarzReportTheSharedWindow) {
   const std::string varz = debug.varz_json();
   EXPECT_GT(GaugeValue(varz, "serve.seal.components_us"), 0) << varz;
   EXPECT_GT(GaugeValue(varz, "serve.seal.tables_us"), 0) << varz;
+  server.Stop();
+}
+
+TEST_F(NetServeTest, BusyConnectionStillRepublishesIntrospection) {
+  // Back-to-back polls never leave a read waiting kDispatchPollMs, so the
+  // idle-tick publication never runs while this connection lasts.
+  obs::DebugState debug;
+  ServeOptions options = Options(2);
+  options.debug = &debug;
+  Server server(options, &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+  SealUsers(client);
+  ASSERT_TRUE(client.Flush()) << client.last_error();
+
+  const uint64_t published = debug.publish_count();
+  const auto busy_until = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(5 * kDispatchPollMs);
+  for (size_t i = 0; std::chrono::steady_clock::now() < busy_until; ++i) {
+    const UserId user = static_cast<UserId>(i % workload_.users.size());
+    std::vector<PostId> timeline;
+    ASSERT_TRUE(client.Poll(user, 0, &timeline)) << client.last_error();
+  }
+  // Checked at once, before the connection idles long enough to time out.
+  EXPECT_GT(debug.publish_count(), published);
+  EXPECT_EQ(GaugeValue(debug.varz_json(), "serve.sealed"), 1);
+  client.Disconnect();
   server.Stop();
 }
 
@@ -618,21 +686,73 @@ TEST_F(NetServeTest, PollSinceReturnsTheSuffix) {
     ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
     SealUsers(client);
     SendStream(client);
+    ExpectEverySuffixMatches(client, paged, expected);
+    client.Disconnect();
+    server.Stop();
+  }
+}
 
-    for (const UserId user : paged) {
-      const auto& want = expected[user];
-      const uint32_t size = static_cast<uint32_t>(want.size());
-      for (uint32_t since = 0; since <= size + 1; ++since) {
-        std::vector<PostId> suffix;
-        ASSERT_TRUE(client.Poll(user, since, &suffix)) << client.last_error();
-        EXPECT_EQ(suffix, std::vector<PostId>(
-                              want.begin() + std::min(since, size), want.end()))
-            << "user " << user << " since " << since;
+TEST_F(NetServeTest, TimelinesKeepIdsOfEveryVarintWidth) {
+  // Each shard stores a timeline as the LEB128 gaps between its ids.
+  // Give a prefix of the stream new ids from 0 to the largest uint32,
+  // whose consecutive gaps cycle through the values at which a gap
+  // takes one more byte, so every width reaches the wire.
+  constexpr uint64_t kGaps[] = {
+      1, 127, 128, 16383, 16384, uint64_t{1} << 21, uint64_t{1} << 28};
+  constexpr uint64_t kLastId = 0xFFFFFFFFu;
+  Workload relabeled = workload_;
+  std::vector<uint64_t> ids = {0};
+  while (ids.back() + kGaps[(ids.size() - 1) % std::size(kGaps)] < kLastId) {
+    ids.push_back(ids.back() + kGaps[(ids.size() - 1) % std::size(kGaps)]);
+  }
+  ids.push_back(kLastId);
+  ASSERT_LE(ids.size(), relabeled.stream.size());
+  relabeled.stream.resize(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    relabeled.stream[i].id = static_cast<PostId>(ids[i]);
+  }
+  const auto expected = ExpectedTimelines(relabeled, Algorithm::kCliqueBin,
+                                          DiversityThresholds{});
+  bool first_delivered = false;
+  bool last_delivered = false;
+  for (const auto& timeline : expected) {
+    first_delivered = first_delivered || (!timeline.empty() &&
+                                           timeline.front() == 0);
+    last_delivered = last_delivered || (!timeline.empty() &&
+                                         timeline.back() == kLastId);
+  }
+  ASSERT_TRUE(first_delivered && last_delivered);
+  std::vector<UserId> users;
+  for (const User& user : workload_.users) users.push_back(user.id);
+
+  // The second server replays the first one's WAL at the other count.
+  const std::pair<uint32_t, uint32_t> kShardCounts[] = {{1, 3}, {3, 1}};
+  for (const auto& [before, after] : kShardCounts) {
+    SCOPED_TRACE(::testing::Message() << before << " then " << after
+                                      << " shards");
+    std::filesystem::remove_all(data_dir_);
+    {
+      Server server(Options(before, data_dir_), &workload_.graph);
+      std::string error;
+      ASSERT_TRUE(server.Start(&error)) << error;
+      ServeClient client;
+      ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+      SealUsers(client);
+      for (const Post& post : relabeled.stream) {
+        ASSERT_TRUE(client.SendPost(post)) << client.last_error();
       }
-      std::vector<PostId> past_end;
-      ASSERT_TRUE(client.Poll(user, size + 10, &past_end));
-      EXPECT_TRUE(past_end.empty());
+      ASSERT_TRUE(client.Flush()) << client.last_error();
+      ExpectEverySuffixMatches(client, users, expected);
+      client.Disconnect();
+      server.Stop();
     }
+    Server server(Options(after, data_dir_), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    EXPECT_EQ(server.stats().posts_ingested, relabeled.stream.size());
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    ExpectEverySuffixMatches(client, users, expected);
     client.Disconnect();
     server.Stop();
   }

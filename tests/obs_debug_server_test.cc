@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "src/io/http.h"
@@ -127,13 +128,13 @@ TEST(DebugServerTest, TracezIs404WithoutARecorder) {
 
 TEST(DebugServerTest, TracezDumpsTheConfiguredRecorderWithWindow) {
   ManualClock clock(0);
-  FlightRecorder flight(&clock);
-  flight.RecordComplete(0, "old", "t", 0, 1000);
-  flight.RecordComplete(0, "fresh", "t", 60'000'000'000ull,
-                        60'000'001'000ull);
+  const auto flight = std::make_unique<FlightRecorder>(&clock);
+  flight->RecordComplete(0, "old", "t", 0, 1000);
+  flight->RecordComplete(0, "fresh", "t", 60'000'000'000ull,
+                         60'000'001'000ull);
 
   DebugServer::Options options;
-  options.flight = &flight;
+  options.flight = flight.get();
   DebugServer server(options);
   ASSERT_TRUE(server.Start(0));
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,12 +40,12 @@ size_t CountOccurrences(const std::string& haystack,
 
 TEST(FlightRecorderTest, RecordsAndDumpsCompleteSpans) {
   ManualClock clock(1000);
-  FlightRecorder recorder(&clock);
-  recorder.RecordComplete(0, "decide", "pipeline", 1000, 4000);
-  recorder.RecordComplete(1, "release", "live", 2000, 2500);
-  EXPECT_EQ(recorder.TotalRecorded(), 2u);
+  const auto recorder = std::make_unique<FlightRecorder>(&clock);
+  recorder->RecordComplete(0, "decide", "pipeline", 1000, 4000);
+  recorder->RecordComplete(1, "release", "live", 2000, 2500);
+  EXPECT_EQ(recorder->TotalRecorded(), 2u);
 
-  const std::string json = recorder.DumpJson();
+  const std::string json = recorder->DumpJson();
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"decide\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"pipeline\""), std::string::npos);
@@ -58,24 +59,24 @@ TEST(FlightRecorderTest, RecordsAndDumpsCompleteSpans) {
 
 TEST(FlightRecorderTest, InstantEventsUseInstantPhase) {
   ManualClock clock(5000);
-  FlightRecorder recorder(&clock);
-  recorder.RecordInstant(0, "trip", "watchdog");
-  const std::string json = recorder.DumpJson();
+  const auto recorder = std::make_unique<FlightRecorder>(&clock);
+  recorder->RecordInstant(0, "trip", "watchdog");
+  const std::string json = recorder->DumpJson();
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"trip\""), std::string::npos);
 }
 
 TEST(FlightRecorderTest, RingOverwritesOldestAndKeepsNewest) {
   ManualClock clock(0);
-  FlightRecorder recorder(&clock);
+  const auto recorder = std::make_unique<FlightRecorder>(&clock);
   const int total = FlightRecorder::kSlotsPerThread + 100;
   for (int i = 0; i < total; ++i) {
     const uint64_t t = static_cast<uint64_t>(i) * 1000;
-    recorder.RecordComplete(0, i % 2 == 0 ? "even" : "odd", "wrap", t,
-                            t + 10);
+    recorder->RecordComplete(0, i % 2 == 0 ? "even" : "odd", "wrap", t,
+                             t + 10);
   }
-  EXPECT_EQ(recorder.TotalRecorded(), static_cast<uint64_t>(total));
-  const std::string json = recorder.DumpJson();
+  EXPECT_EQ(recorder->TotalRecorded(), static_cast<uint64_t>(total));
+  const std::string json = recorder->DumpJson();
   // Only the ring capacity is retained.
   EXPECT_EQ(CountOccurrences(json, "\"cat\":\"wrap\""),
             static_cast<size_t>(FlightRecorder::kSlotsPerThread));
@@ -86,13 +87,13 @@ TEST(FlightRecorderTest, RingOverwritesOldestAndKeepsNewest) {
 
 TEST(FlightRecorderTest, WindowKeepsOnlyRecentEvents) {
   ManualClock clock(0);
-  FlightRecorder recorder(&clock);
-  recorder.RecordComplete(0, "old", "w", 1'000'000'000, 1'000'001'000);
-  recorder.RecordComplete(0, "recent", "w", 9'000'000'000, 9'000'001'000);
-  recorder.RecordComplete(0, "newest", "w", 10'000'000'000,
-                          10'000'001'000);
+  const auto recorder = std::make_unique<FlightRecorder>(&clock);
+  recorder->RecordComplete(0, "old", "w", 1'000'000'000, 1'000'001'000);
+  recorder->RecordComplete(0, "recent", "w", 9'000'000'000, 9'000'001'000);
+  recorder->RecordComplete(0, "newest", "w", 10'000'000'000,
+                           10'000'001'000);
   // 2s window anchored at the newest end: "old" (9s earlier) drops out.
-  const std::string json = recorder.DumpJson(2'000'000'000);
+  const std::string json = recorder->DumpJson(2'000'000'000);
   EXPECT_EQ(json.find("\"name\":\"old\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"recent\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"newest\""), std::string::npos);
@@ -100,30 +101,31 @@ TEST(FlightRecorderTest, WindowKeepsOnlyRecentEvents) {
 
 TEST(FlightRecorderTest, EventsAboveMaxThreadsAreDropped) {
   ManualClock clock(0);
-  FlightRecorder recorder(&clock);
-  recorder.RecordComplete(FlightRecorder::kMaxThreads, "dropped", "x", 0, 1);
-  EXPECT_EQ(recorder.TotalRecorded(), 0u);
-  EXPECT_EQ(recorder.DumpJson().find("dropped"), std::string::npos);
+  const auto recorder = std::make_unique<FlightRecorder>(&clock);
+  recorder->RecordComplete(FlightRecorder::kMaxThreads, "dropped", "x", 0, 1);
+  EXPECT_EQ(recorder->TotalRecorded(), 0u);
+  EXPECT_EQ(recorder->DumpJson().find("dropped"), std::string::npos);
 }
 
 TEST(FlightRecorderTest, DumpIsWellFormedWhileWritersKeepRecording) {
-  FlightRecorder recorder;  // real clock: writers race the dumper
+  // Real clock: writers race the dumper.
+  const auto recorder = std::make_unique<FlightRecorder>();
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (uint32_t tid = 0; tid < 4; ++tid) {
-    writers.emplace_back([&recorder, &stop, tid] {
+    writers.emplace_back([recorder = recorder.get(), &stop, tid] {
       uint64_t t = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        recorder.RecordComplete(tid, "spin", "stress", t, t + 5);
+        recorder->RecordComplete(tid, "spin", "stress", t, t + 5);
         t += 10;
       }
     });
   }
   // Make sure the writers are actually running before racing them.
-  while (recorder.TotalRecorded() < 10000) {
+  while (recorder->TotalRecorded() < 10000) {
   }
   for (int i = 0; i < 50; ++i) {
-    const std::string json = recorder.DumpJson();
+    const std::string json = recorder->DumpJson();
     // Structural sanity under concurrency: balanced object braces, the
     // trailer present, no torn half-written names.
     ASSERT_NE(json.find("\"traceEvents\":["), std::string::npos);
@@ -133,17 +135,17 @@ TEST(FlightRecorderTest, DumpIsWellFormedWhileWritersKeepRecording) {
   }
   stop.store(true);
   for (std::thread& writer : writers) writer.join();
-  EXPECT_GT(recorder.TotalRecorded(), 0u);
+  EXPECT_GT(recorder->TotalRecorded(), 0u);
 }
 
 TEST(FlightRecorderTest, DumpToFdWritesParsableTrace) {
   ManualClock clock(0);
-  FlightRecorder recorder(&clock);
-  recorder.RecordComplete(2, "offer", "shard", 5000, 8000);
+  const auto recorder = std::make_unique<FlightRecorder>(&clock);
+  recorder->RecordComplete(2, "offer", "shard", 5000, 8000);
   const std::string path = ::testing::TempDir() + "flight_fd_dump.json";
   FILE* file = std::fopen(path.c_str(), "w");
   ASSERT_NE(file, nullptr);
-  recorder.DumpToFd(fileno(file));
+  recorder->DumpToFd(fileno(file));
   std::fclose(file);
   const std::string dump = Slurp(path);
   EXPECT_NE(dump.find("\"traceEvents\":["), std::string::npos);
@@ -159,7 +161,9 @@ std::string CrashAndCollect(int sig, const std::string& path) {
   std::remove(path.c_str());
   const pid_t pid = fork();
   if (pid == 0) {
-    // Child: record some history, install the handler, die.
+    // Child: record some history, install the handler, die. The
+    // recorder is static, off the stack, and the child allocates nothing
+    // after fork.
     static FlightRecorder recorder;
     SetGlobalFlightRecorder(&recorder);
     recorder.RecordComplete(0, "decide", "pipeline", 100, 200);

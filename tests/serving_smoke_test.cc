@@ -1,7 +1,8 @@
 // End-to-end serving smoke: drives the REAL firehose_serve and
 // firehose_loadgen binaries (paths injected by CMake) over a loopback
-// socket. The clean path must verify byte-identical against the
-// in-process S_* engine, and the kill-loop path SIGKILLs the server
+// socket. The clean path, run with the debug port on and a 2 MiB main
+// stack, must verify byte-identical against the in-process S_* engine,
+// and the kill-loop path SIGKILLs the server
 // mid-stream — twice, at different points, via FIREHOSE_CRASH_AFTER —
 // restarts it over the same data_dir at another --shards each time,
 // resends the stream from the start, and requires the recovered
@@ -97,10 +98,14 @@ class ServingSmokeTest : public ::testing::Test {
 
   /// Spawns the server in the background (shell `&`), recording its pid.
   /// `env` is a NAME=value prefix reaching only the server process.
-  void StartServer(const std::string& env, const std::string& extra_flags) {
+  /// `stack_kb` > 0 runs it under `ulimit -s stack_kb`.
+  void StartServer(const std::string& env, const std::string& extra_flags,
+                   int stack_kb = 0) {
     std::filesystem::remove(port_file_);
+    const std::string limit =
+        stack_kb > 0 ? "ulimit -s " + std::to_string(stack_kb) + "; " : "";
     const std::string command =
-        env + (env.empty() ? "" : " ") + "\"" + FIREHOSE_SERVE_BIN +
+        limit + env + (env.empty() ? "" : " ") + "\"" + FIREHOSE_SERVE_BIN +
         "\" --graph=" + graph_path_ + " --port=0 --port_file=" + port_file_ +
         " " + extra_flags + " >> " + serve_log_ + " 2>&1 & echo $! > " +
         pid_file_;
@@ -159,7 +164,9 @@ class ServingSmokeTest : public ::testing::Test {
 };
 
 TEST_F(ServingSmokeTest, CleanServeVerifiesAgainstInProcessEngine) {
-  StartServer("", "--shards=2");
+  // --debug_port makes the server build its 6.3 MB flight recorder, and a
+  // 2 MiB main stack kills the server if the recorder lands on it.
+  StartServer("", "--shards=2 --debug_port=0", /*stack_kb=*/2048);
   const int exit_code = RunLoadgen("--graph=" + graph_path_ +
                                    " --verify --bench_out=" + bench_path_ +
                                    " --shutdown");

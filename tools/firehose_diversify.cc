@@ -162,14 +162,17 @@ int main(int argc, char** argv) {
   // --crash_trace_out arms the fatal-signal flight dump (and receives the
   // flight trace on a watchdog trip). Both install the process-global
   // flight recorder, so engine-adjacent events land in the same rings.
-  obs::FlightRecorder flight;
+  // Its rings take 6.3 MB, so it exists only when one of the two reads
+  // it, and on the heap: main's stack may be smaller than it.
+  std::unique_ptr<obs::FlightRecorder> flight;
   obs::Watchdog watchdog(/*stall_nanos=*/2ull * 1000 * 1000 * 1000);
   std::unique_ptr<obs::DebugServer> debug_server;
   const bool want_debug = flags.Has("debug_port");
   const std::string crash_trace_path = flags.GetString("crash_trace_out", "");
   if (want_debug || !crash_trace_path.empty()) {
-    obs::SetGlobalFlightRecorder(&flight);
-    pipeline_obs.flight = &flight;
+    flight = std::make_unique<obs::FlightRecorder>();
+    obs::SetGlobalFlightRecorder(flight.get());
+    pipeline_obs.flight = flight.get();
   }
   if (!crash_trace_path.empty()) {
     obs::InstallCrashDumpHandler(crash_trace_path.c_str());
@@ -181,7 +184,7 @@ int main(int argc, char** argv) {
           .Kv("depth", depth)
           .Kv("trace", crash_trace_path);
       (void)WriteFileAtomic(crash_trace_path,
-                            flight.DumpJson(30ull * 1000 * 1000 * 1000));
+                            flight->DumpJson(30ull * 1000 * 1000 * 1000));
     });
   } else {
     watchdog.SetTripCallback([](int, const char* name, uint64_t progress,
@@ -194,7 +197,7 @@ int main(int argc, char** argv) {
   }
   if (want_debug) {
     obs::DebugServer::Options server_options;
-    server_options.flight = &flight;
+    server_options.flight = flight.get();
     server_options.watchdog = &watchdog;
     debug_server = std::make_unique<obs::DebugServer>(server_options);
     if (!debug_server->Start(static_cast<int>(flags.GetInt("debug_port", 0)))) {

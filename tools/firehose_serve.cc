@@ -98,14 +98,17 @@ int main(int argc, char** argv) {
   }
 
   // Live introspection: watchdog over dispatcher + shard workers, flight
-  // recorder for offer spans, debug endpoints fed by the dispatcher.
-  obs::FlightRecorder flight;
+  // recorder for offer spans, debug endpoints fed by the dispatcher. The
+  // recorder's rings take 6.3 MB, so it exists only when /tracez can
+  // read it, and on the heap: main's stack may be smaller than it.
+  std::unique_ptr<obs::FlightRecorder> flight;
   obs::Watchdog watchdog(/*stall_nanos=*/5ull * 1000 * 1000 * 1000);
   std::unique_ptr<obs::DebugServer> debug_server;
   if (flags.Has("debug_port")) {
-    obs::SetGlobalFlightRecorder(&flight);
+    flight = std::make_unique<obs::FlightRecorder>();
+    obs::SetGlobalFlightRecorder(flight.get());
     obs::DebugServer::Options server_options;
-    server_options.flight = &flight;
+    server_options.flight = flight.get();
     server_options.watchdog = &watchdog;
     debug_server = std::make_unique<obs::DebugServer>(server_options);
     if (!debug_server->Start(static_cast<int>(flags.GetInt("debug_port", 0)))) {
@@ -116,7 +119,7 @@ int main(int argc, char** argv) {
                 debug_server->port());
     options.debug = debug_server->state();
     options.watchdog = &watchdog;
-    options.flight = &flight;
+    options.flight = flight.get();
     // Long timeouts are normal while idle (the dispatcher parks in
     // accept), so the watchdog only reports; it never aborts.
     watchdog.SetTripCallback([](int, const char* name, uint64_t progress,
