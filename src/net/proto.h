@@ -47,8 +47,8 @@ enum class MsgType : uint8_t {
   kPost = 5,      ///< client -> server: one stream post (no per-post ack)
   kPoll = 6,      ///< client -> server: request a user's timeline suffix
   kTimeline = 7,  ///< server -> client: the polled post ids
-  kFlush = 8,     ///< client -> server: barrier over all shard queues
-  kFlushAck = 9,  ///< server -> client: totals at the barrier
+  kFlush = 8,     ///< client -> server: sync the WAL, await every shard
+  kFlushAck = 9,  ///< server -> client: totals once all shards decided
   kShutdown = 10, ///< client -> server: request graceful server stop
   kError = 11,    ///< server -> client: message text; connection closes
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <mutex>
 #include <span>
@@ -31,38 +30,11 @@ constexpr size_t kShardQueueCapacity = 4096;
 
 }  // namespace
 
-// ShardCmd/Barrier live in internal (not the anonymous namespace):
-// internal::ShardWorker is declared in the header, and giving an
-// external-linkage class members of internal-linkage types trips GCC's
-// -Wsubobject-linkage under the werror preset.
+// ShardWorker is declared in the header, so its helpers live in
+// internal too: giving an external-linkage class members of
+// internal-linkage types trips GCC's -Wsubobject-linkage under the werror
+// preset.
 namespace internal {
-
-/// Rendezvous for flush barriers: the dispatcher broadcasts one command
-/// per shard, then sleeps here until every worker arrived.
-struct Barrier {
-  explicit Barrier(uint32_t shards) : pending(shards) {}
-
-  std::mutex mu;
-  std::condition_variable cv;
-  uint32_t pending;
-
-  void Arrive() {
-    std::lock_guard<std::mutex> lock(mu);
-    if (--pending == 0) cv.notify_all();
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return pending == 0; });
-  }
-};
-
-struct ShardCmd {
-  enum class Kind : uint8_t { kStop, kPost, kFlush };
-  Kind kind = Kind::kStop;
-  Post post;                   // kPost, without its text
-  Barrier* barrier = nullptr;  // kFlush
-};
 
 /// One user's timeline on one shard, stored as the unsigned LEB128 gaps
 /// between its post ids, the first gap taken from 0. The dispatcher logs
@@ -134,12 +106,21 @@ void MergeSuffix(std::vector<TimelineCursor> cursors, uint64_t skip,
 /// One shard: a consumer thread exclusively owning one SharedBinTable, a
 /// set of bins shared by all of the shard's components, plus the
 /// timelines of every user (populated only for posts this shard admits)
-/// behind a mutex the dispatcher takes to answer polls. It decides each
-/// post once for all of its author's components on the shard, and only
-/// decides: the dispatcher logged every post before routing it here.
-/// Lifetime is the server, not one batch run.
+/// and the shard's counters, behind one mutex the dispatcher takes to
+/// answer polls and stats. It decides each post once for all of its
+/// author's components on the shard, and only decides: the dispatcher
+/// logged every post before routing it here. Lifetime is the server,
+/// not one batch run.
 class ShardWorker {
  public:
+  /// Cumulative since the shard was built, updated once per post.
+  struct Counters {
+    uint64_t deliveries = 0;
+    uint64_t comparisons = 0;
+    uint64_t window_posts = 0;
+    uint64_t timeline_bytes = 0;  ///< gaps held, all users
+  };
+
   ShardWorker(uint32_t index, const ServeOptions& options,
               SharedBinTable table, uint64_t num_users)
       : index_(index),
@@ -152,52 +133,44 @@ class ShardWorker {
   ShardWorker& operator=(const ShardWorker&) = delete;
 
   /// The one ingest path: decides `post` once for this shard's
-  /// components, then, under the timeline lock, appends it to the
-  /// timelines of every admitting component's users. Runs on the worker
-  /// thread in steady state, and on the recovering thread during WAL
-  /// replay, before Spawn.
+  /// components, then, under the shard's lock, appends it to the
+  /// timelines of every admitting component's users and updates the
+  /// counters. Runs on the worker thread in steady state, and on the
+  /// recovering thread during WAL replay, before Spawn.
   void Ingest(const Post& post) {
-    const obs::Clock* clock =
-        options_.flight != nullptr ? obs::RealClock() : nullptr;
-    const uint64_t start = clock != nullptr ? clock->NowNanos() : 0;
-    table_.Offer(post, &admitted_);
-    if (clock != nullptr) {
-      options_.flight->RecordComplete(index_, "offer", "serve", start,
-                                      clock->NowNanos());
-    }
-    uint64_t delivered = 0;
-    uint64_t bytes = 0;
     {
-      std::lock_guard<std::mutex> lock(timelines_mu_);
-      for (uint32_t component : admitted_) {
-        const std::span<const UserId> users = table_.users(component);
-        for (UserId user : users) {
-          if (user >= timelines_.size()) continue;
-          bytes += timelines_[user].Push(post.id);
-        }
-        delivered += users.size();
-      }
+      obs::FlightScope span(options_.flight, index_, "offer", "serve");
+      table_.Offer(post, &admitted_);
     }
-    deliveries_.fetch_add(delivered, std::memory_order_seq_cst);
-    timeline_bytes_.fetch_add(bytes, std::memory_order_seq_cst);
-    comparisons_.store(table_.comparisons(), std::memory_order_seq_cst);
-    window_posts_.store(table_.window_posts(), std::memory_order_seq_cst);
+    std::lock_guard<std::mutex> lock(mu_);
+    for (uint32_t component : admitted_) {
+      const std::span<const UserId> users = table_.users(component);
+      for (UserId user : users) {
+        if (user >= timelines_.size()) continue;
+        counters_.timeline_bytes += timelines_[user].Push(post.id);
+      }
+      counters_.deliveries += users.size();
+    }
+    counters_.comparisons = table_.comparisons();
+    counters_.window_posts = table_.window_posts();
   }
 
   void Spawn() {
+    // Start may follow a Stop: clear the flag that ended the last thread.
+    stop_.store(false, std::memory_order_release);
     thread_ = std::thread([this] { Loop(); });
   }
 
   /// Dispatcher-side handle (single producer) --------------------------
 
-  void PushBlocking(const ShardCmd& cmd) {
-    while (!queue_.TryPush(cmd)) {
+  void PushBlocking(const Post& post) {
+    while (!queue_.TryPush(post)) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
     ++routed_;
   }
 
-  /// Waits until the worker finished every command routed to it, so its
+  /// Waits until the worker decided every post routed to it, so its
   /// timelines hold every post the dispatcher received before the call.
   void AwaitDrained() const {
     while (finished_.load(std::memory_order_acquire) < routed_) {
@@ -205,33 +178,30 @@ class ShardWorker {
     }
   }
 
-  /// Locks this shard's timelines into `*lock` and returns `user`'s
-  /// gaps, which stay valid while the lock is held.
+  /// Locks this shard into `*lock` and returns `user`'s gaps, which stay
+  /// valid while the lock is held.
   std::string_view LockTimeline(UserId user,
                                 std::unique_lock<std::mutex>* lock) {
-    std::unique_lock<std::mutex> held(timelines_mu_);
+    std::unique_lock<std::mutex> held(mu_);
     std::string_view gaps;
     if (user < timelines_.size()) gaps = timelines_[user].gaps();
     *lock = std::move(held);
     return gaps;
   }
 
+  Counters counters() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return counters_;
+  }
+
+  /// Ends the worker once it has decided every queued post. Every push
+  /// must come before the call, so the producer is done or joined.
+  void RequestStop() { stop_.store(true, std::memory_order_release); }
+
   void Join() {
     if (thread_.joinable()) thread_.join();
   }
 
-  uint64_t deliveries() const {
-    return deliveries_.load(std::memory_order_seq_cst);
-  }
-  uint64_t comparisons() const {
-    return comparisons_.load(std::memory_order_seq_cst);
-  }
-  uint64_t window_posts() const {
-    return window_posts_.load(std::memory_order_seq_cst);
-  }
-  uint64_t timeline_bytes() const {
-    return timeline_bytes_.load(std::memory_order_seq_cst);
-  }
   size_t queue_depth() const { return queue_.ApproxSize(); }
 
  private:
@@ -241,9 +211,14 @@ class ShardWorker {
             ? options_.watchdog->RegisterTask("serve-shard")
             : -1;
     uint64_t processed = 0;
+    Post post;
     for (;;) {
-      ShardCmd cmd;
-      if (!queue_.TryPop(&cmd)) {
+      // The flag is read before the queue is tried: every post was pushed
+      // before the flag was set, so an empty queue after a set flag means
+      // nothing routed is left.
+      const bool stopping = stop_.load(std::memory_order_acquire);
+      if (!queue_.TryPop(&post)) {
+        if (stopping) return;
         if (watchdog_task >= 0) {
           options_.watchdog->SetQueueDepth(watchdog_task, 0);
         }
@@ -256,16 +231,7 @@ class ShardWorker {
         options_.watchdog->SetQueueDepth(
             watchdog_task, static_cast<int64_t>(queue_.ApproxSize()));
       }
-      switch (cmd.kind) {
-        case ShardCmd::Kind::kStop:
-          return;
-        case ShardCmd::Kind::kPost:
-          Ingest(cmd.post);
-          break;
-        case ShardCmd::Kind::kFlush:
-          cmd.barrier->Arrive();
-          break;
-      }
+      Ingest(post);
       finished_.fetch_add(1, std::memory_order_release);
     }
   }
@@ -279,24 +245,20 @@ class ShardWorker {
   SharedBinTable table_ FIREHOSE_THREAD_OWNED(shard_worker);
   std::vector<uint32_t> admitted_ FIREHOSE_THREAD_OWNED(shard_worker);
 
-  // Written by the worker once per post, read by the dispatcher once
-  // per poll, after AwaitDrained; never contended.
-  std::mutex timelines_mu_;
-  std::vector<Timeline> timelines_ FIREHOSE_GUARDED_BY(timelines_mu_);
+  // Written by the worker once per post, read by the dispatcher once per
+  // poll (after AwaitDrained) and per stats; never contended.
+  std::mutex mu_;
+  std::vector<Timeline> timelines_ FIREHOSE_GUARDED_BY(mu_);
+  Counters counters_ FIREHOSE_GUARDED_BY(mu_);
 
-  SpscQueue<ShardCmd> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
+  SpscQueue<Post> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
       FIREHOSE_CONSUMER_ONLY(shard_worker);
   std::thread thread_;
-  /// Commands pushed by the dispatcher, and commands the worker finished
+  std::atomic<bool> stop_{false};
+  /// Posts pushed by the dispatcher, and posts the worker decided
   /// (published with release, so a poll that sees them sees their posts).
   uint64_t routed_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
   std::atomic<uint64_t> finished_{0};
-
-  // Published by the worker after each post for stats() and /statusz.
-  std::atomic<uint64_t> deliveries_{0};
-  std::atomic<uint64_t> comparisons_{0};
-  std::atomic<uint64_t> window_posts_{0};
-  std::atomic<uint64_t> timeline_bytes_{0};  ///< gaps held, all users
 };
 
 }  // namespace internal
@@ -321,15 +283,18 @@ std::string EncodePostRecord(const Post& post) {
 }
 
 Server::Server(ServeOptions options, const AuthorGraph* graph)
-    : options_(std::move(options)), graph_(graph) {
-  if (options_.num_shards == 0) options_.num_shards = 1;
-}
+    : options_(std::move(options)), graph_(graph) {}
 
 Server::~Server() { Stop(); }
 
 bool Server::Start(std::string* error) {
   if (started_) {
     *error = "already started";
+    return false;
+  }
+  if (options_.num_shards < 1 || options_.num_shards > kMaxServeShards) {
+    *error = "shard count " + std::to_string(options_.num_shards) +
+             " is outside 1.." + std::to_string(kMaxServeShards);
     return false;
   }
   OwnedFd listener = ListenLoopback(options_.port, /*backlog=*/8, &port_);
@@ -353,10 +318,9 @@ void Server::Stop() {
   if (!started_) return;
   stop_.store(true, std::memory_order_release);
   if (dispatcher_.joinable()) dispatcher_.join();
-  // The dispatcher is joined, so this thread is now the single producer.
-  internal::ShardCmd stop_cmd;
-  stop_cmd.kind = internal::ShardCmd::Kind::kStop;
-  for (auto& shard : shards_) shard->PushBlocking(stop_cmd);
+  // The dispatcher, the only producer, is joined, so every post is
+  // queued: each worker decides what it holds, then ends.
+  for (auto& shard : shards_) shard->RequestStop();
   for (auto& shard : shards_) shard->Join();
   if (wal_ != nullptr) {
     (void)wal_->Close();  // read-back recovery tolerates torn tails
@@ -378,8 +342,9 @@ ServeStats Server::stats() const {
   s.malformed = malformed_.load(std::memory_order_seq_cst);
   s.wal_failures = wal_failures_.load(std::memory_order_seq_cst);
   for (const auto& shard : shards_) {
-    s.deliveries += shard->deliveries();
-    s.comparisons += shard->comparisons();
+    const internal::ShardWorker::Counters counters = shard->counters();
+    s.deliveries += counters.deliveries;
+    s.comparisons += counters.comparisons;
   }
   return s;
 }
@@ -663,12 +628,10 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
       if (!Log(fd, EncodePostRecord(post), /*sync=*/false)) return false;
       watermark_ = static_cast<int64_t>(post.id);
       posts_ingested_.fetch_add(1, std::memory_order_seq_cst);
-      internal::ShardCmd cmd;
-      cmd.kind = internal::ShardCmd::Kind::kPost;
       // No shard reads the text, which the WAL record above keeps: a
       // queued copy of it would cost a heap allocation per shard.
-      cmd.post = Post{post.id, post.author, post.time_ms, post.simhash, {}};
-      for (uint32_t shard : shards) shards_[shard]->PushBlocking(cmd);
+      const Post routed{post.id, post.author, post.time_ms, post.simhash, {}};
+      for (uint32_t shard : shards) shards_[shard]->PushBlocking(routed);
       return true;
     }
     case MsgType::kPoll: {
@@ -711,15 +674,11 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
     }
     case MsgType::kFlush:
     case MsgType::kShutdown: {
-      // The ack promises that every post before it is durable and decided.
+      // The ack promises that every post before it is durable and
+      // decided: the sync, then the wait a poll makes.
       bool keep = Log(fd, /*record=*/{}, /*sync=*/true);
       if (keep) {
-        internal::Barrier barrier(static_cast<uint32_t>(shards_.size()));
-        internal::ShardCmd cmd;
-        cmd.kind = internal::ShardCmd::Kind::kFlush;
-        cmd.barrier = &barrier;
-        for (auto& shard : shards_) shard->PushBlocking(cmd);
-        barrier.Wait();
+        for (auto& shard : shards_) shard->AwaitDrained();
         NetMessage ack;
         ack.type = MsgType::kFlushAck;
         ack.ingested = posts_ingested_.load(std::memory_order_seq_cst);
@@ -778,22 +737,18 @@ void Server::PublishIntrospection() {
   status += ",\"wal_failures\":" + std::to_string(s.wal_failures);
   status += ",\"kernel\":\"";
   status += kernels::GetKernelDispatchReport().active;
-  status += "\",\"queue_depths\":[";
+  std::string depths;
+  std::string windows;
+  std::string bytes;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    if (i > 0) status += ",";
-    status += std::to_string(shards_[i]->queue_depth());
+    const std::string sep = i > 0 ? "," : "";
+    const internal::ShardWorker::Counters counters = shards_[i]->counters();
+    depths += sep + std::to_string(shards_[i]->queue_depth());
+    windows += sep + std::to_string(counters.window_posts);
+    bytes += sep + std::to_string(counters.timeline_bytes);
   }
-  status += "],\"window_posts\":[";
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (i > 0) status += ",";
-    status += std::to_string(shards_[i]->window_posts());
-  }
-  status += "],\"timeline_bytes\":[";
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (i > 0) status += ",";
-    status += std::to_string(shards_[i]->timeline_bytes());
-  }
-  status += "]}";
+  status += "\",\"queue_depths\":[" + depths + "],\"window_posts\":[" +
+            windows + "],\"timeline_bytes\":[" + bytes + "]}";
 
   options_.debug->PublishMetrics(obs::ExportPrometheus(registry),
                                  obs::ExportJson(registry));

@@ -37,6 +37,14 @@ class ShardWorker;
 /// record outside it.
 inline constexpr uint64_t kServeIdBound = uint64_t{1} << 22;
 
+/// The most shards a server runs; Start refuses a count outside
+/// 1..kMaxServeShards before it binds. Each shard worker takes one of the
+/// watchdog's obs::Watchdog::kMaxTasks (64) task slots, the dispatcher
+/// another, and each shard records its flight spans on the ring numbered
+/// by its index, out of obs::FlightRecorder::kMaxThreads (64). Past 63
+/// shards both would drop silently.
+inline constexpr uint32_t kMaxServeShards = 63;
+
 /// How long the dispatcher waits in accept or read before it re-checks
 /// the stop flag and republishes introspection. A connection that never
 /// goes idle republishes once this long has passed since the last
@@ -45,7 +53,7 @@ inline constexpr int kDispatchPollMs = 100;
 
 struct ServeOptions {
   int port = 0;              ///< 0 = bind an ephemeral port (see port())
-  uint32_t num_shards = 1;
+  uint32_t num_shards = 1;   ///< 1..kMaxServeShards
   /// The bin layout of each shard's one set of bins, which all of the
   /// shard's components share (SharedBinTable). Every layout serves the
   /// S_* engines' timelines.
@@ -93,16 +101,18 @@ struct ServeStats {
 /// one connection at a time (the protocol is client-driven and the
 /// loadgen is a single client; this is a reproduction testbed, not a
 /// production frontend). The dispatcher is the single producer of every
-/// shard's SpscQueue<ShardCmd>; each shard worker thread is the single
+/// shard's SpscQueue<Post>; each shard worker thread is the single
 /// consumer of its own queue and exclusively owns its SharedBinTable —
 /// the same thread-confinement contract as RunShardedSUser, extended to
 /// long-lived workers. Workers only decide. A worker's timelines, each
-/// the LEB128 gaps between a user's ascending post ids, sit behind its
-/// own mutex: the worker appends under it once per post, and
-/// the dispatcher answers a poll itself, without a queued command, by
-/// waiting until every shard finished the commands routed before the
-/// poll and then merging the shards' lists under their locks. Flush
-/// syncs the WAL, then waits on a barrier through the queues.
+/// the LEB128 gaps between a user's ascending post ids, and its counters
+/// sit behind its one mutex: the worker updates them under it once per
+/// post. The dispatcher answers a poll itself by waiting until every
+/// shard decided the posts routed before the poll, then merging the
+/// shards' lists under their locks. Flush syncs the WAL, then makes the
+/// same wait. Stop joins the dispatcher, then sets each worker's stop
+/// flag; a worker ends once it saw the flag and then found its queue
+/// empty, so it decides every routed post first.
 ///
 /// Placement: shared components (never single authors) are placed on
 /// shards by consistent hashing of their sorted author set, so a
@@ -128,13 +138,13 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds the port, recovers durable state, then starts the shard
-  /// workers and the dispatcher. False with `*error` set on a bind
-  /// failure, an unreadable WAL or a record out of order; a failed Start
-  /// has started no thread.
+  /// workers and the dispatcher. False with `*error` set on a shard count
+  /// outside 1..kMaxServeShards, a bind failure, an unreadable WAL or a
+  /// record out of order; a failed Start has started no thread.
   [[nodiscard]] bool Start(std::string* error);
 
-  /// Graceful stop: joins the dispatcher, drains and joins every shard
-  /// worker, closes the WAL. Idempotent.
+  /// Graceful stop: joins the dispatcher, lets every shard worker decide
+  /// its queued posts and joins it, closes the WAL. Idempotent.
   void Stop();
 
   /// Bound port after a successful Start.

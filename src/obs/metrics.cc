@@ -60,10 +60,5 @@ void MetricsRegistry::VisitSorted(
   }
 }
 
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 }  // namespace obs
 }  // namespace firehose

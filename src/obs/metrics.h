@@ -96,9 +96,6 @@ class MetricsRegistry {
   size_t size() const { return metrics_.size(); }
   bool empty() const { return metrics_.empty(); }
 
-  /// The process-wide registry, for call sites with no run context.
-  static MetricsRegistry& Global();
-
  private:
   struct Metric {
     MetricKind kind = MetricKind::kCounter;

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "src/core/multi_user.h"
-#include "src/obs/log_histogram.h"
-#include "src/runtime/pipeline.h"
 #include "src/stream/post.h"
 
 namespace firehose {
@@ -22,10 +20,6 @@ struct ShardedRunResult {
   /// concurrently, so `stats.sum_peak_bytes` (not the max-of-peaks in
   /// `stats.peak_bytes`) is the engine-wide resident high-water bound.
   IngestStats stats;
-  std::vector<IngestStats> shard_stats;  ///< per shard, in shard order
-  /// Per-offer decision latency in nanoseconds, merged from the
-  /// per-shard histograms in shard order (count == posts_in).
-  obs::HistogramSummary decision_latency;
 };
 
 /// Parallel S_* engine execution: the distinct connected components of
@@ -34,30 +28,18 @@ struct ShardedRunResult {
 /// per-component diversifiers shard across threads with exact,
 /// deterministic equivalence to the sequential S_* engine.
 ///
-/// When `o.watchdog` is set each worker registers a "shard" task and
-/// reports scan progress plus the undrained stream suffix as its queue
-/// depth; `o.flight` records per-offer spans with tid = shard index.
-///
 /// Each shard holds a ComponentTable over a subset of the distinct
 /// components (round-robin by component discovery order) and scans the
-/// shared read-only stream, offering each post to its own components only. Deliveries are merged
-/// and returned sorted by (post, user), which equals the sequential
-/// engine's delivery multiset.
+/// shared read-only stream, offering each post to its own components
+/// only. Deliveries are merged and returned sorted by (post, user), which
+/// equals the sequential engine's delivery multiset.
 ///
 /// `num_shards <= 1` degenerates to a sequential pass (no threads).
-///
-/// Observability: every shard owns a private obs::MetricsRegistry and
-/// obs::LogHistogram (no cross-thread metric writes); after the join they
-/// merge into `o.metrics` in shard order, so counters are deterministic
-/// for a fixed shard count. `o.trace` (thread-safe) gets one table-build
-/// span and one scan span per shard with tid = shard index. `o.clock` must be thread-safe when
-/// `num_shards > 1` (the default monotonic clock is; ManualClock is not).
 ShardedRunResult RunShardedSUser(
     Algorithm algorithm, const DiversityThresholds& thresholds,
     const AuthorGraph& graph, const std::vector<User>& users,
     const PostStream& stream, int num_shards,
-    std::vector<std::pair<PostId, UserId>>* deliveries,
-    const PipelineObs& o = {});
+    std::vector<std::pair<PostId, UserId>>* deliveries);
 
 }  // namespace firehose
 

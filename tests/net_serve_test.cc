@@ -4,7 +4,8 @@
 // served over the socket equal the sequential S_* engine's per-user
 // deliveries byte for byte — plus the poll contract (a poll sees every
 // post sent before it, flushed or not, and `since` selects the suffix),
-// durability (graceful stop, restart at another shard count, resend,
+// the flush contract (its ack means every shard decided), the shard
+// count's range, durability (graceful stop, restart at another shard count, resend,
 // dedupe, refused writes when the WAL fails, the WAL's record order),
 // the gap-encoded timelines at every varint width, the introspection of
 // the shards' shared bins (kept live while a client stays busy) and
@@ -756,6 +757,93 @@ TEST_F(NetServeTest, TimelinesKeepIdsOfEveryVarintWidth) {
     client.Disconnect();
     server.Stop();
   }
+}
+
+TEST_F(NetServeTest, FlushAckMeansEveryShardDecided) {
+  // A flush's ack promises that every shard decided every post before
+  // it: the deliveries are final at once, with no poll to wait on the
+  // shards and no sleep. Flush every kFlushEvery posts and at the end
+  // (SendStream's last call), against the sequential engine fed the same
+  // prefix.
+  constexpr size_t kFlushEvery = 100;
+  for (const uint32_t num_shards : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << num_shards << " shards");
+    Server server(Options(num_shards), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    SealUsers(client);
+
+    auto engine = MakeSUserEngine(Algorithm::kCliqueBin, DiversityThresholds{},
+                                  workload_.graph, workload_.users);
+    std::vector<UserId> delivered;
+    uint64_t expected = 0;
+    for (size_t sent = 1; sent <= workload_.stream.size(); ++sent) {
+      const Post& post = workload_.stream[sent - 1];
+      ASSERT_TRUE(client.SendPost(post)) << client.last_error();
+      engine->Offer(post, &delivered);
+      expected += delivered.size();
+      if (sent % kFlushEvery == 0 || sent == workload_.stream.size()) {
+        ASSERT_TRUE(client.Flush()) << client.last_error();
+        EXPECT_EQ(server.stats().deliveries, expected)
+            << "after " << sent << " posts";
+      }
+    }
+    ASSERT_GT(expected, 0u);
+    client.Disconnect();
+    server.Stop();
+  }
+}
+
+TEST_F(NetServeTest, StoppedServerServesAgainAfterStart) {
+  // Stop ends each worker through its stop flag; a second Start spawns
+  // the same workers again, and they must decide what is routed to them.
+  Server server(Options(2), &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  const size_t half = workload_.stream.size() / 2;
+  {
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    SealUsers(client);
+    for (size_t i = 0; i < half; ++i) {
+      ASSERT_TRUE(client.SendPost(workload_.stream[i])) << client.last_error();
+    }
+    ASSERT_TRUE(client.Flush()) << client.last_error();
+    client.Disconnect();
+  }
+  server.Stop();
+
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+  for (size_t i = half; i < workload_.stream.size(); ++i) {
+    ASSERT_TRUE(client.SendPost(workload_.stream[i])) << client.last_error();
+  }
+  ASSERT_TRUE(client.Flush()) << client.last_error();
+  ExpectServedTimelinesMatch(
+      client, ExpectedTimelines(workload_, Algorithm::kCliqueBin,
+                                DiversityThresholds{}));
+  client.Disconnect();
+  server.Stop();
+}
+
+TEST_F(NetServeTest, StartRefusesAShardCountOutsideTheRange) {
+  // With no data dir and no seal no shard is built, so no count starts a
+  // shard thread here, whether Start takes it or not.
+  const std::string range = "outside 1.." + std::to_string(kMaxServeShards);
+  for (const uint32_t num_shards : {0u, kMaxServeShards + 1, 0xFFFFFFFFu}) {
+    SCOPED_TRACE(::testing::Message() << num_shards << " shards");
+    Server server(Options(num_shards), &workload_.graph);
+    std::string error;
+    EXPECT_FALSE(server.Start(&error));
+    EXPECT_NE(error.find(range), std::string::npos) << error;
+  }
+  Server server(Options(kMaxServeShards), &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  server.Stop();
 }
 
 TEST_F(NetServeTest, PollsWithoutFlushSeeEveryEarlierPost) {

@@ -107,6 +107,27 @@ TEST(FlightRecorderTest, EventsAboveMaxThreadsAreDropped) {
   EXPECT_EQ(recorder->DumpJson().find("dropped"), std::string::npos);
 }
 
+TEST(FlightRecorderTest, ScopeRecordsOneCompleteSpanOnItsTid) {
+  ManualClock clock(1000);
+  const auto recorder = std::make_unique<FlightRecorder>(&clock);
+  {
+    FlightScope scope(recorder.get(), 5, "offer", "serve");
+    clock.AdvanceNanos(3000);
+  }
+  {
+    // A scope without a recorder records nothing.
+    FlightScope scope(nullptr, 5, "unseen", "serve");
+    clock.AdvanceNanos(3000);
+  }
+  EXPECT_EQ(recorder->TotalRecorded(), 1u);
+  const std::string json = recorder->DumpJson();
+  EXPECT_NE(json.find("{\"name\":\"offer\",\"cat\":\"serve\",\"ph\":\"X\","
+                      "\"ts\":0,\"dur\":3,\"pid\":1,\"tid\":5}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("unseen"), std::string::npos);
+}
+
 TEST(FlightRecorderTest, DumpIsWellFormedWhileWritersKeepRecording) {
   // Real clock: writers race the dumper.
   const auto recorder = std::make_unique<FlightRecorder>();

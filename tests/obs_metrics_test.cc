@@ -133,10 +133,6 @@ TEST(MetricsRegistryTest, MergeOrderIndependentForCounters) {
   EXPECT_EQ(left.GetCounter("n")->value(), right.GetCounter("n")->value());
 }
 
-TEST(MetricsRegistryTest, GlobalIsSingleton) {
-  EXPECT_EQ(&MetricsRegistry::Global(), &MetricsRegistry::Global());
-}
-
 TEST(ManualClockTest, FrozenAndAutoAdvance) {
   ManualClock frozen(1000);
   EXPECT_EQ(frozen.NowNanos(), 1000u);
