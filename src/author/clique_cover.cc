@@ -16,22 +16,30 @@ uint64_t EdgeKey(AuthorId a, AuthorId b) {
 }  // namespace
 
 CliqueCover CliqueCover::Greedy(const AuthorGraph& graph) {
-  CliqueCover cover;
-  cover.num_authors_ = graph.num_vertices();
+  return Greedy(graph, graph.vertices());
+}
 
-  // A dense-index copy of the graph: vertex i is ids[i], and its
-  // neighbours are adjacency[offsets[i] .. offsets[i + 1]), ascending.
-  // ids ascend, so index order is id order and every smallest-index
-  // choice below is the smallest id.
-  const std::vector<AuthorId>& ids = graph.vertices();
+CliqueCover CliqueCover::Greedy(const AuthorGraph& graph,
+                                std::span<const AuthorId> ids) {
+  CliqueCover cover;
+  cover.num_authors_ = ids.size();
+
+  // A dense-index copy of the induced subgraph: vertex i is ids[i], and
+  // its neighbours in the subset are adjacency[offsets[i] .. offsets[i +
+  // 1]), ascending. ids ascend, so index order is id order and every
+  // smallest-index choice below is the smallest id.
   const uint32_t n = static_cast<uint32_t>(ids.size());
+  size_t slots = 0;  // an upper bound: neighbours outside the subset drop
+  for (AuthorId id : ids) slots += graph.Neighbors(id).size();
   std::vector<uint32_t> offsets(n + 1, 0);
   std::vector<uint32_t> adjacency;
-  adjacency.reserve(static_cast<size_t>(graph.num_edges()) * 2);
+  adjacency.reserve(slots);
   for (uint32_t i = 0; i < n; ++i) {
     auto from = ids.begin();
     for (AuthorId neighbor : graph.Neighbors(ids[i])) {
       from = std::lower_bound(from, ids.end(), neighbor);
+      if (from == ids.end()) break;
+      if (*from != neighbor) continue;  // outside the subset
       adjacency.push_back(static_cast<uint32_t>(from - ids.begin()));
     }
     offsets[i + 1] = static_cast<uint32_t>(adjacency.size());

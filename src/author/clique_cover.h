@@ -26,6 +26,15 @@ class CliqueCover {
   /// clique. The exact minimum-total-size cover is NP-hard.
   static CliqueCover Greedy(const AuthorGraph& graph);
 
+  /// The greedy cover of the subgraph of `graph` induced by `vertices`
+  /// (sorted, unique), without building that subgraph: its cliques equal
+  /// Greedy(graph.InducedSubgraph(vertices))'s, clique for clique. An id
+  /// of `vertices` that is no vertex of `graph` is an isolated vertex, as
+  /// in the subgraph. Scratch is sized by the subset, never by the
+  /// largest id.
+  static CliqueCover Greedy(const AuthorGraph& graph,
+                            std::span<const AuthorId> vertices);
+
   /// Reassembles a cover from explicit cliques (persistence, tests,
   /// dynamic maintenance). `num_authors` is the vertex count of the
   /// covered graph, used for the `c` statistic. No validity checking —

@@ -1,6 +1,7 @@
 #include "src/core/shared_bins.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "src/core/kernels/dispatch.h"
@@ -12,40 +13,70 @@ SharedBinTable::SharedBinTable(Algorithm algorithm,
                                const AuthorGraph& graph,
                                std::vector<SharedComponent> components)
     : algorithm_(algorithm), thresholds_(t) {
-  std::vector<AuthorId> authors;
+  size_t bound = 0;  // one past the largest author
   for (const SharedComponent& c : components) {
-    authors.insert(authors.end(), c.authors.begin(), c.authors.end());
+    for (AuthorId a : c.authors) bound = std::max(bound, size_t{a} + 1);
   }
-  std::sort(authors.begin(), authors.end());
-  authors.erase(std::unique(authors.begin(), authors.end()), authors.end());
-  if (!authors.empty()) {
-    author_components_.assign(static_cast<size_t>(authors.back()) + 1, {});
-  }
+  author_components_.resize(bound);
   users_.reserve(components.size());
   for (uint32_t i = 0; i < components.size(); ++i) {
     for (AuthorId a : components[i].authors) {
       author_components_[a].push_back(i);
     }
+    // Indexed, the list is never read again: its memory goes back before
+    // the layout below allocates.
+    std::vector<AuthorId>().swap(components[i].authors);
     users_.push_back(std::move(components[i].users));
   }
+  std::vector<SharedComponent>().swap(components);
+  std::vector<AuthorId> authors;  // the union, ascending
+  for (size_t a = 0; a < author_components_.size(); ++a) {
+    if (!author_components_[a].empty()) {
+      authors.push_back(static_cast<AuthorId>(a));
+    }
+  }
 
-  // The union's induced subgraph keeps every edge of each component's.
-  AuthorGraph subgraph = graph.InducedSubgraph(authors);
   switch (algorithm) {
     case Algorithm::kUniBin:
       bins_.resize(1);
-      graph_ = std::move(subgraph);
+      graph_ = graph.InducedSubgraph(authors);
       break;
     case Algorithm::kNeighborBin:
       bins_.resize(author_components_.size());
-      graph_ = std::move(subgraph);
+      graph_ = graph.InducedSubgraph(authors);
       break;
     case Algorithm::kCliqueBin:
-      // The cover is all this layout reads: the subgraph dies here.
-      cover_ = CliqueCover::Greedy(subgraph);
+      // The cover is all this layout reads, and it is built off `graph`
+      // itself: no subgraph is copied. It equals the cover of the
+      // union's induced subgraph, every edge of each component's included.
+      cover_ = CliqueCover::Greedy(graph, authors);
       bins_.resize(cover_.num_cliques());
       break;
   }
+}
+
+size_t SharedBinTable::Bin::Push(uint64_t simhash, uint64_t position) {
+  size_t grown = 0;
+  if (size_ == capacity_) {
+    const size_t capacity = capacity_ == 0 ? 2 : 2 * capacity_;
+    auto slots = std::make_unique_for_overwrite<uint64_t[]>(2 * capacity);
+    // Unwrapped into the new block: the older run, then the newer one.
+    size_t at = 0;
+    for (const Run& run : {older(), newer()}) {
+      std::copy_n(run.simhash, run.size, slots.get() + at);
+      std::copy_n(run.position, run.size, slots.get() + capacity + at);
+      at += run.size;
+    }
+    grown = (capacity - capacity_) * 2 * sizeof(uint64_t);
+    slots_ = std::move(slots);
+    capacity_ = capacity;
+    head_ = 0;
+  }
+  const size_t slot = (head_ + size_) & (capacity_ - 1);
+  slots_[slot] = simhash;
+  slots_[capacity_ + slot] = position;
+  ++size_;
+  return grown;
 }
 
 template <typename Fn>
@@ -74,8 +105,7 @@ void SharedBinTable::Evict(int64_t cutoff_ms) {
   while (!window_.empty() && window_.front().time_ms < cutoff_ms) {
     const StoredPost stored = window_.front();
     ForEachBin(stored.author, /*read=*/false, [](Bin& bin) {
-      bin.simhash.PopFront();
-      bin.post.PopFront();
+      bin.PopFront();
       return true;
     });
     for (uint32_t i = 0; i < stored.num_admitted; ++i) admitted_.PopFront();
@@ -96,38 +126,41 @@ void SharedBinTable::Offer(const Post& post, std::vector<uint32_t>* admitted) {
   size_t uncovered = components.size();
   const kernels::KernelOps& ops = kernels::ActiveKernelOps();
   ForEachBin(post.author, /*read=*/true, [&](const Bin& bin) {
-    const std::span<const uint64_t> hashes = bin.simhash.live();
-    const std::span<const uint64_t> positions = bin.post.live();
-    size_t end = hashes.size();
-    while (uncovered > 0) {
-      const size_t hit = ops.find_newest_within(
-          hashes.data(), 0, end, post.simhash, thresholds_.lambda_c);
-      if (hit == kernels::kNoHit) {
-        comparisons_ += end;
-        break;
-      }
-      comparisons_ += end - hit;
-      end = hit;
-      const StoredPost& stored = window_.at(positions[hit]);
-      if (algorithm_ == Algorithm::kUniBin && stored.author != post.author &&
-          !graph_.IsNeighbor(post.author, stored.author)) {
-        continue;
-      }
-      // Both lists ascend: one merge marks the components on both.
-      const std::span<const uint32_t> hit_components(
-          &admitted_.at(stored.admitted_begin), stored.num_admitted);
-      size_t i = 0;
-      size_t k = 0;
-      while (i < components.size() && k < hit_components.size()) {
-        if (components[i] < hit_components[k]) {
-          ++i;
-        } else if (hit_components[k] < components[i]) {
-          ++k;
-        } else {
-          uncovered -= covered_[i] == 0 ? 1 : 0;
-          covered_[i] = 1;
-          ++i;
-          ++k;
+    // Newest first, as one scan over the whole bin would go: the wrapped
+    // newer run, then the older one. The hits and comparisons are the
+    // same as that scan's.
+    for (const Bin::Run& run : {bin.newer(), bin.older()}) {
+      size_t end = run.size;
+      while (uncovered > 0) {
+        const size_t hit = ops.find_newest_within(
+            run.simhash, 0, end, post.simhash, thresholds_.lambda_c);
+        if (hit == kernels::kNoHit) {
+          comparisons_ += end;
+          break;
+        }
+        comparisons_ += end - hit;
+        end = hit;
+        const StoredPost& stored = window_.at(run.position[hit]);
+        if (algorithm_ == Algorithm::kUniBin && stored.author != post.author &&
+            !graph_.IsNeighbor(post.author, stored.author)) {
+          continue;
+        }
+        // Both lists ascend: one merge marks the components on both.
+        const std::span<const uint32_t> hit_components(
+            &admitted_.at(stored.admitted_begin), stored.num_admitted);
+        size_t i = 0;
+        size_t k = 0;
+        while (i < components.size() && k < hit_components.size()) {
+          if (components[i] < hit_components[k]) {
+            ++i;
+          } else if (hit_components[k] < components[i]) {
+            ++k;
+          } else {
+            uncovered -= covered_[i] == 0 ? 1 : 0;
+            covered_[i] = 1;
+            ++i;
+            ++k;
+          }
         }
       }
     }
@@ -143,8 +176,7 @@ void SharedBinTable::Offer(const Post& post, std::vector<uint32_t>* admitted) {
                           static_cast<uint32_t>(admitted->size())});
   for (uint32_t component : *admitted) admitted_.Push(component);
   ForEachBin(post.author, /*read=*/false, [&](Bin& bin) {
-    bin.simhash.Push(post.simhash);
-    bin.post.Push(position);
+    bin_bytes_ += bin.Push(post.simhash, position);
     return true;
   });
 }
@@ -152,8 +184,10 @@ void SharedBinTable::Offer(const Post& post, std::vector<uint32_t>* admitted) {
 size_t SharedBinTable::BinnedPostsBy(AuthorId author) const {
   size_t count = 0;
   for (const Bin& bin : bins_) {
-    for (uint64_t position : bin.post.live()) {
-      count += window_.at(position).author == author ? 1 : 0;
+    for (const Bin::Run& run : {bin.older(), bin.newer()}) {
+      for (size_t i = 0; i < run.size; ++i) {
+        count += window_.at(run.position[i]).author == author ? 1 : 0;
+      }
     }
   }
   return count;

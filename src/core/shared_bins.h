@@ -1,8 +1,10 @@
 #ifndef FIREHOSE_CORE_SHARED_BINS_H_
 #define FIREHOSE_CORE_SHARED_BINS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -68,15 +70,20 @@ class SharedBinTable {
   /// Bin entries tested against an offered post's fingerprint so far.
   uint64_t comparisons() const { return comparisons_; }
 
+  /// Bytes the bins' rings hold: every slot allocated, 16 bytes each,
+  /// whether an entry sits in it or not.
+  size_t bin_bytes() const { return bin_bytes_; }
+
   /// Bin entries, over every bin, that hold a post by `author`. O(all
   /// entries): a check, not a hot-path call.
   size_t BinnedPostsBy(AuthorId author) const;
 
  private:
-  /// A queue over one vector whose live part stays contiguous: Push
-  /// appends, PopFront advances the head, and the dead prefix is erased
-  /// once it is as long as the live part, so both are amortized O(1).
-  /// Elements keep their absolute position: the n-th ever pushed is at n.
+  /// A queue over one vector whose live part stays contiguous, so a
+  /// stored post's admitted list reads as one span: Push appends,
+  /// PopFront advances the head, and the dead prefix is erased once it is
+  /// as long as the live part, so both are amortized O(1). Elements keep
+  /// their absolute position: the n-th ever pushed is at n.
   template <typename T>
   class Fifo {
    public:
@@ -93,8 +100,6 @@ class SharedBinTable {
     /// Position the next Push takes.
     uint64_t end() const { return base_ + items_.size(); }
     const T& at(uint64_t position) const { return items_[position - base_]; }
-    /// The live elements, oldest first.
-    std::span<const T> live() const { return {items_.data() + head_, size()}; }
 
    private:
     std::vector<T> items_;
@@ -102,11 +107,51 @@ class SharedBinTable {
     uint64_t base_ = 0;  // absolute position of items_[0]
   };
 
-  /// A bin: its posts' fingerprints (the λc kernel's lane) and their
-  /// positions in window_, oldest first, in lockstep.
-  struct Bin {
-    Fifo<uint64_t> simhash;
-    Fifo<uint64_t> post;
+  /// A bin: the circular array of §4 ("Handling Time Diversity") over
+  /// the posts written to it, oldest first. One power-of-two block holds
+  /// two lanes, the fingerprints (the λc kernel's lane) and then the
+  /// posts' positions in window_, so a bin costs one allocation. Push
+  /// doubles the block only when it is full, and PopFront frees its slot
+  /// at once: no dead prefix is kept.
+  class Bin {
+   public:
+    /// A contiguous stretch of the ring, oldest first: entry i's
+    /// fingerprint is simhash[i] and its window position position[i].
+    struct Run {
+      const uint64_t* simhash = nullptr;
+      const uint64_t* position = nullptr;
+      size_t size = 0;
+    };
+
+    /// Appends a post; returns the bytes the block grew by (0 unless it
+    /// was full).
+    size_t Push(uint64_t simhash, uint64_t position);
+
+    /// Drops the oldest entry. Precondition: the bin is not empty.
+    void PopFront() {
+      head_ = (head_ + 1) & (capacity_ - 1);
+      --size_;
+    }
+
+    /// The older run: from the oldest entry to the newest or to the end
+    /// of the block, whichever comes first.
+    Run older() const {
+      return {slots_.get() + head_, slots_.get() + capacity_ + head_,
+              std::min(size_, capacity_ - head_)};
+    }
+
+    /// The newer run: the entries wrapped to the start of the block;
+    /// empty unless the ring wraps.
+    Run newer() const {
+      return {slots_.get(), slots_.get() + capacity_,
+              size_ - std::min(size_, capacity_ - head_)};
+    }
+
+   private:
+    std::unique_ptr<uint64_t[]> slots_;  // simhash lane, then position lane
+    size_t capacity_ = 0;                // 0 or a power of two
+    size_t head_ = 0;                    // slot of the oldest entry
+    size_t size_ = 0;
   };
 
   /// An admitted post, stored once.
@@ -137,6 +182,7 @@ class SharedBinTable {
   Fifo<uint32_t> admitted_;  // the stored posts' admitted lists, in order
   std::vector<uint8_t> covered_;  // Offer: one flag per ComponentsOf entry
   uint64_t comparisons_ = 0;
+  size_t bin_bytes_ = 0;
 };
 
 }  // namespace firehose

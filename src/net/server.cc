@@ -28,6 +28,12 @@ constexpr uint8_t kRecordPost = 3;
 
 constexpr size_t kShardQueueCapacity = 4096;
 
+/// Frees `*v`'s block now; clear() would keep its capacity.
+template <typename T>
+void FreeNow(std::vector<T>* v) {
+  std::vector<T>().swap(*v);
+}
+
 }  // namespace
 
 // ShardWorker is declared in the header, so its helpers live in
@@ -119,6 +125,7 @@ class ShardWorker {
     uint64_t comparisons = 0;
     uint64_t window_posts = 0;
     uint64_t timeline_bytes = 0;  ///< gaps held, all users
+    uint64_t bin_bytes = 0;       ///< the table's ring slots, 16 B each
   };
 
   ShardWorker(uint32_t index, const ServeOptions& options,
@@ -153,6 +160,7 @@ class ShardWorker {
     }
     counters_.comparisons = table_.comparisons();
     counters_.window_posts = table_.window_posts();
+    counters_.bin_bytes = table_.bin_bytes();
   }
 
   void Spawn() {
@@ -350,6 +358,16 @@ ServeStats Server::stats() const {
 }
 
 bool Server::Recover(std::string* error) {
+  // The replay rebuilds all of this from the first record. A Start after
+  // a Stop would otherwise replay onto the last run's seal and posts.
+  follows_.clear();
+  num_users_ = 0;
+  sealed_.store(false, std::memory_order_release);
+  watermark_ = -1;
+  posts_ingested_.store(0, std::memory_order_seq_cst);
+  shards_.clear();
+  author_shards_.clear();
+
   wal_sync_ = dur::MakeSyncPolicy(options_.wal_sync);
   if (wal_sync_ == nullptr) {
     *error = "unrecognized --wal_sync spec: " + options_.wal_sync;
@@ -429,6 +447,10 @@ void Server::BuildShards(std::vector<std::pair<UserId, AuthorId>> follows) {
   for (const auto& [user, author] : follows) {
     if (user < subscriptions.size()) subscriptions[user].push_back(author);
   }
+  // Each scratch list is freed as soon as the next step has consumed it,
+  // so the tables built last reuse its memory instead of growing the
+  // heap past it.
+  FreeNow(&follows);
   std::vector<User> users;
   users.reserve(subscriptions.size());
   for (UserId id = 0; id < subscriptions.size(); ++id) {
@@ -437,9 +459,11 @@ void Server::BuildShards(std::vector<std::pair<UserId, AuthorId>> follows) {
     subs.erase(std::unique(subs.begin(), subs.end()), subs.end());
     users.emplace_back(id, std::move(subs));
   }
+  FreeNow(&subscriptions);
 
   std::vector<SharedComponent> components =
       ComputeSharedComponents(options_.thresholds, *graph_, users);
+  FreeNow(&users);
   const uint64_t components_ns = clock->NowNanos();
 
   const PlacementRing ring(options_.num_shards);
@@ -448,6 +472,7 @@ void Server::BuildShards(std::vector<std::pair<UserId, AuthorId>> follows) {
     const uint32_t shard = ring.ShardFor(ComponentKey(component.authors));
     placed[shard].push_back(std::move(component));
   }
+  FreeNow(&components);
 
   // The dispatcher sends an author's posts to every shard whose table
   // routes the author; shards ascend, so each list is sorted and unique.
@@ -740,15 +765,18 @@ void Server::PublishIntrospection() {
   std::string depths;
   std::string windows;
   std::string bytes;
+  std::string bins;
   for (size_t i = 0; i < shards_.size(); ++i) {
     const std::string sep = i > 0 ? "," : "";
     const internal::ShardWorker::Counters counters = shards_[i]->counters();
     depths += sep + std::to_string(shards_[i]->queue_depth());
     windows += sep + std::to_string(counters.window_posts);
     bytes += sep + std::to_string(counters.timeline_bytes);
+    bins += sep + std::to_string(counters.bin_bytes);
   }
   status += "\",\"queue_depths\":[" + depths + "],\"window_posts\":[" +
-            windows + "],\"timeline_bytes\":[" + bytes + "]}";
+            windows + "],\"timeline_bytes\":[" + bytes + "],\"bin_bytes\":[" +
+            bins + "]}";
 
   options_.debug->PublishMetrics(obs::ExportPrometheus(registry),
                                  obs::ExportJson(registry));

@@ -79,7 +79,9 @@ struct ServeOptions {
 };
 
 /// Monitoring snapshot; counters are cumulative since Start (recovered
-/// WAL replays count toward `posts_ingested` and `deliveries`).
+/// WAL replays count toward `posts_ingested` and `deliveries`). Without a
+/// data dir, a Start after Stop serves on from the state it had, counters
+/// included.
 struct ServeStats {
   uint64_t connections = 0;
   uint64_t posts_received = 0;  ///< kPost frames seen by the dispatcher
@@ -164,8 +166,9 @@ class Server {
   void HandleConnection(int fd);
   /// True when the message keeps the connection alive.
   [[nodiscard]] bool HandleMessage(int fd, const NetMessage& message);
-  /// Replays `<data_dir>/wal` in order (follows, the seal, posts) into
-  /// shards whose threads have not started, then opens it for appends.
+  /// Drops the state a previous Start built, replays `<data_dir>/wal` in
+  /// order (follows, the seal, posts) into shards whose threads have not
+  /// started, then opens it for appends.
   [[nodiscard]] bool Recover(std::string* error) FIREHOSE_RUNS_ON(exclusive);
   // Builds the shards from the sealed `follows` without starting their
   // threads: a single-threaded phase (recovery, or the seal before any

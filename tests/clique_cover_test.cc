@@ -129,6 +129,24 @@ void ExpectGreedyEqualsReference(const AuthorGraph& graph) {
   }
 }
 
+// Greedy over a vertex subset equals Greedy over the subgraph the subset
+// induces: the same cliques in the same order, the same `c` statistic
+// (ids of the subset that are no vertex count as isolated authors) and
+// the same Author2Cliques map.
+void ExpectSubsetCoverEqualsSubgraphCover(const AuthorGraph& graph,
+                                          const std::vector<AuthorId>& subset) {
+  const CliqueCover cover = CliqueCover::Greedy(graph, subset);
+  const CliqueCover reference =
+      CliqueCover::Greedy(graph.InducedSubgraph(subset));
+  ASSERT_EQ(cover.cliques(), reference.cliques());
+  EXPECT_DOUBLE_EQ(cover.AvgCliquesPerAuthor(),
+                   reference.AvgCliquesPerAuthor());
+  for (AuthorId a : subset) {
+    EXPECT_EQ(AsVector(cover.CliquesOf(a)), AsVector(reference.CliquesOf(a)))
+        << a;
+  }
+}
+
 TEST(CliqueCoverTest, TriangleBecomesOneClique) {
   const AuthorGraph g =
       AuthorGraph::FromEdges({0, 1, 2}, {{0, 1}, {0, 2}, {1, 2}});
@@ -281,6 +299,51 @@ TEST_P(RandomGraphCoverTest, GreedyEqualsReferenceOnSparseIds) {
   }
 }
 
+TEST_P(RandomGraphCoverTest, GreedyOnASubsetEqualsGreedyOnItsSubgraph) {
+  // Random subsets of graphs with sparse ids: vertices kept at several
+  // rates, plus ids that are no vertex (between vertices, one past the
+  // last and 2^32 - 1), and the empty set.
+  Rng rng(GetParam() * 131 + 7);
+  uint64_t edges_left_out = 0;
+  for (const double density : {0.05, 0.2, 0.6}) {
+    std::vector<AuthorId> vertices;
+    for (AuthorId id = 0; vertices.size() < 50; ++id) {
+      if (rng.Bernoulli(0.3)) vertices.push_back(id * 5 + 10);
+    }
+    std::vector<std::pair<AuthorId, AuthorId>> edges;
+    for (size_t i = 0; i < vertices.size(); ++i) {
+      for (size_t j = i + 1; j < vertices.size(); ++j) {
+        if (rng.Bernoulli(density)) {
+          edges.emplace_back(vertices[i], vertices[j]);
+        }
+      }
+    }
+    const AuthorGraph graph = AuthorGraph::FromEdges(vertices, edges);
+    SCOPED_TRACE(::testing::Message() << "density " << density);
+    ExpectSubsetCoverEqualsSubgraphCover(graph, {});
+    for (const double keep : {0.0, 0.3, 0.7, 1.0}) {
+      std::vector<AuthorId> subset;
+      for (AuthorId v : vertices) {
+        if (rng.Bernoulli(keep)) subset.push_back(v);
+      }
+      for (int i = 0; i < 4; ++i) {
+        subset.push_back(
+            static_cast<AuthorId>(rng.UniformInt(vertices.back())));
+      }
+      subset.push_back(vertices.back() + 1);
+      subset.push_back(0xFFFFFFFFu);
+      std::sort(subset.begin(), subset.end());
+      subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
+      SCOPED_TRACE(::testing::Message() << "keep " << keep);
+      ExpectSubsetCoverEqualsSubgraphCover(graph, subset);
+      edges_left_out +=
+          graph.num_edges() - graph.InducedSubgraph(subset).num_edges();
+    }
+  }
+  // The subsets cut edges, so the filter on neighbours is exercised.
+  EXPECT_GT(edges_left_out, 0u);
+}
+
 TEST_P(RandomGraphCoverTest, GreedyEqualsReferenceOnPopulationComponents) {
   // A generated §6.3 population: the author graph, and the subgraph of
   // every shared component, which the S_* engines each cover.
@@ -307,6 +370,7 @@ TEST_P(RandomGraphCoverTest, GreedyEqualsReferenceOnPopulationComponents) {
   ASSERT_GT(components.size(), 10u);
   for (const SharedComponent& c : components) {
     ExpectGreedyEqualsReference(graph.InducedSubgraph(c.authors));
+    ExpectSubsetCoverEqualsSubgraphCover(graph, c.authors);
   }
 }
 

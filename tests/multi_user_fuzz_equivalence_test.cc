@@ -5,7 +5,8 @@
 // S_* engines must deliver identical timelines for all three algorithms,
 // the sharded S_* runtime must reproduce the sequential deliveries for
 // every shard count, and the serve shards' SharedBinTable must deliver
-// S_UniBin's timelines in every bin layout.
+// S_UniBin's timelines in every bin layout, with the work recorded
+// before its bins became rings and a wrapped ring scanned newest first.
 
 #include <algorithm>
 #include <cstdint>
@@ -210,6 +211,28 @@ void OfferToTables(std::vector<SharedBinTable>& tables, const Post& post,
   }
 }
 
+/// Folds `value` into `digest` (64-bit FNV-1a over whole words).
+uint64_t Fold(uint64_t digest, uint64_t value) {
+  return (digest ^ value) * 0x100000001b3ull;
+}
+
+/// The work of every placed table of
+/// TimelinesEqualSUniBinOnRandomPopulations, per layout: the sums of comparisons() and window_posts() over the
+/// tables, and the digest of both counts folded table by table. Recorded
+/// from bins kept as two contiguous vectors, before each bin became one
+/// ring: the ring must test and keep exactly the entries they did.
+struct RecordedWork {
+  Algorithm algorithm;
+  uint64_t comparisons;
+  uint64_t window_posts;
+  uint64_t digest;
+};
+constexpr RecordedWork kRecordedWork[] = {
+    {Algorithm::kUniBin, 2572071, 10751, 647872202834195645ull},
+    {Algorithm::kNeighborBin, 799501, 10751, 13624536783739147843ull},
+    {Algorithm::kCliqueBin, 1297336, 10751, 5534713464782917670ull},
+};
+
 class SharedBinTableFuzzTest : public ::testing::TestWithParam<Algorithm> {};
 
 TEST_P(SharedBinTableFuzzTest, TimelinesEqualSUniBinOnRandomPopulations) {
@@ -219,6 +242,8 @@ TEST_P(SharedBinTableFuzzTest, TimelinesEqualSUniBinOnRandomPopulations) {
   size_t max_components_per_author = 0;
   size_t unfollowed_posts = 0;
   uint64_t comparisons = 0;
+  uint64_t window_posts = 0;
+  uint64_t digest = 0xcbf29ce484222325ull;
   for (int round = 0; round < 12; ++round) {
     const int num_authors = 12 + static_cast<int>(rng.UniformInt(28));
     const int followed = num_authors - 3;
@@ -250,6 +275,8 @@ TEST_P(SharedBinTableFuzzTest, TimelinesEqualSUniBinOnRandomPopulations) {
             << " parts=" << parts;
         for (const SharedBinTable& table : tables) {
           comparisons += table.comparisons();
+          window_posts += table.window_posts();
+          digest = Fold(Fold(digest, table.comparisons()), table.window_posts());
           for (AuthorId a = 0; a < table.author_bound(); ++a) {
             max_components_per_author = std::max(
                 max_components_per_author, table.ComponentsOf(a).size());
@@ -264,6 +291,57 @@ TEST_P(SharedBinTableFuzzTest, TimelinesEqualSUniBinOnRandomPopulations) {
   EXPECT_GE(max_components_per_author, 5u);
   EXPECT_GT(unfollowed_posts, 0u);
   EXPECT_GT(comparisons, 0u);
+  for (const RecordedWork& recorded : kRecordedWork) {
+    if (recorded.algorithm != GetParam()) continue;
+    EXPECT_EQ(comparisons, recorded.comparisons);
+    EXPECT_EQ(window_posts, recorded.window_posts);
+    EXPECT_EQ(digest, recorded.digest);
+  }
+}
+
+TEST_P(SharedBinTableFuzzTest, WrappedBinIsScannedNewerRunFirst) {
+  // One user follows authors 0 and 1, who are neighbours: one component,
+  // and in every layout one bin that author 0's posts are written to and
+  // read from (author 1's bins stay empty). The fingerprints 0xFF << 8k
+  // lie 16 bits apart, so with λc = 3 a post hits only its equal.
+  const AuthorGraph graph = AuthorGraph::FromEdges({0, 1}, {{0, 1}});
+  const std::vector<User> users = {User(0, {0, 1})};
+  DiversityThresholds t;
+  t.lambda_c = 3;
+  t.lambda_t_ms = 100;
+  const auto fingerprint = [](int k) { return uint64_t{0xFF} << (8 * k); };
+  // Posts 0-3 fill the bin's four slots. Post 4 evicts posts 0 and 1 and
+  // wraps to the first slot, post 5 to the second: the older run holds
+  // posts 2 and 3, the newer run posts 4 and 5. Each of posts 0-5 is new
+  // and tests every entry before it in the bin: 0, 1, 2, 3, then 2 and 3.
+  const int64_t kTimes[] = {0, 10, 20, 30, 115, 116};
+  constexpr uint64_t kFillComparisons = 0 + 1 + 2 + 3 + 2 + 3;
+  // Post 6 repeats post 2 or post 5. Newest first, a hit on post 5 tests
+  // post 5 alone; one on post 2 tests posts 5, 4 and 3 too.
+  const struct {
+    int repeats;
+    uint64_t comparisons;
+  } kProbes[] = {{2, 4}, {5, 1}};
+  for (const auto& probe : kProbes) {
+    SCOPED_TRACE(::testing::Message() << "repeats post " << probe.repeats);
+    std::vector<SharedBinTable> tables =
+        PlacedTables(GetParam(), t, graph, users, 1);
+    SharedBinTable& table = tables.front();
+    std::vector<uint32_t> admitted;
+    for (int k = 0; k < 6; ++k) {
+      const PostId id = static_cast<PostId>(k);
+      table.Offer(Post{id, 0, kTimes[k], fingerprint(k), {}}, &admitted);
+      EXPECT_EQ(admitted, std::vector<uint32_t>{0}) << "post " << k;
+    }
+    EXPECT_EQ(table.comparisons(), kFillComparisons);
+    table.Offer(Post{6, 0, 117, fingerprint(probe.repeats), {}}, &admitted);
+    EXPECT_TRUE(admitted.empty()) << "post 6 was admitted";
+    EXPECT_EQ(table.comparisons(), kFillComparisons + probe.comparisons);
+    // Both runs hold author 0's posts 2-5, and nothing else is stored.
+    EXPECT_EQ(table.BinnedPostsBy(0), 4u);
+    EXPECT_EQ(table.BinnedPostsBy(1), 0u);
+    EXPECT_EQ(table.window_posts(), 4u);
+  }
 }
 
 TEST_P(SharedBinTableFuzzTest, SilentAuthorLeavesEveryBinAfterLambdaT) {

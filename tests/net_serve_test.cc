@@ -295,6 +295,15 @@ TEST_F(NetServeTest, StatusAndVarzReportTheSharedWindow) {
     EXPECT_GT(deliveries, 0u);
     EXPECT_GE(bytes[0] + bytes[1], deliveries) << debug.status_json();
     EXPECT_LE(bytes[0] + bytes[1], 5 * deliveries) << debug.status_json();
+    // Every stored post sits in at least one bin, and each ring slot
+    // takes 16 bytes.
+    const std::vector<uint64_t> bins =
+        JsonArray(debug.status_json(), "bin_bytes");
+    ASSERT_EQ(bins.size(), 2u) << debug.status_json();
+    for (size_t shard = 0; shard < 2; ++shard) {
+      EXPECT_GE(bins[shard], 16 * windows[shard])
+          << "shard " << shard << ": " << debug.status_json();
+    }
     // The live seal timed both of its steps.
     EXPECT_GT(GaugeValue(varz, "serve.seal.components_us"), 0) << varz;
     EXPECT_GT(GaugeValue(varz, "serve.seal.tables_us"), 0) << varz;
@@ -799,34 +808,50 @@ TEST_F(NetServeTest, FlushAckMeansEveryShardDecided) {
 TEST_F(NetServeTest, StoppedServerServesAgainAfterStart) {
   // Stop ends each worker through its stop flag; a second Start spawns
   // the same workers again, and they must decide what is routed to them.
-  Server server(Options(2), &workload_.graph);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  const size_t half = workload_.stream.size() / 2;
-  {
+  // With a data dir the second Start replays the WAL instead, onto state
+  // it first clears, so the seal and the first half count once.
+  uint64_t followed = 0;  // posts some user follows: the ones logged
+  for (const Post& post : workload_.stream) {
+    followed += std::any_of(
+        workload_.users.begin(), workload_.users.end(), [&](const User& u) {
+          return std::find(u.subscriptions.begin(), u.subscriptions.end(),
+                           post.author) != u.subscriptions.end();
+        });
+  }
+  ASSERT_GT(followed, 0u);
+  for (const std::string& data_dir : {std::string(), data_dir_}) {
+    SCOPED_TRACE(data_dir.empty() ? "no data dir" : "with a data dir");
+    Server server(Options(2, data_dir), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    const size_t half = workload_.stream.size() / 2;
+    {
+      ServeClient client;
+      ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+      SealUsers(client);
+      for (size_t i = 0; i < half; ++i) {
+        ASSERT_TRUE(client.SendPost(workload_.stream[i]))
+            << client.last_error();
+      }
+      ASSERT_TRUE(client.Flush()) << client.last_error();
+      client.Disconnect();
+    }
+    server.Stop();
+
+    ASSERT_TRUE(server.Start(&error)) << error;
     ServeClient client;
     ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
-    SealUsers(client);
-    for (size_t i = 0; i < half; ++i) {
+    for (size_t i = half; i < workload_.stream.size(); ++i) {
       ASSERT_TRUE(client.SendPost(workload_.stream[i])) << client.last_error();
     }
     ASSERT_TRUE(client.Flush()) << client.last_error();
+    ExpectServedTimelinesMatch(
+        client, ExpectedTimelines(workload_, Algorithm::kCliqueBin,
+                                  DiversityThresholds{}));
+    EXPECT_EQ(server.stats().posts_ingested, followed);
     client.Disconnect();
+    server.Stop();
   }
-  server.Stop();
-
-  ASSERT_TRUE(server.Start(&error)) << error;
-  ServeClient client;
-  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
-  for (size_t i = half; i < workload_.stream.size(); ++i) {
-    ASSERT_TRUE(client.SendPost(workload_.stream[i])) << client.last_error();
-  }
-  ASSERT_TRUE(client.Flush()) << client.last_error();
-  ExpectServedTimelinesMatch(
-      client, ExpectedTimelines(workload_, Algorithm::kCliqueBin,
-                                DiversityThresholds{}));
-  client.Disconnect();
-  server.Stop();
 }
 
 TEST_F(NetServeTest, StartRefusesAShardCountOutsideTheRange) {
