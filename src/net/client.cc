@@ -5,15 +5,6 @@
 namespace firehose {
 namespace net {
 
-namespace {
-
-/// Socket-flush threshold for the buffered ingest path. Small enough to
-/// keep the server busy while the client paces the stream, large enough
-/// to amortize write(2) across hundreds of posts.
-constexpr size_t kFlushThresholdBytes = 32 * 1024;
-
-}  // namespace
-
 ServeClient::ServeClient(std::string client_name)
     : client_name_(std::move(client_name)) {}
 

@@ -1,6 +1,7 @@
 #ifndef FIREHOSE_NET_CLIENT_H_
 #define FIREHOSE_NET_CLIENT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -13,15 +14,29 @@
 namespace firehose {
 namespace net {
 
+/// The most bytes of buffered Follow and Post frames a ServeClient
+/// holds: it writes them once they reach this, so a frame leaves the
+/// client within one page of frames after it. One 4 KiB page is about
+/// 45 post frames of servebench's stream, 4.5 ms of it at 10k posts/s,
+/// so a flush or poll arrives with at most that many posts its shards
+/// have not decided, and its round trip waits on the WAL sync rather
+/// than on a burst. On servebench's paced_readwrite (2 shards, 4-core
+/// VM, one 40 s run each), fresh_p50_ms read 53.5 ms at 32 KiB, 51.5
+/// at 16, 51.4 at 8, 50.9 at 4, 50.8 at 2 and 50.7 at 1: below a page
+/// the gain is within run-to-run noise, at up to four times the writes.
+inline constexpr size_t kFlushThresholdBytes = 4 * 1024;
+
 /// Client side of the serving protocol: connects, negotiates a version,
 /// streams follows/posts and issues poll/flush barriers. Used by the
 /// replay loadgen and the serving tests.
 ///
 /// Ingest calls (Follow/SendPost) are *buffered*: frames accumulate in a
-/// local buffer flushed to the socket once it passes a threshold or
-/// before any request that expects a response. The post path therefore
-/// costs one write(2) per few hundred posts, not one per post — the
-/// server never acks individual posts, so there is nothing to wait for.
+/// local buffer written to the socket once it holds kFlushThresholdBytes
+/// or before any request that expects a response. The post path
+/// therefore costs one write(2) per page of frames (about 45 posts of
+/// servebench's stream), not one per post — the server never acks
+/// individual posts, so there is nothing to wait for — and a flush or
+/// poll finds at most one page of posts its shards have not seen.
 ///
 /// Not thread-safe; one connection per thread.
 class ServeClient {

@@ -34,6 +34,29 @@ void FreeNow(std::vector<T>* v) {
   std::vector<T>().swap(*v);
 }
 
+/// What /healthz reports: the WAL writes refused, then every task of
+/// `watchdog` (null: none) tripped right now, that is, with posts queued
+/// and no progress for the stall time; empty when healthy. A task clears
+/// at the watchdog's first Poll after it moves again.
+std::string HealthProblem(uint64_t wal_failures,
+                          const obs::Watchdog* watchdog) {
+  std::string problem;
+  if (wal_failures > 0) {
+    problem = "wal failed (" + std::to_string(wal_failures) + " refused)";
+  }
+  if (watchdog == nullptr) return problem;
+  obs::Watchdog::TaskInfo tasks[obs::Watchdog::kMaxTasks];
+  const int count = watchdog->SnapshotTasks(tasks, obs::Watchdog::kMaxTasks);
+  for (int i = 0; i < count; ++i) {
+    if (!tasks[i].tripped) continue;
+    if (!problem.empty()) problem += "; ";
+    problem += std::string(tasks[i].name) + " stalled (depth " +
+               std::to_string(tasks[i].depth) + ", progress " +
+               std::to_string(tasks[i].progress) + ")";
+  }
+  return problem;
+}
+
 }  // namespace
 
 // ShardWorker is declared in the header, so its helpers live in
@@ -178,12 +201,15 @@ class ShardWorker {
     ++routed_;
   }
 
+  /// Posts routed to this shard that its worker has not decided yet.
+  uint64_t backlog() const {
+    return routed_ - finished_.load(std::memory_order_acquire);
+  }
+
   /// Waits until the worker decided every post routed to it, so its
   /// timelines hold every post the dispatcher received before the call.
   void AwaitDrained() const {
-    while (finished_.load(std::memory_order_acquire) < routed_) {
-      std::this_thread::yield();
-    }
+    while (backlog() > 0) std::this_thread::yield();
   }
 
   /// Locks this shard into `*lock` and returns `user`'s gaps, which stay
@@ -511,6 +537,9 @@ bool Server::Log(int fd, std::string_view record, bool sync) {
 }
 
 void Server::Dispatch() {
+  // This task reports progress and never a queue depth, so it cannot
+  // trip (a task with nothing queued is idle) and never turns /healthz
+  // unhealthy; the shard workers' tasks can.
   const int watchdog_task =
       options_.watchdog != nullptr
           ? options_.watchdog->RegisterTask("serve-dispatch")
@@ -700,15 +729,33 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
     case MsgType::kFlush:
     case MsgType::kShutdown: {
       // The ack promises that every post before it is durable and
-      // decided: the sync, then the wait a poll makes.
+      // decided: the sync, then the wait a poll makes. Both are timed,
+      // along with the most posts a shard had left to decide on arrival,
+      // which is what the wait waits for. They are recorded only while a
+      // debug state reads them: log-bucketing a value calls into libm,
+      // whose pages would otherwise add 0.19 MiB to the server's RSS.
+      const obs::Clock* clock = obs::RealClock();
+      uint64_t backlog = 0;
+      for (const auto& shard : shards_) {
+        backlog = std::max(backlog, shard->backlog());
+      }
+      const uint64_t arrived_ns = clock->NowNanos();
       bool keep = Log(fd, /*record=*/{}, /*sync=*/true);
+      const uint64_t synced_ns = clock->NowNanos();
+      uint64_t drained_ns = synced_ns;
       if (keep) {
         for (auto& shard : shards_) shard->AwaitDrained();
+        drained_ns = clock->NowNanos();
         NetMessage ack;
         ack.type = MsgType::kFlushAck;
         ack.ingested = posts_ingested_.load(std::memory_order_seq_cst);
         ack.duplicates = duplicates_.load(std::memory_order_seq_cst);
         keep = SendMessage(fd, ack);
+      }
+      if (options_.debug != nullptr) {
+        flush_backlog_.Record(backlog);
+        flush_sync_us_.Record((synced_ns - arrived_ns) / 1000);
+        flush_drain_us_.Record((drained_ns - synced_ns) / 1000);
       }
       if (message.type == MsgType::kShutdown) {
         stop_requested_.store(true, std::memory_order_release);
@@ -750,6 +797,11 @@ void Server::PublishIntrospection() {
       ->Set(static_cast<int64_t>(seal_components_us_));
   registry.GetGauge("serve.seal.tables_us")
       ->Set(static_cast<int64_t>(seal_tables_us_));
+  registry.GetHistogram("serve.flush.sync_us", /*timing=*/true)
+      ->MergeFrom(flush_sync_us_);
+  registry.GetHistogram("serve.flush.drain_us", /*timing=*/true)
+      ->MergeFrom(flush_drain_us_);
+  registry.GetHistogram("serve.flush.backlog")->MergeFrom(flush_backlog_);
 
   std::string status = "{\"sealed\":";
   status += sealed() ? "true" : "false";
@@ -782,9 +834,7 @@ void Server::PublishIntrospection() {
                                  obs::ExportJson(registry));
   options_.debug->PublishStatus(std::move(status));
   options_.debug->PublishHealth(
-      s.wal_failures == 0
-          ? ""
-          : "wal failed (" + std::to_string(s.wal_failures) + " refused)");
+      HealthProblem(s.wal_failures, options_.watchdog));
 }
 
 }  // namespace net

@@ -17,6 +17,7 @@
 #include "src/net/proto.h"
 #include "src/obs/debug_server.h"
 #include "src/obs/flight_recorder.h"
+#include "src/obs/log_histogram.h"
 #include "src/obs/watchdog.h"
 #include "src/util/thread_annotations.h"
 
@@ -67,8 +68,10 @@ struct ServeOptions {
   std::string wal_sync = "none";  ///< "none" | "always" | "every=N"
 
   /// Optional introspection hooks. `debug` receives periodic /varz +
-  /// /statusz publications from the dispatcher; `watchdog` gets one task
-  /// per shard worker plus the dispatcher; `flight` records offer spans.
+  /// /statusz + /healthz publications from the dispatcher; `watchdog`
+  /// gets one task per shard worker plus the dispatcher, and /healthz
+  /// names each of its tasks tripped at a publication (its owner runs
+  /// Poll); `flight` records offer spans.
   obs::DebugState* debug = nullptr;
   obs::Watchdog* watchdog = nullptr;
   obs::FlightRecorder* flight = nullptr;
@@ -208,8 +211,17 @@ class Server {
   uint64_t seal_tables_us_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
 
   // obs::RealClock() time of the last publication; kept only while
-  // options_.debug is attached, the one case that reads the clock.
+  // options_.debug is attached.
   uint64_t published_ns_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
+
+  // The stages of every flush (and the shutdown's) while options_.debug
+  // is attached: the WAL sync, the wait until every shard decided, and
+  // the most posts any shard had routed but not decided when it arrived.
+  // Published as serve.flush.sync_us, serve.flush.drain_us and
+  // serve.flush.backlog.
+  obs::LogHistogram flush_sync_us_ FIREHOSE_THREAD_OWNED(dispatcher);
+  obs::LogHistogram flush_drain_us_ FIREHOSE_THREAD_OWNED(dispatcher);
+  obs::LogHistogram flush_backlog_ FIREHOSE_THREAD_OWNED(dispatcher);
 
   // Post-seal routing, author -> shards whose table routes the author
   // (read off the tables at seal/recovery, read-only after).

@@ -4,12 +4,14 @@
 // served over the socket equal the sequential S_* engine's per-user
 // deliveries byte for byte — plus the poll contract (a poll sees every
 // post sent before it, flushed or not, and `since` selects the suffix),
-// the flush contract (its ack means every shard decided), the shard
-// count's range, durability (graceful stop, restart at another shard count, resend,
+// the flush contract (its ack means every shard decided), the client's
+// send bound (posts leave it within a page), the shard count's range,
+// durability (graceful stop, restart at another shard count, resend,
 // dedupe, refused writes when the WAL fails, the WAL's record order),
 // the gap-encoded timelines at every varint width, the introspection of
-// the shards' shared bins (kept live while a client stays busy) and
-// protocol error handling.
+// the shards' shared bins (kept live while a client stays busy), of
+// each flush's stages and of a stalled watchdog task, and protocol
+// error handling.
 
 #include <gtest/gtest.h>
 
@@ -247,6 +249,20 @@ uint64_t CounterValue(const std::string& varz, const std::string& name) {
   return std::stoull(varz.substr(at + key.size()));
 }
 
+/// Field `field` of the histogram `name` in a /varz JSON scrape; fails
+/// the test when the histogram is missing.
+double HistogramField(const std::string& varz, const std::string& name,
+                      const std::string& field) {
+  const size_t at = varz.find("\"" + name + "\": {");
+  EXPECT_NE(at, std::string::npos) << name << " missing from " << varz;
+  if (at == std::string::npos) return -1;
+  const std::string key = "\"" + field + "\": ";
+  const size_t value = varz.find(key, at);
+  EXPECT_NE(value, std::string::npos) << name << " has no " << field;
+  if (value == std::string::npos) return -1;
+  return std::stod(varz.substr(value + key.size()));
+}
+
 /// Waits until a whole publication of `debug` began after this call: the
 /// count moves when the metrics of a publication land, before its
 /// status, so two more publications mean one whole one began after.
@@ -350,6 +366,96 @@ TEST_F(NetServeTest, BusyConnectionStillRepublishesIntrospection) {
   EXPECT_EQ(GaugeValue(debug.varz_json(), "serve.sealed"), 1);
   client.Disconnect();
   server.Stop();
+}
+
+TEST_F(NetServeTest, VarzTimesTheStagesOfEveryFlush) {
+  // Each flush records its WAL sync, its wait until every shard decided,
+  // and the most posts a shard had routed but not decided on arrival:
+  // at most the posts sent since the last flush, which drained them.
+  constexpr size_t kFlushes = 5;
+  obs::DebugState debug;
+  ServeOptions options = Options(2, data_dir_);
+  options.debug = &debug;
+  Server server(options, &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+  SealUsers(client);
+  const size_t chunk = workload_.stream.size() / kFlushes;
+  for (size_t flush = 0; flush < kFlushes; ++flush) {
+    for (size_t i = flush * chunk; i < (flush + 1) * chunk; ++i) {
+      ASSERT_TRUE(client.SendPost(workload_.stream[i])) << client.last_error();
+    }
+    ASSERT_TRUE(client.Flush()) << client.last_error();
+  }
+
+  AwaitFreshPublication(debug);
+  const std::string varz = debug.varz_json();
+  for (const char* name :
+       {"serve.flush.sync_us", "serve.flush.drain_us", "serve.flush.backlog"}) {
+    EXPECT_EQ(HistogramField(varz, name, "count"), kFlushes) << name;
+  }
+  EXPECT_LE(HistogramField(varz, "serve.flush.backlog", "max"), chunk);
+  client.Disconnect();
+  server.Stop();
+}
+
+/// Waits until `watchdog` lists a task named `name`.
+void AwaitTask(const obs::Watchdog& watchdog, std::string_view name) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  obs::Watchdog::TaskInfo tasks[obs::Watchdog::kMaxTasks];
+  for (;;) {
+    const int count = watchdog.SnapshotTasks(tasks, obs::Watchdog::kMaxTasks);
+    for (int i = 0; i < count; ++i) {
+      if (tasks[i].name == name) return;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << name << " never registered";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST_F(NetServeTest, HealthzNamesAStalledWatchdogTask) {
+  // A task with a post queued and no progress for the stall time trips
+  // at the watchdog's next Poll, and the dispatcher's next publication
+  // turns /healthz to 503 until the task moves and a Poll clears it.
+  constexpr uint64_t kStallNanos = 5ull * 1000 * 1000 * 1000;
+  obs::ManualClock clock;
+  obs::Watchdog watchdog(kStallNanos, &clock);
+  obs::DebugServer debug_server;
+  ASSERT_TRUE(debug_server.Start(/*port=*/0));
+  ServeOptions options = Options(1);
+  options.debug = debug_server.state();
+  options.watchdog = &watchdog;
+  Server server(options, &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  // The dispatcher reads the clock once, to register its own task. A
+  // ManualClock is not thread-safe, so only this thread moves it, after.
+  ASSERT_NO_FATAL_FAILURE(AwaitTask(watchdog, "serve-dispatch"));
+  const int task = watchdog.RegisterTask("stalled-shard");
+  ASSERT_GE(task, 0);
+  watchdog.SetQueueDepth(task, 1);
+  clock.AdvanceNanos(kStallNanos);
+  EXPECT_EQ(watchdog.Poll(), 1);
+
+  AwaitFreshPublication(*debug_server.state());
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGet(debug_server.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 503);
+  EXPECT_EQ(body, "stalled-shard stalled (depth 1, progress 0)\n");
+
+  watchdog.ReportProgress(task, 1);
+  EXPECT_EQ(watchdog.Poll(), 0);
+  AwaitFreshPublication(*debug_server.state());
+  ASSERT_TRUE(HttpGet(debug_server.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "ok\n");
+  server.Stop();
+  debug_server.Stop();
 }
 
 TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {
@@ -803,6 +909,57 @@ TEST_F(NetServeTest, FlushAckMeansEveryShardDecided) {
     client.Disconnect();
     server.Stop();
   }
+}
+
+TEST_F(NetServeTest, PostsLeaveTheClientWithinAPage) {
+  // With no flush or poll to push them, posts reach the server once a
+  // page of frames is buffered: of 16 KiB of post frames, only the ones
+  // after the last whole page may still wait in the client. A client
+  // that held 32 KiB would send none of them.
+  constexpr size_t kSendBytes = 16 * 1024;
+  Server server(Options(2), &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+  SealUsers(client);
+  ASSERT_TRUE(client.Flush()) << client.last_error();  // the buffer is empty
+
+  std::vector<size_t> frame_bytes;
+  size_t total = 0;
+  for (const Post& post : workload_.stream) {
+    if (total >= kSendBytes) break;
+    NetMessage message;
+    message.type = MsgType::kPost;
+    message.post = post;
+    std::string frame;
+    AppendMessage(message, &frame);
+    frame_bytes.push_back(frame.size());
+    total += frame.size();
+    ASSERT_TRUE(client.SendPost(post)) << client.last_error();
+  }
+  ASSERT_GT(total, 8u * 1024);
+  ASSERT_LT(total, 32u * 1024);
+  // What the client still holds totals under a page, so it is at most
+  // the most trailing frames that do.
+  size_t held = 0;
+  for (size_t bytes = 0; held < frame_bytes.size(); ++held) {
+    bytes += frame_bytes[frame_bytes.size() - 1 - held];
+    if (bytes >= kFlushThresholdBytes) break;
+  }
+  const uint64_t sent = frame_bytes.size();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().posts_received < sent - held &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(server.stats().posts_received, sent - held)
+      << sent << " posts sent in " << total << " bytes";
+  ASSERT_TRUE(client.Flush()) << client.last_error();
+  EXPECT_EQ(server.stats().posts_received, sent);
+  client.Disconnect();
+  server.Stop();
 }
 
 TEST_F(NetServeTest, StoppedServerServesAgainAfterStart) {
