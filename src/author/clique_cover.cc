@@ -27,20 +27,32 @@ CliqueCover CliqueCover::Greedy(const AuthorGraph& graph,
   // A dense-index copy of the induced subgraph: vertex i is ids[i], and
   // its neighbours in the subset are adjacency[offsets[i] .. offsets[i +
   // 1]), ascending. ids ascend, so index order is id order and every
-  // smallest-index choice below is the smallest id.
+  // smallest-index choice below is the smallest id. index_of maps a
+  // neighbour to its subset index (kNone outside the subset). It is sized
+  // by the graph's edges, one past the largest neighbour of the subset,
+  // never by an id of the subset: an id past that bound is no neighbour
+  // of the subset, so nothing looks it up.
+  constexpr uint32_t kNone = static_cast<uint32_t>(-1);
   const uint32_t n = static_cast<uint32_t>(ids.size());
   size_t slots = 0;  // an upper bound: neighbours outside the subset drop
-  for (AuthorId id : ids) slots += graph.Neighbors(id).size();
+  size_t neighbor_bound = 0;
+  for (AuthorId id : ids) {
+    const std::vector<AuthorId>& neighbors = graph.Neighbors(id);
+    if (neighbors.empty()) continue;
+    slots += neighbors.size();
+    neighbor_bound = std::max(neighbor_bound, size_t{neighbors.back()} + 1);
+  }
+  std::vector<uint32_t> index_of(neighbor_bound, kNone);
+  for (uint32_t i = 0; i < n && ids[i] < neighbor_bound; ++i) {
+    index_of[ids[i]] = i;
+  }
   std::vector<uint32_t> offsets(n + 1, 0);
   std::vector<uint32_t> adjacency;
   adjacency.reserve(slots);
   for (uint32_t i = 0; i < n; ++i) {
-    auto from = ids.begin();
     for (AuthorId neighbor : graph.Neighbors(ids[i])) {
-      from = std::lower_bound(from, ids.end(), neighbor);
-      if (from == ids.end()) break;
-      if (*from != neighbor) continue;  // outside the subset
-      adjacency.push_back(static_cast<uint32_t>(from - ids.begin()));
+      const uint32_t j = index_of[neighbor];
+      if (j != kNone) adjacency.push_back(j);
     }
     offsets[i + 1] = static_cast<uint32_t>(adjacency.size());
   }
@@ -59,6 +71,9 @@ CliqueCover CliqueCover::Greedy(const AuthorGraph& graph,
   std::vector<uint32_t> gains;
   std::vector<uint64_t> marks(n, 0);
   uint64_t stamp = 0;
+  // The subset index of every clique's members, clique after clique: the
+  // Author2Cliques index counts them.
+  std::vector<uint32_t> memberships;
   for (uint32_t u = 0; u < n; ++u) {
     for (uint32_t s = offsets[u]; s < offsets[u + 1]; ++s) {
       const uint32_t v = adjacency[s];
@@ -127,16 +142,22 @@ CliqueCover CliqueCover::Greedy(const AuthorGraph& graph,
         members.push_back(ids[clique[i]]);
       }
       cover.cliques_.push_back(std::move(members));
+      memberships.insert(memberships.end(), clique.begin(), clique.end());
     }
   }
 
   // Singleton cliques for vertices covered by no clique, so same-author
   // posts of isolated authors can still cover each other. Every edge lies
-  // in some clique, so exactly the isolated vertices are uncovered.
+  // in some clique, so exactly the isolated vertices are uncovered, and
+  // every id of the subset is in some clique.
   for (uint32_t i = 0; i < n; ++i) {
-    if (offsets[i] == offsets[i + 1]) cover.cliques_.push_back({ids[i]});
+    if (offsets[i] == offsets[i + 1]) {
+      cover.cliques_.push_back({ids[i]});
+      memberships.push_back(i);
+    }
   }
-  cover.IndexAuthors();
+  cover.IndexAuthors(std::vector<AuthorId>(ids.begin(), ids.end()),
+                     memberships);
   return cover;
 }
 
@@ -145,34 +166,47 @@ CliqueCover CliqueCover::FromCliques(
   CliqueCover cover;
   cover.num_authors_ = num_authors;
   cover.cliques_ = std::move(cliques);
-  for (auto& clique : cover.cliques_) std::sort(clique.begin(), clique.end());
-  cover.IndexAuthors();
+  std::vector<AuthorId> authors;
+  for (auto& clique : cover.cliques_) {
+    std::sort(clique.begin(), clique.end());
+    authors.insert(authors.end(), clique.begin(), clique.end());
+  }
+  std::sort(authors.begin(), authors.end());
+  authors.erase(std::unique(authors.begin(), authors.end()), authors.end());
+  authors.shrink_to_fit();  // ApproxBytes counts its capacity
+  std::vector<uint32_t> memberships;
+  memberships.reserve(cover.TotalCliqueSize());
+  for (const auto& clique : cover.cliques_) {
+    for (AuthorId member : clique) {
+      memberships.push_back(static_cast<uint32_t>(
+          std::lower_bound(authors.begin(), authors.end(), member) -
+          authors.begin()));
+    }
+  }
+  cover.IndexAuthors(std::move(authors), memberships);
   return cover;
 }
 
-void CliqueCover::IndexAuthors() {
-  // One (author, clique) key per membership: sorting the keys groups each
-  // author's cliques together, in ascending id order.
-  std::vector<uint64_t> memberships;
-  memberships.reserve(TotalCliqueSize());
-  for (size_t id = 0; id < cliques_.size(); ++id) {
-    for (AuthorId member : cliques_[id]) {
-      memberships.push_back((static_cast<uint64_t>(member) << 32) | id);
-    }
-  }
-  std::sort(memberships.begin(), memberships.end());
+void CliqueCover::IndexAuthors(std::vector<AuthorId> authors,
+                               std::span<const uint32_t> memberships) {
+  // A counting sort of the memberships by author index: count each
+  // author's cliques, turn the counts into starts, then place every
+  // clique id at its author's cursor. Cliques are visited in ascending
+  // id order, so each author's list ascends.
+  offsets_.assign(authors.size() + 1, 0);
+  for (uint32_t author : memberships) ++offsets_[author + 1];
+  for (size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
   clique_ids_.resize(memberships.size());
-  for (size_t i = 0; i < memberships.size(); ++i) {
-    const AuthorId author = static_cast<AuthorId>(memberships[i] >> 32);
-    if (authors_.empty() || authors_.back() != author) {
-      authors_.push_back(author);
-      offsets_.push_back(static_cast<uint32_t>(i));
+  size_t at = 0;
+  for (size_t id = 0; id < cliques_.size(); ++id) {
+    for (size_t k = 0; k < cliques_[id].size(); ++k) {
+      clique_ids_[offsets_[memberships[at++]]++] = static_cast<CliqueId>(id);
     }
-    clique_ids_[i] = static_cast<CliqueId>(memberships[i]);
   }
-  offsets_.push_back(static_cast<uint32_t>(memberships.size()));
-  authors_.shrink_to_fit();
-  offsets_.shrink_to_fit();
+  // Each cursor stopped at its author's end, the next author's start.
+  for (size_t i = offsets_.size() - 1; i > 0; --i) offsets_[i] = offsets_[i - 1];
+  offsets_[0] = 0;
+  authors_ = std::move(authors);
 }
 
 bool CliqueCover::IsValidFor(const AuthorGraph& graph) const {

@@ -30,8 +30,10 @@ class CliqueCover {
   /// (sorted, unique), without building that subgraph: its cliques equal
   /// Greedy(graph.InducedSubgraph(vertices))'s, clique for clique. An id
   /// of `vertices` that is no vertex of `graph` is an isolated vertex, as
-  /// in the subgraph. Scratch is sized by the subset, never by the
-  /// largest id.
+  /// in the subgraph. One scratch array, from a neighbour of the subset
+  /// to its index in `vertices`, is sized by the graph: one past the
+  /// largest neighbour. The rest, the Author2Cliques counts included, is
+  /// sized by the subset. None is sized by an id of `vertices`.
   static CliqueCover Greedy(const AuthorGraph& graph,
                             std::span<const AuthorId> vertices);
 
@@ -71,9 +73,12 @@ class CliqueCover {
   size_t ApproxBytes() const;
 
  private:
-  /// Fills the still-empty Author2Cliques index from cliques_ with one
-  /// sort of the memberships.
-  void IndexAuthors();
+  /// Fills the still-empty Author2Cliques index from cliques_ by
+  /// counting. `authors` are the covered authors (sorted, unique), and
+  /// `memberships` holds the index in `authors` of every member of every
+  /// clique, clique after clique, in cliques_ order.
+  void IndexAuthors(std::vector<AuthorId> authors,
+                    std::span<const uint32_t> memberships);
 
   std::vector<std::vector<AuthorId>> cliques_;
   // Author2Cliques: the cliques of authors_[i] are

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "src/core/component_table.h"
@@ -168,9 +167,13 @@ std::vector<SharedComponent> ComputeSharedComponents(
   // author set AND the user's effective thresholds; identical keys share
   // one component (a customized user gets private components).
   std::vector<SharedComponent> components;
-  std::unordered_map<uint64_t, std::vector<size_t>> by_key;
-  constexpr size_t kNotFound = static_cast<size_t>(-1);
   constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+  // The distinct components so far, by key: keys[i] is components[i]'s,
+  // and `slots` is a flat open-addressing table of component indices
+  // (kNone: empty), probed linearly from a key's low bits and kept at
+  // most half full.
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> slots(64, kNone);
 
   // Arrays indexed by author id are sized by the graph, never by a
   // followed id: an id past the last vertex has no neighbours and stays
@@ -253,19 +256,19 @@ std::vector<SharedComponent> ComputeSharedComponents(
       const std::span<const AuthorId> component(grouped.data() + begin,
                                                 end - begin);
       const uint64_t key =
-          HashCombine(AuthorSetKey(component), thresholds_key);
-      std::vector<size_t>& same_key = by_key[key];
-      size_t index = kNotFound;
-      for (size_t cand : same_key) {
-        if (std::ranges::equal(components[cand].authors, component) &&
+          Fmix64(HashCombine(AuthorSetKey(component), thresholds_key));
+      size_t slot = key & (slots.size() - 1);
+      for (; slots[slot] != kNone; slot = (slot + 1) & (slots.size() - 1)) {
+        const uint32_t cand = slots[slot];
+        if (keys[cand] == key &&
+            std::ranges::equal(components[cand].authors, component) &&
             components[cand].thresholds == user_t) {
-          index = cand;
           break;
         }
       }
-      if (index == kNotFound) {
-        index = components.size();
-        same_key.push_back(index);
+      if (slots[slot] == kNone) {
+        slots[slot] = static_cast<uint32_t>(components.size());
+        keys.push_back(key);
         // Grown one push at a time, as ConnectedComponents grows its
         // components: ComponentTable::ApproxBytes counts the capacity,
         // and the S_* peak_bytes bench keys were recorded with it.
@@ -273,7 +276,16 @@ std::vector<SharedComponent> ComputeSharedComponents(
         for (AuthorId a : component) authors.push_back(a);
         components.push_back(SharedComponent{std::move(authors), {}, user_t});
       }
-      components[index].users.push_back(user.id);
+      components[slots[slot]].users.push_back(user.id);
+      if (keys.size() * 2 > slots.size()) {
+        // Double the table: every key moves to its slot in the new size.
+        slots.assign(slots.size() * 2, kNone);
+        for (uint32_t i = 0; i < keys.size(); ++i) {
+          size_t at = keys[i] & (slots.size() - 1);
+          while (slots[at] != kNone) at = (at + 1) & (slots.size() - 1);
+          slots[at] = i;
+        }
+      }
     }
   }
   for (SharedComponent& c : components) {

@@ -50,6 +50,19 @@ inline void AppendFrame(std::string* out, std::string_view payload) {
   out->append(payload);
 }
 
+/// Completes a frame built in place: `*frame` holds kFrameHeaderBytes of
+/// room, then the payload, and the room becomes the header AppendFrame
+/// would write. A writer that reuses one buffer per frame copies no
+/// payload and allocates nothing once the buffer has grown.
+inline void FillFrameHeader(std::string* frame) {
+  const std::string_view payload =
+      std::string_view(*frame).substr(kFrameHeaderBytes);
+  std::string header;  // 8 bytes: held inline, never on the heap
+  PutU32Le(&header, static_cast<uint32_t>(payload.size()));
+  PutU32Le(&header, Crc32c(payload));
+  frame->replace(0, kFrameHeaderBytes, header);
+}
+
 enum class FrameStatus {
   kOk,         ///< payload parsed and checksum matched
   kTruncated,  ///< ran off the end of the buffer (torn tail)

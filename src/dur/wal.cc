@@ -121,7 +121,8 @@ bool WalWriter::OpenSegment() {
   return options_.ops->SyncDir(options_.dir);
 }
 
-bool WalWriter::Append(std::string_view payload, uint64_t* seq) {
+bool WalWriter::Append(std::string_view payload, uint64_t* seq,
+                       bool by_policy) {
   if (file_ == nullptr) return false;
   if (segment_bytes_written_ >= options_.segment_bytes) {
     // Rotate: make the outgoing segment durable so the chain has no holes
@@ -130,23 +131,26 @@ bool WalWriter::Append(std::string_view payload, uint64_t* seq) {
     if (options_.fsync_counter != nullptr) options_.fsync_counter->Increment();
     if (!OpenSegment()) return false;
   }
-  BinaryWriter record;
-  record.PutVarint(next_seq_);
-  record.PutString(payload);
-  std::string frame;
-  AppendFrame(&frame, record.buffer());
-  if (!file_->Append(frame)) return false;
-  segment_bytes_written_ += frame.size();
+  // The record, as BinaryWriter::PutVarint(seq) then PutString(payload)
+  // would write it, framed in place in the reused buffer.
+  frame_.assign(kFrameHeaderBytes, '\0');
+  AppendVarint(&frame_, next_seq_);
+  AppendVarint(&frame_, payload.size());
+  frame_.append(payload);
+  FillFrameHeader(&frame_);
+  if (!file_->Append(frame_)) return false;
+  segment_bytes_written_ += frame_.size();
   if (seq != nullptr) *seq = next_seq_;
   ++next_seq_;
   ++unsynced_records_;
   if (options_.bytes_counter != nullptr) {
-    options_.bytes_counter->Add(frame.size());
+    options_.bytes_counter->Add(frame_.size());
   }
   if (options_.record_counter != nullptr) {
     options_.record_counter->Increment();
   }
-  if (options_.sync != nullptr && options_.sync->ShouldSync(unsynced_records_)) {
+  if (by_policy && options_.sync != nullptr &&
+      options_.sync->ShouldSync(unsynced_records_)) {
     return Sync();
   }
   return true;

@@ -101,10 +101,13 @@ class WalWriter {
   [[nodiscard]] bool Open(uint64_t next_seq);
 
   /// Appends one record, assigning it the next sequence number (returned
-  /// through `seq` when non-null). Rotates segments and applies the sync
-  /// policy. False on I/O failure — the record may then be torn on disk;
-  /// recovery will discard it.
-  [[nodiscard]] bool Append(std::string_view payload, uint64_t* seq = nullptr);
+  /// through `seq` when non-null). Rotates segments and, when
+  /// `by_policy`, applies the sync policy; a record appended without it
+  /// is durable once a later Sync (or policy sync) returns. False on I/O
+  /// failure — the record may then be torn on disk; recovery will
+  /// discard it.
+  [[nodiscard]] bool Append(std::string_view payload, uint64_t* seq = nullptr,
+                            bool by_policy = true);
 
   /// Forces an fsync of the active segment.
   [[nodiscard]] bool Sync();
@@ -128,6 +131,7 @@ class WalWriter {
   uint64_t segment_first_seq_ = 0;
   uint64_t segment_bytes_written_ = 0;
   uint64_t unsynced_records_ = 0;
+  std::string frame_;  // the frame Append builds, reused across appends
 };
 
 /// One replayable WAL record.

@@ -182,21 +182,23 @@ DecodeStatus DecodeMessage(std::string_view buffer, size_t offset,
       raw_type > static_cast<uint8_t>(MsgType::kError)) {
     return DecodeStatus::kMalformed;
   }
-  NetMessage decoded;
-  decoded.type = static_cast<MsgType>(raw_type);
-  if (!DecodeBody(decoded.type, payload.substr(2), &decoded)) {
+  // Decoded in place. A body decode sets every field of its type, so the
+  // other types' fields stay value-initialized as long as a change of
+  // type resets the message, which a run of one type never pays for.
+  const MsgType type = static_cast<MsgType>(raw_type);
+  if (message->type != type) *message = NetMessage{};
+  message->type = type;
+  if (!DecodeBody(type, payload.substr(2), message)) {
     return DecodeStatus::kMalformed;
   }
-  *message = std::move(decoded);
   *next_offset = next;
   return DecodeStatus::kOk;
 }
 
 FrameReader::Result FrameReader::Next(NetMessage* message, int timeout_ms) {
   for (;;) {
-    NetMessage decoded;
     size_t next = offset_;
-    switch (DecodeMessage(buffer_, offset_, &decoded, &next)) {
+    switch (DecodeMessage(buffer_, offset_, message, &next)) {
       case DecodeStatus::kOk:
         offset_ = next;
         // Compact once the consumed prefix dominates, so a long-lived
@@ -205,7 +207,6 @@ FrameReader::Result FrameReader::Next(NetMessage* message, int timeout_ms) {
           buffer_.erase(0, offset_);
           offset_ = 0;
         }
-        *message = std::move(decoded);
         return Result::kMessage;
       case DecodeStatus::kMalformed:
         return Result::kMalformed;

@@ -100,8 +100,11 @@ enum class DecodeStatus {
 };
 
 /// Decodes the frame starting at `offset` of `buffer`. On kOk fills
-/// `*message` and sets `*next_offset` past the frame. kNeedMore means
-/// the bytes so far are a valid prefix; kMalformed poisons the stream.
+/// `*message` in place, reusing its storage, and sets `*next_offset`
+/// past the frame; the fields of other types are value-initialized
+/// unless the caller wrote them. kNeedMore means the bytes so far are a
+/// valid prefix and leaves `*message` untouched; kMalformed poisons the
+/// stream and leaves `*message` unspecified.
 [[nodiscard]] DecodeStatus DecodeMessage(std::string_view buffer,
                                          size_t offset, NetMessage* message,
                                          size_t* next_offset);
@@ -120,7 +123,8 @@ class FrameReader {
 
   explicit FrameReader(int fd) : fd_(fd) {}
 
-  /// Blocks up to `timeout_ms` for the next complete message.
+  /// Blocks up to `timeout_ms` for the next complete message, decoded
+  /// into `*message` as DecodeMessage does.
   [[nodiscard]] Result Next(NetMessage* message, int timeout_ms)
       FIREHOSE_TAINT_SOURCE;
 

@@ -402,6 +402,7 @@ bool Server::Recover(std::string* error) {
   dur::WalOptions wal_options;
   wal_options.dir = options_.data_dir + "/wal";
   wal_options.sync = wal_sync_.get();
+  wal_options.fsync_counter = &wal_fsyncs_;
   const dur::WalReadResult read =
       dur::ReadWal(wal_options, /*start_seq=*/0, /*truncate_tail=*/true);
   if (!read.ok) {
@@ -524,9 +525,12 @@ std::span<const uint32_t> Server::ShardsOf(AuthorId author) const {
   return author_shards_[author];
 }
 
-bool Server::Log(int fd, std::string_view record, bool sync) {
+bool Server::Log(int fd, std::string_view record, SyncAt when) {
   if (wal_ == nullptr) return true;
-  if ((record.empty() || wal_->Append(record)) && (!sync || wal_->Sync())) {
+  if ((record.empty() ||
+       wal_->Append(record, /*seq=*/nullptr,
+                    /*by_policy=*/when == SyncAt::kPolicy)) &&
+      (when != SyncAt::kNow || wal_->Sync())) {
     return true;
   }
   // Fail closed: an unlogged write must not be acted on, and the writer
@@ -624,7 +628,7 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
         return false;
       }
       if (!Log(fd, EncodeFollowRecord(message.user, message.author),
-               /*sync=*/false)) {
+               SyncAt::kSeal)) {
         return false;
       }
       follows_.emplace_back(message.user, message.author);
@@ -649,8 +653,9 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
         num_users_ = std::max<uint64_t>(num_users_, user + 1ull);
       }
       // The seal is the one event whose loss changes recovery's shape
-      // entirely, so it is always synced regardless of policy.
-      if (!Log(fd, EncodeSealRecord(num_users_), /*sync=*/true)) return false;
+      // entirely, so it is always synced regardless of policy, and its
+      // sync makes every follow before it durable.
+      if (!Log(fd, EncodeSealRecord(num_users_), SyncAt::kNow)) return false;
       BuildShards(std::exchange(follows_, {}));
       for (auto& shard : shards_) shard->Spawn();
       sealed_.store(true, std::memory_order_release);
@@ -679,7 +684,7 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
         duplicates_.fetch_add(1, std::memory_order_seq_cst);
         return true;
       }
-      if (!Log(fd, EncodePostRecord(post), /*sync=*/false)) return false;
+      if (!Log(fd, EncodePostRecord(post), SyncAt::kPolicy)) return false;
       watermark_ = static_cast<int64_t>(post.id);
       posts_ingested_.fetch_add(1, std::memory_order_seq_cst);
       // No shard reads the text, which the WAL record above keeps: a
@@ -740,7 +745,7 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
         backlog = std::max(backlog, shard->backlog());
       }
       const uint64_t arrived_ns = clock->NowNanos();
-      bool keep = Log(fd, /*record=*/{}, /*sync=*/true);
+      bool keep = Log(fd, /*record=*/{}, SyncAt::kNow);
       const uint64_t synced_ns = clock->NowNanos();
       uint64_t drained_ns = synced_ns;
       if (keep) {
@@ -790,6 +795,7 @@ void Server::PublishIntrospection() {
   registry.GetCounter("serve.polls")->Add(s.polls);
   registry.GetCounter("serve.malformed")->Add(s.malformed);
   registry.GetCounter("serve.wal_failures")->Add(s.wal_failures);
+  registry.GetCounter("serve.wal_fsyncs")->Add(wal_fsyncs_.value());
   registry.GetGauge("serve.num_shards")
       ->Set(static_cast<int64_t>(options_.num_shards));
   registry.GetGauge("serve.sealed")->Set(sealed() ? 1 : 0);

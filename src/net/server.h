@@ -18,6 +18,7 @@
 #include "src/obs/debug_server.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/log_histogram.h"
+#include "src/obs/metrics.h"
 #include "src/obs/watchdog.h"
 #include "src/util/thread_annotations.h"
 
@@ -130,6 +131,8 @@ struct ServeStats {
 /// below the highest logged id is a client resend and is only counted.
 /// A failed append or sync fails closed: the write is refused with an
 /// Error frame, the connection closes and nothing reaches a shard.
+/// Posts are synced as `wal_sync` says; follows are not synced one by
+/// one, as the seal, which is always synced, makes them durable with it.
 /// Start replays the WAL once, in order: the seal rebuilds the shards
 /// at the current `num_shards` and each post takes the live routing, so
 /// recovery + resend is byte-identical to an uninterrupted run.
@@ -179,10 +182,16 @@ class Server {
   void BuildShards(std::vector<std::pair<UserId, AuthorId>> follows)
       FIREHOSE_RUNS_ON(exclusive);
   std::span<const uint32_t> ShardsOf(AuthorId author) const;
-  /// Appends `record` (none when empty) to the WAL, then syncs when
-  /// `sync`; true without a data_dir. On failure, counts it and sends
-  /// `fd` an Error: the caller closes the connection and acts on nothing.
-  [[nodiscard]] bool Log(int fd, std::string_view record, bool sync);
+  /// When a record Log appends reaches the disk: as the --wal_sync
+  /// policy says (a post), at the seal's sync, which is always made (a
+  /// follow, which nothing acknowledges), or at a sync now, whatever the
+  /// policy (the seal, a flush).
+  enum class SyncAt { kPolicy, kSeal, kNow };
+  /// Appends `record` (none when empty) to the WAL and makes it durable
+  /// `when` says; true without a data_dir. On failure, counts it and
+  /// sends `fd` an Error: the caller closes the connection and acts on
+  /// nothing.
+  [[nodiscard]] bool Log(int fd, std::string_view record, SyncAt when);
   void PublishIntrospection();
 
   ServeOptions options_;
@@ -231,6 +240,9 @@ class Server {
   // The server WAL, and the highest post id it holds (-1 = none yet).
   std::unique_ptr<dur::SyncPolicy> wal_sync_;
   std::unique_ptr<dur::WalWriter> wal_ FIREHOSE_THREAD_OWNED(dispatcher);
+  // The WAL's fsyncs since construction, rotations included; published
+  // as serve.wal_fsyncs.
+  obs::Counter wal_fsyncs_ FIREHOSE_THREAD_OWNED(dispatcher);
   int64_t watermark_ FIREHOSE_THREAD_OWNED(dispatcher) = -1;
 
   // Dispatcher-side counters (atomics so stats() works from any thread).

@@ -2,13 +2,15 @@
 
 namespace firehose {
 
-void BinaryWriter::PutVarint(uint64_t value) {
+void AppendVarint(std::string* out, uint64_t value) {
   while (value >= 0x80) {
-    buffer_.push_back(static_cast<char>((value & 0x7F) | 0x80));
+    out->push_back(static_cast<char>((value & 0x7F) | 0x80));
     value >>= 7;
   }
-  buffer_.push_back(static_cast<char>(value));
+  out->push_back(static_cast<char>(value));
 }
+
+void BinaryWriter::PutVarint(uint64_t value) { AppendVarint(&buffer_, value); }
 
 void BinaryWriter::PutSignedVarint(int64_t value) {
   // Zigzag: small magnitudes of either sign become small varints.

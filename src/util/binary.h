@@ -8,6 +8,10 @@
 
 namespace firehose {
 
+/// Appends `value` to `*out` as an unsigned LEB128 varint, the encoding
+/// of BinaryWriter::PutVarint.
+void AppendVarint(std::string* out, uint64_t value);
+
 /// Little append-only binary encoder used by the persistence and
 /// durability layers. Integers are LEB128 varints, so small ids and
 /// deltas stay small; strings and blobs are length-prefixed.

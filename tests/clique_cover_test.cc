@@ -60,6 +60,21 @@ std::vector<CliqueId> AsVector(std::span<const CliqueId> ids) {
   return {ids.begin(), ids.end()};
 }
 
+// The ApproxBytes every S_* peak_bytes bench key was recorded with:
+// each clique's capacity and vector, then 4 bytes per Author2Cliques
+// entry at exact capacity, that is one per covered author, one per
+// covered author plus one of offsets, and one per membership.
+size_t ExpectedApproxBytes(const CliqueCover& cover) {
+  size_t bytes = 0;
+  std::set<AuthorId> authors;
+  for (const std::vector<AuthorId>& clique : cover.cliques()) {
+    bytes += clique.capacity() * sizeof(AuthorId) + sizeof(clique);
+    authors.insert(clique.begin(), clique.end());
+  }
+  return bytes +
+         4 * (authors.size() + (authors.size() + 1) + cover.TotalCliqueSize());
+}
+
 // The greedy of §4.3 as first written, over a hash set of covered edges,
 // kept as the reference the dense-index CliqueCover::Greedy must equal
 // clique for clique, order included.
@@ -127,6 +142,7 @@ void ExpectGreedyEqualsReference(const AuthorGraph& graph) {
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(cover.cliques()[i].capacity(), reference[i].capacity()) << i;
   }
+  EXPECT_EQ(cover.ApproxBytes(), ExpectedApproxBytes(cover));
 }
 
 // Greedy over a vertex subset equals Greedy over the subgraph the subset
@@ -145,6 +161,8 @@ void ExpectSubsetCoverEqualsSubgraphCover(const AuthorGraph& graph,
     EXPECT_EQ(AsVector(cover.CliquesOf(a)), AsVector(reference.CliquesOf(a)))
         << a;
   }
+  EXPECT_EQ(cover.ApproxBytes(), ExpectedApproxBytes(cover));
+  EXPECT_EQ(cover.ApproxBytes(), reference.ApproxBytes());
 }
 
 TEST(CliqueCoverTest, TriangleBecomesOneClique) {
@@ -237,6 +255,7 @@ TEST(CliqueCoverTest, FromUnsortedCliquesIndexesEveryMember) {
   EXPECT_TRUE(cover.CliquesOf(4).empty());
   EXPECT_TRUE(cover.CliquesOf(0xFFFFFFFFu).empty());
   EXPECT_DOUBLE_EQ(cover.AvgCliquesPerAuthor(), 11.0 / 6.0);
+  EXPECT_EQ(cover.ApproxBytes(), ExpectedApproxBytes(cover));
 }
 
 TEST(CliqueCoverTest, DeterministicAcrossRuns) {
@@ -267,6 +286,7 @@ TEST_P(RandomGraphCoverTest, GreedyCoverIsAlwaysValid) {
   uint64_t memberships = 0;
   for (AuthorId a : g.vertices()) memberships += cover.CliquesOf(a).size();
   EXPECT_EQ(memberships, cover.TotalCliqueSize());
+  EXPECT_EQ(cover.ApproxBytes(), ExpectedApproxBytes(cover));
   // Author2Cliques lists exactly the cliques holding each author; ids past
   // the last vertex are in none.
   for (AuthorId a = 0; a < n + 3; ++a) {

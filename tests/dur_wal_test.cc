@@ -2,7 +2,8 @@
 // retention, sync-policy fsync accounting, and — via the fault-injecting
 // FileOps — exhaustive torn-write and bit-rot sweeps proving that
 // recovery always yields a clean prefix of the logged records and never
-// fails hard on damage (only on genuinely incompatible builds).
+// fails hard on damage (only on genuinely incompatible builds); also the
+// exact bytes an append writes.
 
 #include "src/dur/wal.h"
 
@@ -10,7 +11,9 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/dur/fault.h"
@@ -149,6 +152,80 @@ TEST_F(DurWalTest, SyncPolicyControlsFsyncCadence) {
     for (int i = 0; i < 12; ++i) ASSERT_TRUE(writer.Append(Payload(i)));
     EXPECT_EQ(ops.syncs(), c.expected_syncs) << c.spec;
     ASSERT_TRUE(writer.Close());
+  }
+}
+
+TEST_F(DurWalTest, AppendWritesTheFramesOfTheRecordEncoding) {
+  // Each segment file is its header frame, then one frame per record:
+  // AppendFrame over PutVarint(seq) and PutString(payload). Seqs and
+  // payload lengths sit on every varint width boundary, one payload is
+  // empty, and the second writer's appends cross one rotation.
+  using Record = std::pair<uint64_t, std::string>;
+  const auto segment = [](uint64_t first_seq,
+                          const std::vector<Record>& records) {
+    BinaryWriter header;
+    header.PutString("FHWAL");
+    header.PutVarint(kStateFormatVersion);
+    header.PutString(kBuildVersion);
+    header.PutVarint(first_seq);
+    std::string bytes;
+    AppendFrame(&bytes, header.buffer());
+    for (const auto& [seq, payload] : records) {
+      BinaryWriter record;
+      record.PutVarint(seq);
+      record.PutString(payload);
+      AppendFrame(&bytes, record.buffer());
+    }
+    return bytes;
+  };
+  const auto text = [](size_t length) {
+    std::string payload(length, '\0');
+    for (size_t i = 0; i < length; ++i) {
+      payload[i] = static_cast<char>(i * 131 + length);
+    }
+    return payload;
+  };
+  const std::vector<size_t> lengths = {0, 127, 128, 16383, 16384};
+
+  std::map<std::string, std::string> expected;
+  // First seqs 0, 126 and 16382: the seqs take 0, 127, 128, 16383 and
+  // 16384 along the way.
+  for (const uint64_t first : {uint64_t{0}, uint64_t{126}, uint64_t{16382}}) {
+    WalOptions options = Options();
+    // Past the header and the first four records of the middle writer,
+    // one rotation; the other writers stay in one segment.
+    options.segment_bytes = first == 126 ? 16384 : 1 << 20;
+    WalWriter writer(options);
+    ASSERT_TRUE(writer.Open(first));
+    std::vector<Record> records;
+    uint64_t segment_first = first;
+    for (size_t i = 0; i < lengths.size(); ++i) {
+      const std::string payload = text(lengths[i]);
+      uint64_t seq = 0;
+      ASSERT_TRUE(writer.Append(payload, &seq));
+      ASSERT_EQ(seq, first + i);
+      if (first == 126 && i == 4) {
+        expected[WalSegmentName(segment_first)] = segment(segment_first,
+                                                          records);
+        records.clear();
+        segment_first = seq;
+      }
+      records.emplace_back(seq, payload);
+    }
+    expected[WalSegmentName(segment_first)] = segment(segment_first, records);
+    ASSERT_TRUE(writer.Close());
+  }
+
+  std::map<std::string, std::string> written;
+  for (const std::string& name : RealFileOps()->List(dir_)) {
+    ASSERT_TRUE(RealFileOps()->Read(dir_ + "/" + name, &written[name]));
+  }
+  ASSERT_EQ(written.size(), 4u);
+  for (const auto& [name, bytes] : expected) {
+    ASSERT_EQ(written.count(name), 1u) << name;
+    EXPECT_TRUE(written[name] == bytes)
+        << name << ": " << written[name].size() << " bytes written, "
+        << bytes.size() << " expected";
   }
 }
 

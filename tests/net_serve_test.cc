@@ -7,7 +7,8 @@
 // the flush contract (its ack means every shard decided), the client's
 // send bound (posts leave it within a page), the shard count's range,
 // durability (graceful stop, restart at another shard count, resend,
-// dedupe, refused writes when the WAL fails, the WAL's record order),
+// dedupe, refused writes when the WAL fails, the WAL's record order,
+// follows synced once at the seal),
 // the gap-encoded timelines at every varint width, the introspection of
 // the shards' shared bins (kept live while a client stays busy), of
 // each flush's stages and of a stalled watchdog task, and protocol
@@ -336,6 +337,67 @@ TEST_F(NetServeTest, StatusAndVarzReportTheSharedWindow) {
   const std::string varz = debug.varz_json();
   EXPECT_GT(GaugeValue(varz, "serve.seal.components_us"), 0) << varz;
   EXPECT_GT(GaugeValue(varz, "serve.seal.tables_us"), 0) << varz;
+  server.Stop();
+}
+
+TEST_F(NetServeTest, FollowsAreSyncedOnceAtTheSeal) {
+  // Under --wal_sync=always each post is synced on its own, but a follow
+  // is not: the seal's sync, which is always made, makes every follow
+  // before it durable. So F follows, the seal and a flush take two
+  // fsyncs, the seal's and the flush's, whatever F is.
+  std::vector<std::pair<UserId, AuthorId>> follows;
+  for (const User& user : workload_.users) {
+    for (const AuthorId author : user.subscriptions) {
+      follows.emplace_back(user.id, author);
+    }
+  }
+  ASSERT_GT(follows.size(), 100u);
+  const auto fsyncs_to_seal = [&](size_t count, const std::string& dir) {
+    obs::DebugState debug;
+    ServeOptions options = Options(2, dir, Algorithm::kCliqueBin, "always");
+    options.debug = &debug;
+    Server server(options, &workload_.graph);
+    std::string error;
+    EXPECT_TRUE(server.Start(&error)) << error;
+    ServeClient client;
+    EXPECT_TRUE(client.Connect(server.port())) << client.last_error();
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_TRUE(client.Follow(follows[i].first, follows[i].second))
+          << client.last_error();
+    }
+    EXPECT_TRUE(client.Seal(workload_.users.size())) << client.last_error();
+    EXPECT_TRUE(client.Flush()) << client.last_error();
+    AwaitFreshPublication(debug);
+    const uint64_t fsyncs =
+        CounterValue(debug.varz_json(), "serve.wal_fsyncs");
+    client.Disconnect();
+    server.Stop();
+    return fsyncs;
+  };
+  EXPECT_EQ(fsyncs_to_seal(1, data_dir_ + "/one"), 2u);
+  EXPECT_EQ(fsyncs_to_seal(follows.size(), data_dir_ + "/all"), 2u);
+
+  // A restart replays those follows and the seal and serves the
+  // sequential engine's timelines, and each post is synced on its own.
+  obs::DebugState debug;
+  ServeOptions options =
+      Options(2, data_dir_ + "/all", Algorithm::kCliqueBin, "always");
+  options.debug = &debug;
+  Server server(options, &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ASSERT_TRUE(server.sealed());
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+  SendStream(client);
+  ExpectServedTimelinesMatch(
+      client, ExpectedTimelines(workload_, Algorithm::kCliqueBin,
+                                DiversityThresholds{}));
+  AwaitFreshPublication(debug);
+  const uint64_t posts = server.stats().posts_ingested;
+  EXPECT_GT(posts, 0u);
+  EXPECT_EQ(CounterValue(debug.varz_json(), "serve.wal_fsyncs"), posts + 1);
+  client.Disconnect();
   server.Stop();
 }
 
