@@ -57,7 +57,6 @@
 #include "src/obs/trace.h"
 #include "src/obs/watchdog.h"
 #include "src/runtime/introspect.h"
-#include "src/runtime/live_ingest.h"
 #include "src/runtime/pipeline.h"
 #include "src/runtime/sharded.h"
 #include "src/runtime/spsc_queue.h"

@@ -110,8 +110,8 @@ void EncodeBody(const NetMessage& m, BinaryWriter* body) {
     case MsgType::kSeal:
       return reader.GetVarint(&m->num_users) && reader.AtEnd();
     case MsgType::kPost: {
-      std::string record;
-      return reader.GetString(&record) && reader.AtEnd() &&
+      std::string_view record;
+      return reader.GetStringView(&record) && reader.AtEnd() &&
              dur::DecodePostRecord(record, &m->post);
     }
     case MsgType::kPoll:

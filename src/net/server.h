@@ -223,9 +223,9 @@ class Server {
   // options_.debug is attached.
   uint64_t published_ns_ FIREHOSE_THREAD_OWNED(dispatcher) = 0;
 
-  // The stages of every flush (and the shutdown's) while options_.debug
-  // is attached: the WAL sync, the wait until every shard decided, and
-  // the most posts any shard had routed but not decided when it arrived.
+  // The stages of every flush (and the shutdown's): the WAL sync, the
+  // wait until every shard decided, and the most posts any shard had
+  // routed but not decided when it arrived.
   // Published as serve.flush.sync_us, serve.flush.drain_us and
   // serve.flush.backlog.
   obs::LogHistogram flush_sync_us_ FIREHOSE_THREAD_OWNED(dispatcher);

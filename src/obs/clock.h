@@ -42,8 +42,10 @@ const Clock* RealClock();
 /// and then advances it by `auto_advance_nanos` (0 = frozen), so a run
 /// against a ManualClock produces identical timestamps every time.
 ///
-/// Not thread-safe: inject it only into single-threaded runs (the
-/// two-thread live-ingest runtime needs the real clock).
+/// Not thread-safe: inject it only into single-threaded runs, paced
+/// pipeline runs included. Pace one with a nonzero `auto_advance_nanos`:
+/// a paced wait sleeps only while its release is over 2 ms away, and
+/// spins on the clock for the rest, which a frozen clock never ends.
 class ManualClock final : public Clock {
  public:
   explicit ManualClock(uint64_t start_nanos = 0,

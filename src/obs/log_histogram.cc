@@ -1,21 +1,48 @@
 #include "src/obs/log_histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace firehose {
 namespace obs {
 
+namespace {
+
+/// 2^(k/9) for k = 0..8, each the double nearest it: the lower edges of
+/// an octave's buckets, as fractions of the octave's base.
+constexpr double kOctaveEdges[LogHistogram::kBucketsPerOctave] = {
+    1.0,
+    1.080059738892306,
+    1.1665290395761165,
+    1.2599210498948732,
+    1.360790000174377,
+    1.4697344922755988,
+    1.5874010519681996,
+    1.7144879657061456,
+    1.851749424574581,
+};
+
+}  // namespace
+
 LogHistogram::LogHistogram()
     : buckets_(static_cast<size_t>(kNumBuckets), 0) {}
 
 int LogHistogram::BucketFor(uint64_t value) {
+  // The octave is the value's bit width; the step inside it comes from a
+  // table, not from std::log2, so recording calls nothing in libm.
   if (value < 1) value = 1;
-  const double log2v = std::log2(static_cast<double>(value));
-  int bucket = static_cast<int>(log2v * kBucketsPerOctave);
-  if (bucket < 0) bucket = 0;
-  if (bucket >= kNumBuckets) bucket = kNumBuckets - 1;
-  return bucket;
+  const int octave = std::bit_width(value) - 1;
+  if (octave >= kNumBuckets / kBucketsPerOctave) return kNumBuckets - 1;
+  // Exact: the value has at most 36 bits, and scaling an edge by a power
+  // of two only moves its exponent.
+  const double v = static_cast<double>(value);
+  const double base = static_cast<double>(uint64_t{1} << octave);
+  int step = 0;
+  while (step + 1 < kBucketsPerOctave && v >= kOctaveEdges[step + 1] * base) {
+    ++step;
+  }
+  return octave * kBucketsPerOctave + step;
 }
 
 double LogHistogram::BucketUpperValue(int bucket) {

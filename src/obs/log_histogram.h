@@ -64,7 +64,8 @@ class LogHistogram {
   /// below 1 clamp into bucket 0 on Record).
   static double BucketLowerValue(int bucket);
 
-  /// Bucket index for `value`.
+  /// Bucket index for `value`: floor(9 * log2(value)), clamped to the
+  /// buckets, found from the value's bit width and a table of edges.
   static int BucketFor(uint64_t value);
 
  private:

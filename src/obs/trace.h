@@ -28,14 +28,13 @@ struct TraceEvent {
 
 /// Collects spans and instants for export in the Chrome trace_event JSON
 /// format (loadable in chrome://tracing and Perfetto). Appends are
-/// mutex-serialized so the live-ingest producer/consumer pair and the
-/// sharded scan threads can share one recorder; span granularity is
-/// coarse (stages, maintenance batches, rebuilds), never per-post, so the
-/// lock is cold.
+/// mutex-serialized so the sharded scan threads can share one recorder;
+/// span granularity is coarse (stages, maintenance batches, rebuilds),
+/// never per-post, so the lock is cold.
 ///
-/// Thread ids are caller-assigned small integers (0 = consumer/main,
-/// 1 = producer, shard index for shard scans) rather than OS thread ids,
-/// so traces are stable and readable.
+/// Thread ids are caller-assigned small integers (0 = pipeline/main,
+/// shard index for shard scans) rather than OS thread ids, so traces are
+/// stable and readable.
 class TraceRecorder {
  public:
   /// `clock` may be null for the real monotonic clock; inject a

@@ -13,7 +13,7 @@ namespace obs {
 
 /// Per-shard stall detector for the streaming runtimes.
 ///
-/// Each consumer-side task (the live-ingest consumer, each shard worker)
+/// Each consumer-side task (the pipeline, each serve shard worker)
 /// registers a slot and then reports two things from its hot loop, both
 /// single relaxed atomic stores: a monotone progress counter (posts
 /// decided) and the current queue depth. The producer side may also

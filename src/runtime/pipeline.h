@@ -59,34 +59,6 @@ struct PipelineDur {
   std::function<bool()> checkpoint;
 };
 
-/// Pull-based post source feeding a pipeline. Sources deliver posts in
-/// non-decreasing timestamp order and return false when exhausted.
-class PostSource {
- public:
-  virtual ~PostSource() = default;
-  /// Fills `*post` with the next post; false at end of stream.
-  [[nodiscard]] virtual bool Next(Post* post) = 0;
-};
-
-/// Source over an in-memory stream (replay of a recorded day).
-class VectorSource final : public PostSource {
- public:
-  /// `stream` must outlive the source. `start_index` lets a recovered run
-  /// resume feeding at its replay point (posts before it are already in
-  /// the engine via checkpoint + WAL replay).
-  explicit VectorSource(const PostStream* stream, size_t start_index = 0)
-      : stream_(stream), index_(start_index) {}
-  bool Next(Post* post) override {
-    if (index_ >= stream_->size()) return false;
-    *post = (*stream_)[index_++];
-    return true;
-  }
-
- private:
-  const PostStream* stream_;
-  size_t index_ = 0;
-};
-
 /// Terminal stage receiving the diversified sub-stream.
 class PostSink {
  public:
@@ -120,34 +92,51 @@ struct PipelineReport {
   uint64_t posts_out = 0;
   double wall_ms = 0.0;
   obs::HistogramSummary decision_latency;  ///< per-post Offer latency, ns
+  /// Paced runs only: each post's decision end minus its release, ns.
+  obs::HistogramSummary lateness;
+  /// Paced runs only: the most posts released but not yet decided when a
+  /// decision began, the post it decides included.
+  uint64_t backlog_high_water = 0;
   /// True when a durability hook failed (WAL append or checkpoint); the
-  /// run stopped at that post and the remaining source is undrained.
+  /// run stopped at that post and the rest of the stream is undecided.
   bool io_error = false;
 };
 
 /// Single-user real-time pipeline (the SPSD deployment of Figure 1a):
-/// source -> diversifier -> sink, instrumented with per-decision latency.
+/// stream -> diversifier -> sink, instrumented with per-decision latency.
 /// This is the "Twitter app of a user" shape — the diversifier runs
 /// client-side on the user's merged subscription stream.
 class Pipeline {
  public:
-  /// `diversifier` and `sink` must outlive Run().
-  Pipeline(Diversifier* diversifier, PostSink* sink)
-      : diversifier_(diversifier), sink_(sink) {}
+  /// `diversifier` and `sink` must outlive Run(). A positive `speedup`
+  /// paces the run (see Run); 0 decides each post as soon as the one
+  /// before it is decided.
+  Pipeline(Diversifier* diversifier, PostSink* sink, double speedup = 0.0)
+      : diversifier_(diversifier), sink_(sink), speedup_(speedup) {}
 
-  /// Drains `source` to completion, delivering admitted posts to the
-  /// sink. Latency histogram samples every post's decision time. When
+  /// Decides `stream` in order, delivering admitted posts to the sink.
+  /// Latency histogram samples every post's decision time. When
   /// `o.metrics` is set, records `pipeline.posts_in/out/suppressed`
   /// counters, the deterministic `pipeline.decision_comparisons`
   /// histogram (one sample per post), and timing-flagged latency/wall
-  /// metrics; `o.trace` gets a run span. With `d.session`, decisions run
-  /// through the durability layer (see PipelineDur).
-  PipelineReport Run(PostSource& source, const PipelineObs& o = {},
+  /// metrics; `o.trace` gets a run span. With `d.session`, the run starts
+  /// at post `d.session->next_seq()` and decisions run through the
+  /// durability layer (see PipelineDur).
+  ///
+  /// Paced, each post is released `speedup` times faster than its
+  /// timestamp's distance from the run's first post, and the run waits on
+  /// `o.clock` for each release, still publishing to `o.debug`, with its
+  /// watchdog task at depth 0. It then reports each post's lateness and
+  /// the backlog (the timing-flagged `pipeline.lateness_ns` histogram and
+  /// `pipeline.backlog` gauge): the numbers of one consumer draining an
+  /// unbounded arrival queue, deterministic under a ManualClock.
+  PipelineReport Run(const PostStream& stream, const PipelineObs& o = {},
                      const PipelineDur& d = {});
 
  private:
   Diversifier* diversifier_;
   PostSink* sink_;
+  double speedup_;
 };
 
 }  // namespace firehose

@@ -8,8 +8,8 @@
 namespace firehose {
 
 /// Bounded lock-free single-producer/single-consumer ring queue. The
-/// live-ingest runtime uses it to hand posts from the network/arrival
-/// thread to the diversifier thread without locks on the hot path.
+/// serve dispatcher uses it to hand each shard worker its posts without
+/// locks on the hot path.
 ///
 /// Exactly one thread may call TryPush and one thread TryPop. The
 /// protocol: `head_` (next write index) is stored by the producer with

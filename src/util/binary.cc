@@ -61,10 +61,17 @@ bool BinaryReader::GetSignedVarint(int64_t* value) {
 }
 
 bool BinaryReader::GetString(std::string* value) {
+  std::string_view view;
+  if (!GetStringView(&view)) return false;
+  value->assign(view);
+  return true;
+}
+
+bool BinaryReader::GetStringView(std::string_view* value) {
   uint64_t length;
   if (!GetVarint(&length)) return false;
   if (length > data_.size() - pos_) return ok_ = false;
-  value->assign(data_.data() + pos_, length);
+  *value = data_.substr(pos_, length);
   pos_ += length;
   return true;
 }

@@ -56,6 +56,9 @@ class BinaryReader {
   bool GetVarint(uint64_t* value);
   bool GetSignedVarint(int64_t* value);
   bool GetString(std::string* value);
+  /// GetString without the copy: `*value` views the reader's input, so
+  /// it is valid only while that input is.
+  bool GetStringView(std::string_view* value);
   bool GetFixed64(uint64_t* value);
 
   /// True until the first failed Get.

@@ -4,8 +4,8 @@
 // hook, until an incarnation finally runs to completion. The surviving
 // output TSV and metrics snapshot must be byte-identical to those of an
 // uninterrupted run, and the durable output must match the plain batch
-// path. Also covers `--version` and the hard error for resuming with a
-// mismatched engine.
+// path, paced by --live or not. Also covers `--version` and the hard
+// error for resuming with a mismatched engine.
 
 #include <gtest/gtest.h>
 
@@ -169,6 +169,24 @@ TEST_F(CrashRecoverySmokeTest, SyncedWalCarriesProgressBetweenCheckpoints) {
 
   EXPECT_EQ(Slurp("crash_smoke_kill.tsv"), ref_tsv)
       << "WAL-replayed output stream is not byte-identical";
+}
+
+TEST_F(CrashRecoverySmokeTest, PacedKillLoopMatchesPlainRun) {
+  // A durable run paced by --live is the same pipeline: it resumes at
+  // the WAL's next post and its output equals a plain batch run's.
+  ASSERT_EQ(Run("", "--algorithm=neighborbin --out=crash_smoke_plain.tsv"), 0);
+  const std::string plain = Slurp("crash_smoke_plain.tsv");
+  ASSERT_FALSE(plain.empty());
+
+  const int runs = KillLoop(
+      "--algorithm=neighborbin --live --speedup=1e9 "
+      "--wal_dir=crash_smoke_wal_kill --checkpoint_every=50 "
+      "--out=crash_smoke_kill.tsv",
+      /*crash_after=*/73, /*min_progress_per_run=*/50);
+  ASSERT_GT(runs, 1) << "crash hook never fired: workload too small?";
+
+  EXPECT_EQ(Slurp("crash_smoke_kill.tsv"), plain)
+      << "paced durable output diverged from the batch writer";
 }
 
 TEST_F(CrashRecoverySmokeTest, VersionFlagPrintsBuildAndStateFormat) {

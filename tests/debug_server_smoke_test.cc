@@ -6,7 +6,7 @@
 //
 //   every scraped engine counter is <= its final value (monotonicity)
 //   each scrape is internally consistent: posts_in == posts_out + pruned
-//   /statusz carries the build stamp and the live runtime block
+//   /statusz carries the build stamp and the paced run's block
 //   /tracez returns Chrome trace_event JSON while spans keep landing
 
 #include <gtest/gtest.h>
@@ -116,8 +116,8 @@ TEST_F(DebugServerSmokeTest, MidStreamScrapesReconcileWithFinalSnapshot) {
   ASSERT_GT(port, 0);
 
   // Scrape all four endpoints while the replay runs. The port is
-  // announced before the consumer loop starts, so retry /varz until the
-  // first publish lands (the first iteration forces one).
+  // announced before the pipeline starts, so retry /varz until the
+  // first publish lands (the first decision forces one).
   int status = 0;
   std::string varz_mid;
   std::vector<std::string> varz_scrapes;
@@ -141,6 +141,7 @@ TEST_F(DebugServerSmokeTest, MidStreamScrapesReconcileWithFinalSnapshot) {
   EXPECT_NE(statusz.find("\"uptime_ms\": "), std::string::npos);
   EXPECT_NE(statusz.find("\"watchdog\": "), std::string::npos);
   EXPECT_NE(statusz.find("\"mode\": \"live\""), std::string::npos);
+  EXPECT_NE(statusz.find("\"backlog\": "), std::string::npos);
 
   std::string tracez;
   ASSERT_TRUE(HttpGet(port, "/tracez", &status, &tracez));

@@ -77,6 +77,26 @@ TEST(BinaryCodecTest, StringRoundTrip) {
   EXPECT_EQ(s, std::string("\0binary\xFF", 8));
 }
 
+TEST(BinaryCodecTest, StringViewReadsInPlace) {
+  BinaryWriter writer;
+  writer.PutString("hello world");
+  writer.PutString("");
+  writer.PutVarint(7);
+  const std::string& buffer = writer.buffer();
+  BinaryReader reader(buffer);
+  std::string_view view;
+  ASSERT_TRUE(reader.GetStringView(&view));
+  EXPECT_EQ(view, "hello world");
+  // A view into the reader's input, not a copy.
+  EXPECT_EQ(view.data(), buffer.data() + 1);
+  ASSERT_TRUE(reader.GetStringView(&view));
+  EXPECT_EQ(view, "");
+  uint64_t v = 0;
+  ASSERT_TRUE(reader.GetVarint(&v));
+  EXPECT_EQ(v, 7u);
+  EXPECT_TRUE(reader.AtEnd());
+}
+
 TEST(BinaryCodecTest, Fixed64RoundTrip) {
   BinaryWriter writer;
   writer.PutFixed64(0xDEADBEEFCAFEF00DULL);
@@ -103,6 +123,20 @@ TEST(BinaryCodecTest, TruncatedStringFails) {
   std::string s;
   EXPECT_FALSE(reader.GetString(&s));
   EXPECT_FALSE(reader.ok());
+}
+
+TEST(BinaryCodecTest, TruncatedStringViewFails) {
+  BinaryWriter writer;
+  writer.PutVarint(5);  // claims 5 bytes, provides 4
+  writer.PutU8('a');
+  writer.PutU8('b');
+  writer.PutU8('c');
+  writer.PutU8('d');
+  BinaryReader reader(writer.buffer());
+  std::string_view view = "untouched";
+  EXPECT_FALSE(reader.GetStringView(&view));
+  EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(view, "untouched");
 }
 
 TEST(BinaryCodecTest, TruncatedFixed64Fails) {

@@ -103,8 +103,7 @@ TEST(KernelDispatchEnv, StatuszCarriesActiveKernel) {
   PipelineObs o;
   o.debug = &debug;
   o.publish_interval_nanos = 0;  // publish every post
-  VectorSource source(&stream);
-  pipeline.Run(source, o);
+  pipeline.Run(stream, o);
 
   const std::string status = debug.status_json();
   const std::string want = std::string("\"kernel\": \"") +

@@ -6,6 +6,7 @@
 //   engine.posts_in == engine.posts_out + engine.posts_pruned
 //   pipeline.decision_comparisons histogram count == engine.posts_in
 //   repeated identical runs -> byte-identical metrics snapshots
+//   a --live run -> the batch run's snapshot bytes
 //   the trace file is Chrome trace_event JSON ("traceEvents")
 
 #include <gtest/gtest.h>
@@ -144,6 +145,20 @@ TEST_F(MetricsSmokeTest, CountersReconcileAndSnapshotsAreByteStable) {
                          "--metrics_out=metrics_smoke_m2.json"),
             0);
   EXPECT_EQ(snapshot, Slurp("metrics_smoke_m2.json"));
+}
+
+TEST_F(MetricsSmokeTest, LiveRunExportsTheBatchSnapshot) {
+  // A paced run decides what a batch run decides; its lateness and
+  // backlog are timing metrics, which the JSON snapshot drops.
+  ASSERT_EQ(RunDiversify("--algorithm=cliquebin "
+                         "--metrics_out=metrics_smoke_m1.json"),
+            0);
+  ASSERT_EQ(RunDiversify("--algorithm=cliquebin --live --speedup=1e9 "
+                         "--metrics_out=metrics_smoke_m2.json"),
+            0);
+  const std::string batch = Slurp("metrics_smoke_m1.json");
+  ASSERT_FALSE(batch.empty());
+  EXPECT_EQ(Slurp("metrics_smoke_m2.json"), batch);
 }
 
 TEST_F(MetricsSmokeTest, UniBinSnapshotReconcilesToo) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -141,6 +142,34 @@ TEST(LogHistogramTest, BucketResolutionWithinTenPercent) {
     EXPECT_GE(p50, static_cast<double>(value) * 0.99);
     EXPECT_LE(p50, static_cast<double>(value) * 1.12);
   }
+}
+
+TEST(LogHistogramTest, BucketForEqualsFloorOfNineLog2) {
+  // BucketFor reads its in-octave edges from a table so that recording
+  // needs no libm; it must still bucket every value as the log2 formula
+  // does: all values to 2^24, and those within 3 of each bucket edge up
+  // to the last bucket's and beyond.
+  auto by_log2 = [](uint64_t value) {
+    const double log2v =
+        std::log2(static_cast<double>(std::max<uint64_t>(value, 1)));
+    return std::min(static_cast<int>(log2v * LogHistogram::kBucketsPerOctave),
+                    LogHistogram::kNumBuckets - 1);
+  };
+  uint64_t mismatches = 0;
+  uint64_t first_mismatch = 0;
+  auto check = [&](uint64_t v) {
+    if (LogHistogram::BucketFor(v) != by_log2(v) && mismatches++ == 0) {
+      first_mismatch = v;
+    }
+  };
+  for (uint64_t v = 0; v <= (uint64_t{1} << 24); ++v) check(v);
+  for (int bucket = 0; bucket <= LogHistogram::kNumBuckets + 36; ++bucket) {
+    const auto edge =
+        static_cast<uint64_t>(LogHistogram::BucketLowerValue(bucket));
+    for (uint64_t v = edge >= 3 ? edge - 3 : 0; v <= edge + 3; ++v) check(v);
+  }
+  check(~uint64_t{0});
+  EXPECT_EQ(mismatches, 0u) << "first at " << first_mismatch;
 }
 
 // The property the interpolation must never violate: for any data set

@@ -26,8 +26,6 @@
 #include "src/core/engine.h"
 #include "src/core/multi_user.h"
 #include "src/eval/experiment.h"
-#include "src/runtime/live_ingest.h"
-#include "src/runtime/pipeline.h"
 #include "src/runtime/sharded.h"
 #include "src/runtime/spsc_queue.h"
 #include "tests/test_util.h"
@@ -83,7 +81,7 @@ TEST(RaceStressSpscQueue, FifoUnderRandomizedBackoff) {
   }
 }
 
-/// The live-ingest shutdown protocol: producer publishes a done flag after
+/// The done-flag shutdown protocol: producer publishes a done flag after
 /// its last push; consumer drains everything it can see after observing
 /// the flag. Nothing may be lost, and destroying the queue right after the
 /// join must be safe. Many short rounds stress the start/stop edges.
@@ -189,142 +187,6 @@ TEST(RaceStressSpscQueue, TwoThreadsAcrossIndexWraparound) {
   producer.join();
   for (int i = 0; i < kItems; ++i) {
     ASSERT_EQ(received[static_cast<size_t>(i)], i);
-  }
-}
-
-// --- LiveIngest --------------------------------------------------------------
-
-PostStream TimedStream(int num_posts, int64_t spacing_ms, uint64_t seed) {
-  Rng rng(seed);
-  PostStream stream;
-  for (int i = 0; i < num_posts; ++i) {
-    Post post;
-    post.id = static_cast<PostId>(i);
-    post.author = static_cast<AuthorId>(i % 4);
-    post.time_ms = static_cast<int64_t>(i) * spacing_ms;
-    post.simhash = rng.Next();
-    stream.push_back(post);
-  }
-  return stream;
-}
-
-/// The two-thread live replay must make decision-for-decision the same
-/// choices as a sequential pass, for every algorithm, even with a
-/// one-slot queue that blocks the producer on almost every post.
-TEST(RaceStressLiveIngest, TinyQueueMatchesOfflineForAllAlgorithms) {
-  const int kPosts = ScaledIterations(24000);
-  const AuthorGraph graph = testing_util::PaperExampleGraph();
-  const DiversityThresholds t = testing_util::PaperExampleThresholds();
-  const PostStream stream = TimedStream(kPosts, 10, 29);
-
-  for (Algorithm algorithm : kAllAlgorithms) {
-    auto offline = MakeDiversifier(algorithm, t, &graph);
-    for (const Post& post : stream) offline->Offer(post);
-
-    for (const size_t queue_capacity : {size_t{1}, size_t{64}}) {
-      auto live = MakeDiversifier(algorithm, t, &graph);
-      LiveIngestOptions options;
-      options.speedup = 1e9;  // all posts due immediately: max queue churn
-      options.queue_capacity = queue_capacity;
-      const LiveIngestReport report = RunLiveIngest(*live, stream, options);
-
-      EXPECT_EQ(report.posts_in, static_cast<uint64_t>(kPosts))
-          << AlgorithmName(algorithm) << " capacity=" << queue_capacity;
-      EXPECT_EQ(report.posts_out, offline->stats().posts_out);
-      EXPECT_EQ(live->stats().comparisons, offline->stats().comparisons);
-      // high_water samples ApproxSize racily after a pop, so it can read
-      // one past a momentarily-full queue.
-      EXPECT_LE(report.queue_high_water,
-                SpscQueue<int>(queue_capacity).capacity() + 1);
-    }
-  }
-}
-
-/// Back-to-back short replays stress thread startup/join/teardown — the
-/// window where a leaked reference to a dead stack frame or queue would
-/// turn into a use-after-free under ASan.
-TEST(RaceStressLiveIngest, RepeatedShortReplays) {
-  const int kRounds = ScaledIterations(120);
-  const AuthorGraph graph = testing_util::PaperExampleGraph();
-  const DiversityThresholds t = testing_util::PaperExampleThresholds();
-  for (int round = 0; round < kRounds; ++round) {
-    const PostStream stream =
-        TimedStream(50, 5, static_cast<uint64_t>(round) + 1);
-    auto diversifier = MakeDiversifier(Algorithm::kUniBin, t, &graph);
-    LiveIngestOptions options;
-    options.speedup = 1e9;
-    options.queue_capacity = 2;
-    const LiveIngestReport report =
-        RunLiveIngest(*diversifier, stream, options);
-    ASSERT_EQ(report.posts_in, 50u) << "round " << round;
-  }
-}
-
-// --- Pipeline ----------------------------------------------------------------
-
-/// PostSource adapter over an SpscQueue: bridges a producer thread into
-/// the (single-threaded, pull-based) Pipeline so the pipeline's consumer
-/// loop runs concurrently with a live feeder.
-class QueueSource final : public PostSource {
- public:
-  QueueSource(SpscQueue<Post>* queue, const std::atomic<bool>* done,
-              uint64_t backoff_seed)
-      : queue_(queue), done_(done), backoff_(backoff_seed) {}
-
-  bool Next(Post* post) override {
-    for (;;) {
-      if (queue_->TryPop(post)) return true;
-      if (done_->load(std::memory_order_acquire)) {
-        // Drain the race between the last failed pop and the flag.
-        return queue_->TryPop(post);
-      }
-      backoff_.Pause();
-    }
-  }
-
- private:
-  SpscQueue<Post>* queue_;
-  const std::atomic<bool>* done_;
-  RandomBackoff backoff_;
-};
-
-/// Feeder thread -> SpscQueue -> Pipeline::Run in this thread. The
-/// admitted sub-stream must equal the sequential reference answer.
-TEST(RaceStressPipeline, QueueFedPipelineMatchesReference) {
-  const int kPosts = ScaledIterations(24000);
-  const AuthorGraph graph = testing_util::PaperExampleGraph();
-  const DiversityThresholds t = testing_util::PaperExampleThresholds();
-
-  for (uint64_t seed = 1; seed <= 3; ++seed) {
-    Rng rng(seed);
-    const PostStream stream = testing_util::RandomStream(kPosts, 4, 3, rng);
-    const std::vector<PostId> expected =
-        testing_util::ReferenceDiversify(stream, t, graph);
-
-    SpscQueue<Post> queue(4);
-    std::atomic<bool> done{false};
-    std::thread feeder([&queue, &stream, &done, seed] {
-      RandomBackoff backoff(seed * 53);
-      for (const Post& post : stream) {
-        while (!queue.TryPush(post)) backoff.Pause();
-        backoff.Pause();
-      }
-      done.store(true, std::memory_order_release);
-    });
-
-    auto diversifier = MakeDiversifier(Algorithm::kNeighborBin, t, &graph);
-    PostStream admitted;
-    CollectSink sink(&admitted);
-    Pipeline pipeline(diversifier.get(), &sink);
-    QueueSource source(&queue, &done, seed * 59);
-    const PipelineReport report = pipeline.Run(source);
-    feeder.join();
-
-    EXPECT_EQ(report.posts_in, static_cast<uint64_t>(kPosts));
-    std::vector<PostId> admitted_ids;
-    admitted_ids.reserve(admitted.size());
-    for (const Post& post : admitted) admitted_ids.push_back(post.id);
-    EXPECT_EQ(admitted_ids, expected) << "seed=" << seed;
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
+#include "src/obs/clock.h"
+#include "src/obs/debug_server.h"
+#include "src/obs/watchdog.h"
 #include "tests/test_util.h"
 
 namespace firehose {
@@ -12,19 +15,6 @@ using testing_util::PaperExampleGraph;
 using testing_util::PaperExamplePosts;
 using testing_util::PaperExampleThresholds;
 
-TEST(VectorSourceTest, YieldsAllPostsThenStops) {
-  const PostStream stream = PaperExamplePosts();
-  VectorSource source(&stream);
-  Post post;
-  size_t count = 0;
-  while (source.Next(&post)) {
-    EXPECT_EQ(post.id, count);
-    ++count;
-  }
-  EXPECT_EQ(count, stream.size());
-  EXPECT_FALSE(source.Next(&post));  // stays exhausted
-}
-
 TEST(PipelineTest, DeliversExactlyTheDiversifiedSubStream) {
   const AuthorGraph graph = PaperExampleGraph();
   const PostStream stream = PaperExamplePosts();
@@ -33,8 +23,7 @@ TEST(PipelineTest, DeliversExactlyTheDiversifiedSubStream) {
   PostStream delivered;
   CollectSink sink(&delivered);
   Pipeline pipeline(diversifier.get(), &sink);
-  VectorSource source(&stream);
-  const PipelineReport report = pipeline.Run(source);
+  const PipelineReport report = pipeline.Run(stream);
 
   EXPECT_EQ(report.posts_in, 5u);
   EXPECT_EQ(report.posts_out, 3u);
@@ -53,8 +42,7 @@ TEST(PipelineTest, CountingSinkCounts) {
       MakeDiversifier(Algorithm::kCliqueBin, PaperExampleThresholds(), &graph);
   CountingSink sink;
   Pipeline pipeline(diversifier.get(), &sink);
-  VectorSource source(&stream);
-  pipeline.Run(source);
+  pipeline.Run(stream);
   EXPECT_EQ(sink.count(), 3u);
 }
 
@@ -65,11 +53,148 @@ TEST(PipelineTest, EmptyStream) {
       MakeDiversifier(Algorithm::kUniBin, PaperExampleThresholds(), &graph);
   CountingSink sink;
   Pipeline pipeline(diversifier.get(), &sink);
-  VectorSource source(&empty);
-  const PipelineReport report = pipeline.Run(source);
+  const PipelineReport report = pipeline.Run(empty);
   EXPECT_EQ(report.posts_in, 0u);
   EXPECT_EQ(report.posts_out, 0u);
   EXPECT_EQ(sink.count(), 0u);
+}
+
+/// `num_posts` posts by four authors, `spacing_ms` apart.
+PostStream TimedStream(int num_posts, int64_t spacing_ms) {
+  Rng rng(3);
+  PostStream stream;
+  for (int i = 0; i < num_posts; ++i) {
+    Post post;
+    post.id = static_cast<PostId>(i);
+    post.author = static_cast<AuthorId>(i % 4);
+    post.time_ms = static_cast<int64_t>(i) * spacing_ms;
+    post.simhash = rng.Next();
+    stream.push_back(post);
+  }
+  return stream;
+}
+
+TEST(PacedPipelineTest, MatchesOfflineDecisions) {
+  // Pacing changes when a post is decided, never what is decided.
+  const AuthorGraph graph = PaperExampleGraph();
+  const DiversityThresholds t = PaperExampleThresholds();
+  const PostStream stream = TimedStream(3000, 10);
+
+  auto offline = MakeDiversifier(Algorithm::kCliqueBin, t, &graph);
+  for (const Post& post : stream) offline->Offer(post);
+
+  auto live = MakeDiversifier(Algorithm::kCliqueBin, t, &graph);
+  CountingSink sink;
+  Pipeline pipeline(live.get(), &sink, /*speedup=*/1e6);
+  const PipelineReport report = pipeline.Run(stream);
+
+  EXPECT_EQ(report.posts_in, 3000u);
+  EXPECT_EQ(report.posts_out, offline->stats().posts_out);
+  EXPECT_EQ(live->stats().comparisons, offline->stats().comparisons);
+  EXPECT_EQ(report.lateness.count, 3000u);
+}
+
+TEST(PacedPipelineTest, RealTimePacingRoughlyHonorsSpeedup) {
+  // 50 posts spaced 100ms apart = 4.9s of stream; at 100x it should take
+  // roughly 49ms of wall time (generously bounded for CI noise).
+  const AuthorGraph graph = PaperExampleGraph();
+  auto diversifier =
+      MakeDiversifier(Algorithm::kUniBin, PaperExampleThresholds(), &graph);
+  const PostStream stream = TimedStream(50, 100);
+  CountingSink sink;
+  Pipeline pipeline(diversifier.get(), &sink, /*speedup=*/100.0);
+  const PipelineReport report = pipeline.Run(stream);
+  EXPECT_GE(report.wall_ms, 30.0);
+  EXPECT_LE(report.wall_ms, 2000.0);
+  EXPECT_EQ(report.posts_in, 50u);
+}
+
+TEST(PacedPipelineTest, EveryDecisionEndsWithin50usOfItsRelease) {
+  // At speedup 9.99, gaps of 1 ms and 50 ms of stream are waits of about
+  // 100 us and 5 ms: a spin and a sleep. They are no whole number of
+  // microseconds, so the clock, which advances 1 us a read, passes
+  // releases at every phase; a wait that reads the clock twice per turn
+  // then sees a release pass between its reads, sleeps a spurious 1 ms
+  // on the wrapped gap and reads ~1 ms late.
+  PostStream stream = TimedStream(200, 0);
+  int64_t time_ms = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i].time_ms = time_ms;
+    time_ms += i % 2 == 0 ? 1 : 50;
+  }
+  const AuthorGraph graph = PaperExampleGraph();
+  auto diversifier =
+      MakeDiversifier(Algorithm::kUniBin, PaperExampleThresholds(), &graph);
+  obs::ManualClock clock(/*start_nanos=*/0, /*auto_advance_nanos=*/1000);
+  PipelineObs o;
+  o.clock = &clock;
+  CountingSink sink;
+  Pipeline pipeline(diversifier.get(), &sink, /*speedup=*/9.99);
+  const PipelineReport report = pipeline.Run(stream, o);
+
+  EXPECT_EQ(report.lateness.count, 200u);
+  EXPECT_LE(report.lateness.max, 50'000.0);
+  // Every post was decided before the next one was released.
+  EXPECT_EQ(report.backlog_high_water, 1u);
+}
+
+TEST(PacedPipelineTest, BurstOfOneTimestampReadsItsSizeAsBacklog) {
+  const AuthorGraph graph = PaperExampleGraph();
+  auto diversifier =
+      MakeDiversifier(Algorithm::kUniBin, PaperExampleThresholds(), &graph);
+  obs::ManualClock clock(/*start_nanos=*/0, /*auto_advance_nanos=*/1000);
+  obs::MetricsRegistry metrics;
+  PipelineObs o;
+  o.clock = &clock;
+  o.metrics = &metrics;
+  CountingSink sink;
+  Pipeline pipeline(diversifier.get(), &sink, /*speedup=*/1.0);
+  const PipelineReport report = pipeline.Run(TimedStream(64, 0), o);
+
+  EXPECT_EQ(report.backlog_high_water, 64u);
+  EXPECT_EQ(metrics.GetGauge("pipeline.backlog", true)->high_water(), 64);
+  EXPECT_EQ(metrics.GetHistogram("pipeline.lateness_ns", true)->count(), 64u);
+  // The last post waited behind the other 63 decisions.
+  EXPECT_GT(report.lateness.max, 63 * 2000.0);
+}
+
+/// Test clock whose sleeps also poll a watchdog, as a background poller
+/// would while a paced run waits.
+class PollingClock final : public obs::Clock {
+ public:
+  uint64_t NowNanos() const override { return now_nanos_ += 1000; }
+  void SleepNanos(uint64_t nanos) const override {
+    now_nanos_ += nanos;
+    if (watchdog != nullptr) watchdog->Poll();
+  }
+  obs::Watchdog* watchdog = nullptr;
+
+ private:
+  mutable uint64_t now_nanos_ = 0;
+};
+
+TEST(PacedPipelineTest, WaitIsIdleToTheWatchdogAndStillPublishes) {
+  // Two posts 10 s apart at speedup 1: a wait five times the watchdog's
+  // stall time, during which the run must publish and must not trip.
+  const AuthorGraph graph = PaperExampleGraph();
+  auto diversifier =
+      MakeDiversifier(Algorithm::kUniBin, PaperExampleThresholds(), &graph);
+  PollingClock clock;
+  obs::Watchdog watchdog(/*stall_nanos=*/2'000'000'000, &clock);
+  clock.watchdog = &watchdog;
+  obs::DebugState debug;
+  PipelineObs o;
+  o.clock = &clock;
+  o.watchdog = &watchdog;
+  o.debug = &debug;
+  CountingSink sink;
+  Pipeline pipeline(diversifier.get(), &sink, /*speedup=*/1.0);
+  const PipelineReport report = pipeline.Run(TimedStream(2, 10'000), o);
+
+  EXPECT_EQ(report.posts_in, 2u);
+  EXPECT_EQ(watchdog.trip_count(), 0u);
+  // One publication every 50 ms of the wait.
+  EXPECT_GE(debug.publish_count(), 150u);
 }
 
 }  // namespace

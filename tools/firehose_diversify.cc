@@ -1,8 +1,9 @@
 // firehose_diversify: the online phase. Loads the precomputed author
 // graph (and clique cover), streams a recorded post file through the
 // chosen algorithm and writes the diversified sub-stream. With --live it
-// replays the stream in (scaled) real time on the two-thread runtime and
-// reports queueing latency.
+// releases each post at its timestamp, --speedup times faster than real
+// time, and reports how late each decision ended after its post's
+// release and how many released posts waited undecided.
 //
 // Observability: --metrics_out writes a machine-readable snapshot of the
 // run's metrics registry — Prometheus text format when the path ends in
@@ -218,16 +219,16 @@ int main(int argc, char** argv) {
   auto diversifier = MakeDiversifier(algorithm, thresholds, &graph,
                                      have_cover ? &cover : nullptr);
 
+  const bool live = flags.GetBool("live", false);
+  const double speedup = live ? flags.GetDouble("speedup", 100000.0) : 0.0;
+  if (live && !(speedup > 0.0)) {
+    std::fprintf(stderr, "error: --speedup must be positive\n");
+    return 2;
+  }
   PostStream kept;
+  PipelineReport report;
   const bool durable = flags.Has("wal_dir");
   if (durable) {
-    if (flags.GetBool("live", false)) {
-      std::fprintf(stderr,
-                   "error: --wal_dir does not combine with --live (durable "
-                   "runs use the sequential pipeline; the two-thread live "
-                   "replay has no WAL)\n");
-      return 2;
-    }
     const std::string out_path = flags.GetString("out", "");
     if (!out_path.empty() && !EndsWith(out_path, ".tsv")) {
       std::fprintf(stderr,
@@ -317,8 +318,7 @@ int main(int argc, char** argv) {
     uint64_t processed_here = 0;
 
     TsvFileSink sink(out_file.get(), &out_bytes);
-    VectorSource source(&stream, recovery.next_seq);
-    Pipeline pipeline(diversifier.get(), &sink);
+    Pipeline pipeline(diversifier.get(), &sink, speedup);
     PipelineDur pipeline_dur;
     pipeline_dur.session = &session;
     pipeline_dur.after_post = [&] {
@@ -340,8 +340,7 @@ int main(int argc, char** argv) {
     // stay exact across crashes.
     PipelineObs durable_obs = pipeline_obs;
     durable_obs.metrics = nullptr;
-    const PipelineReport report =
-        pipeline.Run(source, durable_obs, pipeline_dur);
+    report = pipeline.Run(stream, durable_obs, pipeline_dur);
     if (report.io_error || !sink.ok()) {
       std::fprintf(stderr, "error: durable run failed (WAL/checkpoint/output "
                            "write error)\n");
@@ -377,41 +376,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(stats.posts_out),
                   out_path.c_str());
     }
-  } else if (flags.GetBool("live", false)) {
-    LiveIngestOptions live_options;
-    live_options.speedup = flags.GetDouble("speedup", 100000.0);
-    live_options.metrics = pipeline_obs.metrics;
-    live_options.trace = pipeline_obs.trace;
-    live_options.debug = pipeline_obs.debug;
-    live_options.flight = pipeline_obs.flight;
-    live_options.watchdog = pipeline_obs.watchdog;
-    const LiveIngestReport report =
-        RunLiveIngest(*diversifier, stream, live_options);
-    std::printf(
-        "live replay (%s, speedup %.0fx): %llu in / %llu out in %.1fms "
-        "(%.0f posts/s)\n",
-        std::string(diversifier->name()).c_str(), live_options.speedup,
-        static_cast<unsigned long long>(report.posts_in),
-        static_cast<unsigned long long>(report.posts_out), report.wall_ms,
-        report.achieved_posts_per_sec);
-    std::printf(
-        "queueing latency us: p50=%.1f p95=%.1f p99=%.1f max=%.1f; "
-        "backlog high-water %zu\n",
-        report.queueing_latency.p50 / 1000.0,
-        report.queueing_latency.p95 / 1000.0,
-        report.queueing_latency.p99 / 1000.0,
-        report.queueing_latency.max / 1000.0, report.queue_high_water);
-    // Re-run sequentially to materialize the kept stream for --out.
-    auto rerun = MakeDiversifier(algorithm, thresholds, &graph,
-                                 have_cover ? &cover : nullptr);
-    for (const Post& post : stream) {
-      if (rerun->Offer(post)) kept.push_back(post);
-    }
   } else {
     CollectSink sink(&kept);
-    VectorSource source(&stream);
-    Pipeline pipeline(diversifier.get(), &sink);
-    const PipelineReport report = pipeline.Run(source, pipeline_obs);
+    Pipeline pipeline(diversifier.get(), &sink, speedup);
+    report = pipeline.Run(stream, pipeline_obs);
     const IngestStats& stats = diversifier->stats();
     std::printf(
         "%s: %llu in / %zu out (%.1f%% pruned) in %.1fms; "
@@ -424,6 +392,14 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.comparisons),
         static_cast<unsigned long long>(stats.insertions),
         static_cast<double>(diversifier->ApproxBytes()) / (1 << 20));
+  }
+  if (live) {
+    std::printf(
+        "live replay at %.0fx: lateness us p50=%.1f p95=%.1f p99=%.1f "
+        "max=%.1f; backlog high-water %llu\n",
+        speedup, report.lateness.p50 / 1000.0, report.lateness.p95 / 1000.0,
+        report.lateness.p99 / 1000.0, report.lateness.max / 1000.0,
+        static_cast<unsigned long long>(report.backlog_high_water));
   }
 
   if (want_trace) obs::SetGlobalTrace(nullptr);
