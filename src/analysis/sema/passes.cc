@@ -409,12 +409,11 @@ class LockClient {
 
 const std::set<std::string>& RelaxedAllowlist() {
   // The documented lock-free seams, where relaxed ordering is part of a
-  // reviewed protocol (SPSC index protocol, trace registration, the
-  // flight recorder's seqlock slots, the GCRA log rate limiter, and the
-  // watchdog's progress slots). Everywhere else relaxed needs promotion
-  // to one of these files or a stronger order.
+  // reviewed protocol (trace registration, the flight recorder's seqlock
+  // slots, the GCRA log rate limiter, and the watchdog's progress
+  // slots). Everywhere else relaxed needs promotion to one of these
+  // files or a stronger order.
   static const std::set<std::string> kFiles = {
-      "src/runtime/spsc_queue.h",
       "src/obs/trace.h",           "src/obs/trace.cc",
       "src/obs/flight_recorder.h", "src/obs/flight_recorder.cc",
       "src/obs/log.h",             "src/obs/log.cc",
@@ -591,9 +590,9 @@ void CheckAtomicOrdering(const AnalysisContext& context,
       if (t.text == "memory_order_relaxed" && !relaxed_allowed) {
         report(t.line, t.text,
                "std::memory_order_relaxed outside the allowlisted lock-free "
-               "seams (spsc_queue.h, trace.{h,cc}, "
-               "flight_recorder.{h,cc}, log.{h,cc}, watchdog.{h,cc}); move "
-               "the protocol there or use a stronger ordering");
+               "seams (trace.{h,cc}, flight_recorder.{h,cc}, log.{h,cc}, "
+               "watchdog.{h,cc}); move the protocol there or use a "
+               "stronger ordering");
         continue;
       }
       if (atomics.count(t.text) == 0) continue;

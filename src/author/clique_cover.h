@@ -40,7 +40,7 @@ class CliqueCover {
   /// Reassembles a cover from explicit cliques (persistence, tests,
   /// dynamic maintenance). `num_authors` is the vertex count of the
   /// covered graph, used for the `c` statistic. No validity checking —
-  /// pair with ValidateCover() when the cliques come from disk.
+  /// pair with IsValidFor() when the cliques come from disk.
   static CliqueCover FromCliques(std::vector<std::vector<AuthorId>> cliques,
                                  size_t num_authors);
 

@@ -59,7 +59,6 @@
 #include "src/runtime/introspect.h"
 #include "src/runtime/pipeline.h"
 #include "src/runtime/sharded.h"
-#include "src/runtime/spsc_queue.h"
 #include "src/gen/social_graph_gen.h"
 #include "src/gen/stream_gen.h"
 #include "src/gen/text_gen.h"

@@ -13,7 +13,6 @@
 #include "src/io/socket.h"
 #include "src/obs/clock.h"
 #include "src/obs/export.h"
-#include "src/runtime/spsc_queue.h"
 #include "src/util/binary.h"
 #include "src/util/thread_annotations.h"
 
@@ -26,7 +25,9 @@ constexpr uint8_t kRecordFollow = 1;
 constexpr uint8_t kRecordSeal = 2;
 constexpr uint8_t kRecordPost = 3;
 
-constexpr size_t kShardQueueCapacity = 4096;
+/// The most routed posts a shard's inbox holds; the dispatcher waits
+/// while it is full.
+constexpr size_t kShardInboxBound = 4096;
 
 /// Frees `*v`'s block now; clear() would keep its capacity.
 template <typename T>
@@ -132,14 +133,16 @@ void MergeSuffix(std::vector<TimelineCursor> cursors, uint64_t skip,
   }
 }
 
-/// One shard: a consumer thread exclusively owning one SharedBinTable, a
+/// One shard: a worker thread exclusively owning one SharedBinTable, a
 /// set of bins shared by all of the shard's components, plus the
 /// timelines of every user (populated only for posts this shard admits)
 /// and the shard's counters, behind one mutex the dispatcher takes to
-/// answer polls and stats. It decides each post once for all of its
-/// author's components on the shard, and only decides: the dispatcher
-/// logged every post before routing it here. Lifetime is the server,
-/// not one batch run.
+/// answer polls and stats. The dispatcher appends routed posts to the
+/// shard's inbox under a second mutex, and the worker takes the whole
+/// inbox at once. It decides each post once for all of its author's
+/// components on the shard, and only decides: the dispatcher logged
+/// every post before routing it here. Lifetime is the server, not one
+/// batch run.
 class ShardWorker {
  public:
   /// Cumulative since the shard was built, updated once per post.
@@ -156,8 +159,7 @@ class ShardWorker {
       : index_(index),
         options_(options),
         table_(std::move(table)),
-        timelines_(static_cast<size_t>(num_users)),
-        queue_(kShardQueueCapacity) {}
+        timelines_(static_cast<size_t>(num_users)) {}
 
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
@@ -192,10 +194,19 @@ class ShardWorker {
     thread_ = std::thread([this] { Loop(); });
   }
 
-  /// Dispatcher-side handle (single producer) --------------------------
+  /// Dispatcher-side handle ---------------------------------------------
 
+  /// Appends `post` to the inbox, waiting while it holds
+  /// kShardInboxBound posts.
   void PushBlocking(const Post& post) {
-    while (!queue_.TryPush(post)) {
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(inbox_mu_);
+        if (inbox_.size() < kShardInboxBound) {
+          inbox_.push_back(post);
+          break;
+        }
+      }
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
     ++routed_;
@@ -236,8 +247,6 @@ class ShardWorker {
     if (thread_.joinable()) thread_.join();
   }
 
-  size_t queue_depth() const { return queue_.ApproxSize(); }
-
  private:
   void Loop() FIREHOSE_RUNS_ON(shard_worker) {
     const int watchdog_task =
@@ -245,13 +254,18 @@ class ShardWorker {
             ? options_.watchdog->RegisterTask("serve-shard")
             : -1;
     uint64_t processed = 0;
-    Post post;
+    std::vector<Post> batch;
     for (;;) {
-      // The flag is read before the queue is tried: every post was pushed
-      // before the flag was set, so an empty queue after a set flag means
+      // The flag is read before the inbox is taken: every post was pushed
+      // before the flag was set, so an empty inbox after a set flag means
       // nothing routed is left.
       const bool stopping = stop_.load(std::memory_order_acquire);
-      if (!queue_.TryPop(&post)) {
+      batch.clear();
+      {
+        std::lock_guard<std::mutex> lock(inbox_mu_);
+        batch.swap(inbox_);
+      }
+      if (batch.empty()) {
         if (stopping) return;
         if (watchdog_task >= 0) {
           options_.watchdog->SetQueueDepth(watchdog_task, 0);
@@ -259,14 +273,19 @@ class ShardWorker {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
         continue;
       }
-      ++processed;
-      if (watchdog_task >= 0) {
-        options_.watchdog->ReportProgress(watchdog_task, processed);
-        options_.watchdog->SetQueueDepth(
-            watchdog_task, static_cast<int64_t>(queue_.ApproxSize()));
+      for (size_t i = 0; i < batch.size(); ++i) {
+        // The batch's undecided posts, this one included: a worker stuck
+        // on its last post still has one queued.
+        if (watchdog_task >= 0) {
+          options_.watchdog->SetQueueDepth(
+              watchdog_task, static_cast<int64_t>(batch.size() - i));
+        }
+        Ingest(batch[i]);
+        finished_.fetch_add(1, std::memory_order_release);
+        if (watchdog_task >= 0) {
+          options_.watchdog->ReportProgress(watchdog_task, ++processed);
+        }
       }
-      Ingest(post);
-      finished_.fetch_add(1, std::memory_order_release);
     }
   }
 
@@ -285,8 +304,10 @@ class ShardWorker {
   std::vector<Timeline> timelines_ FIREHOSE_GUARDED_BY(mu_);
   Counters counters_ FIREHOSE_GUARDED_BY(mu_);
 
-  SpscQueue<Post> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
-      FIREHOSE_CONSUMER_ONLY(shard_worker);
+  // Routed posts not yet taken by the worker, appended by the dispatcher
+  // and swapped out whole by the worker; at most kShardInboxBound.
+  std::mutex inbox_mu_;
+  std::vector<Post> inbox_ FIREHOSE_GUARDED_BY(inbox_mu_);
   std::thread thread_;
   std::atomic<bool> stop_{false};
   /// Posts pushed by the dispatcher, and posts the worker decided
@@ -823,7 +844,7 @@ void Server::PublishIntrospection() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     const std::string sep = i > 0 ? "," : "";
     const internal::ShardWorker::Counters counters = shards_[i]->counters();
-    depths += sep + std::to_string(shards_[i]->queue_depth());
+    depths += sep + std::to_string(shards_[i]->backlog());
     windows += sep + std::to_string(counters.window_posts);
     bytes += sep + std::to_string(counters.timeline_bytes);
     bins += sep + std::to_string(counters.bin_bytes);

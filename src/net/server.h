@@ -106,19 +106,21 @@ struct ServeStats {
 /// Threading: one dispatcher thread owns the listening socket and serves
 /// one connection at a time (the protocol is client-driven and the
 /// loadgen is a single client; this is a reproduction testbed, not a
-/// production frontend). The dispatcher is the single producer of every
-/// shard's SpscQueue<Post>; each shard worker thread is the single
-/// consumer of its own queue and exclusively owns its SharedBinTable —
-/// the same thread-confinement contract as RunShardedSUser, extended to
-/// long-lived workers. Workers only decide. A worker's timelines, each
-/// the LEB128 gaps between a user's ascending post ids, and its counters
-/// sit behind its one mutex: the worker updates them under it once per
-/// post. The dispatcher answers a poll itself by waiting until every
-/// shard decided the posts routed before the poll, then merging the
-/// shards' lists under their locks. Flush syncs the WAL, then makes the
-/// same wait. Stop joins the dispatcher, then sets each worker's stop
-/// flag; a worker ends once it saw the flag and then found its queue
-/// empty, so it decides every routed post first.
+/// production frontend). The dispatcher appends each routed post to its
+/// shard's inbox, a vector of at most 4,096 posts behind the inbox's own
+/// mutex, and waits while it is full; each shard worker takes its whole
+/// inbox at once, decides that batch in order, and exclusively owns its
+/// SharedBinTable — the same thread-confinement contract as
+/// RunShardedSUser, extended to long-lived workers. Workers only decide.
+/// A worker's timelines, each the LEB128 gaps between a user's ascending
+/// post ids, and its counters sit behind a second mutex: the worker
+/// updates them under it once per post. The dispatcher answers a poll
+/// itself by waiting until every shard decided the posts routed before
+/// the poll, then merging the shards' lists under their locks. Flush
+/// syncs the WAL, then makes the same wait. Stop joins the dispatcher,
+/// then sets each worker's stop flag; a worker ends once it saw the flag
+/// and then found its inbox empty, so it decides every routed post
+/// first.
 ///
 /// Placement: shared components (never single authors) are placed on
 /// shards by consistent hashing of their sorted author set, so a

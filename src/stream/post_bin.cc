@@ -66,7 +66,6 @@ void PostBin::Push(const BinEntry& entry) {
   author_lane()[slot] = entry.author;
   id_lane()[slot] = entry.post_id;
   ++size_;
-  ++pushes_;
 }
 
 size_t PostBin::Segments(LaneSpan out[2]) const {
@@ -163,7 +162,6 @@ bool PostBin::Load(BinaryReader& in) {
     id_lane()[size_] = static_cast<PostId>(post_id);
     ++size_;
   }
-  pushes_ = size_;
   return true;
 }
 

@@ -92,11 +92,6 @@ class PostBin {
   /// time-ordered ring. Scans can skip this prefix without touching it.
   size_t CountOlderThan(int64_t cutoff_ms) const;
 
-  /// Monotone count of entries ever pushed (never decremented by
-  /// eviction). The oldest live entry has sequence `pushes() - size()`,
-  /// the newest `pushes() - 1`. Reset by Load to the restored size.
-  uint64_t pushes() const { return pushes_; }
-
   /// Bytes of the backing ring (capacity, not size — what the process
   /// actually holds resident).
   size_t ApproxBytes() const { return capacity_ * kBinEntryLaneBytes; }
@@ -147,7 +142,6 @@ class PostBin {
   size_t capacity_ = 0;  // ring slots: 0 or a power of two
   size_t head_ = 0;      // index of the oldest entry
   size_t size_ = 0;
-  uint64_t pushes_ = 0;
 };
 
 }  // namespace firehose

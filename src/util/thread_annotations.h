@@ -24,10 +24,10 @@
 ///
 /// Thread confinement (`thread-confinement` pass):
 ///
-///   class ShardWorker {
+///   class Worker {
 ///     void Loop() FIREHOSE_RUNS_ON(shard_worker);
-///     Timelines timelines_ FIREHOSE_THREAD_OWNED(shard_worker);
-///     SpscQueue<Cmd> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
+///     Bins bins_ FIREHOSE_THREAD_OWNED(shard_worker);
+///     Ring<Cmd> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
 ///         FIREHOSE_CONSUMER_ONLY(shard_worker);
 ///   };
 ///
@@ -35,8 +35,9 @@
 /// FIREHOSE_RUNS_ON(role) function and everything reachable from it over
 /// the call table executes on that role's thread; the pass flags any
 /// reachable function that touches a member owned by a *different* role,
-/// pushes into a queue whose producer role does not match, or pops from
-/// a queue whose consumer role does not match. A callee carrying its own
+/// pushes (`Push`/`TryPush`) into a queue whose producer role does not
+/// match, or pops (`Pop`/`TryPop`) from a queue whose consumer role does
+/// not match. A callee carrying its own
 /// FIREHOSE_RUNS_ON assertion cuts the walk — the assertion is trusted
 /// there, not re-derived. The reserved role `exclusive` marks
 /// single-threaded phases (setup, recovery): it constrains nothing and

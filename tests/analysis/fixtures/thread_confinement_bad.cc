@@ -6,14 +6,22 @@
 //     collapse both to ONE finding carrying the SHORTER chain,
 //   - the consumer-only queue popped from the dispatcher walk,
 //   - the producer-only queue pushed from the worker walk (the
-//     cross-thread Push).
+//     cross-thread TryPush).
 
 #include <vector>
 
-#include "src/runtime/spsc_queue.h"
 #include "src/util/thread_annotations.h"
 
 namespace firehose {
+
+// A bounded single-producer/single-consumer queue; the pass reads only
+// the names of its two ends.
+template <typename T>
+class BoundedQueue {
+ public:
+  bool TryPush(const T& item);  // false when full
+  bool TryPop(T* item);         // false when empty
+};
 
 class Worker {
  public:
@@ -27,12 +35,12 @@ class Worker {
   void Loop() FIREHOSE_RUNS_ON(shard_worker) { Drain(); }
 
  private:
-  void Enqueue(int v) { queue_.Push(v); }
+  void Enqueue(int v) { (void)queue_.TryPush(v); }
 
   void Drain() {
     int v = 0;
     if (queue_.TryPop(&v)) timeline_.push_back(v);
-    queue_.Push(v);  // BAD: producer-only queue pushed from the worker
+    (void)queue_.TryPush(v);  // BAD: producer-only, pushed by the worker
   }
 
   void NearTouch() { timeline_.clear(); }  // BAD via Dispatch -> NearTouch
@@ -47,7 +55,7 @@ class Worker {
   }
 
   std::vector<int> timeline_ FIREHOSE_THREAD_OWNED(shard_worker);
-  SpscQueue<int> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
+  BoundedQueue<int> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
       FIREHOSE_CONSUMER_ONLY(shard_worker);
 };
 

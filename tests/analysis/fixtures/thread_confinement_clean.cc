@@ -6,10 +6,18 @@
 
 #include <vector>
 
-#include "src/runtime/spsc_queue.h"
 #include "src/util/thread_annotations.h"
 
 namespace firehose {
+
+// A bounded single-producer/single-consumer queue; the pass reads only
+// the names of its two ends.
+template <typename T>
+class BoundedQueue {
+ public:
+  bool TryPush(const T& item);  // false when full
+  bool TryPop(T* item);         // false when empty
+};
 
 class Worker {
  public:
@@ -23,7 +31,7 @@ class Worker {
   void Loop() FIREHOSE_RUNS_ON(shard_worker) { Drain(); }
 
  private:
-  void Enqueue(int v) { queue_.Push(v); }
+  void Enqueue(int v) { (void)queue_.TryPush(v); }
 
   void Drain() {
     int v = 0;
@@ -31,7 +39,7 @@ class Worker {
   }
 
   std::vector<int> timeline_ FIREHOSE_THREAD_OWNED(shard_worker);
-  SpscQueue<int> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
+  BoundedQueue<int> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
       FIREHOSE_CONSUMER_ONLY(shard_worker);
 };
 

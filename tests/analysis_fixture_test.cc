@@ -129,12 +129,12 @@ TEST(FixtureTest, ThreadConfinementFiresOnCrossRoleTouches) {
     tokens.insert(finding.token);
   }
   EXPECT_EQ(tokens, (std::set<std::string>{"timeline_@dispatcher",
-                                           "queue_.Push@shard_worker",
+                                           "queue_.TryPush@shard_worker",
                                            "queue_.TryPop@dispatcher"}));
 }
 
 TEST(FixtureTest, ThreadConfinementCatchesCrossThreadPush) {
-  // The acceptance mutation: a worker-side Push on a producer-only
+  // The acceptance mutation: a worker-side TryPush on a producer-only
   // queue must be one of the findings, with the worker chain attached.
   const AnalysisResult result = RunFixture(
       "thread_confinement_bad.cc", "src/net/confinement_fixture.cc",
@@ -142,7 +142,7 @@ TEST(FixtureTest, ThreadConfinementCatchesCrossThreadPush) {
   ASSERT_TRUE(result.ok) << result.error;
   bool found = false;
   for (const Finding& finding : result.findings) {
-    if (finding.token == "queue_.Push@shard_worker") {
+    if (finding.token == "queue_.TryPush@shard_worker") {
       found = true;
       EXPECT_NE(finding.message.find("FIREHOSE_PRODUCER_ONLY(dispatcher)"),
                 std::string::npos);

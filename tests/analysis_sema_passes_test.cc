@@ -300,11 +300,11 @@ TEST(AtomicOrderingTest, RelaxedIsLegalOnTheAllowlistedSeams) {
   const std::string body =
       "std::atomic<size_t> head{0};\n"
       "size_t Peek() { return head.load(std::memory_order_relaxed); }\n";
-  // SPSC queue plus the observability seams that carry reviewed
-  // protocols: seqlock slots, GCRA limiter, watchdog progress slots.
+  // The observability seams that carry reviewed protocols: seqlock
+  // slots, GCRA limiter, watchdog progress slots.
   for (const char* path :
-       {"src/runtime/spsc_queue.h", "src/obs/flight_recorder.cc",
-        "src/obs/log.cc", "src/obs/watchdog.cc"}) {
+       {"src/obs/flight_recorder.cc", "src/obs/log.cc",
+        "src/obs/watchdog.cc"}) {
     const AnalysisResult result =
         RunAnalysis({{path, body}}, {"atomic-ordering"});
     ASSERT_TRUE(result.ok) << result.error;

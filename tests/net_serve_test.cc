@@ -11,17 +11,22 @@
 // follows synced once at the seal),
 // the gap-encoded timelines at every varint width, the introspection of
 // the shards' shared bins (kept live while a client stays busy), of
-// each flush's stages and of a stalled watchdog task, and protocol
-// error handling.
+// each flush's stages and of a stalled watchdog task, the bound of a
+// shard's inbox and a worker stuck in a decision, and protocol error
+// handling.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -516,6 +521,182 @@ TEST_F(NetServeTest, HealthzNamesAStalledWatchdogTask) {
   ASSERT_TRUE(HttpGet(debug_server.port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
   EXPECT_EQ(body, "ok\n");
+  server.Stop();
+  debug_server.Stop();
+}
+
+/// A clock that holds every caller of NowNanos until Release. As a
+/// FlightRecorder's clock it stops a shard worker inside the offer span
+/// of its first decision, after the post left the inbox.
+class GateClock final : public obs::Clock {
+ public:
+  uint64_t NowNanos() const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    held_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return ++now_;
+  }
+
+  /// True once a caller is held; false after 10 s without one.
+  bool AwaitHeld() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return held_; });
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool held_ = false;
+  bool released_ = false;
+  mutable uint64_t now_ = 0;
+};
+
+/// Releases `gate` when it leaves scope; declared after the server, so a
+/// failed assertion cannot leave Stop joining a held worker forever.
+struct ReleaseAtExit {
+  GateClock* gate;
+  ~ReleaseAtExit() { gate->Release(); }
+};
+
+/// `count` posts by authors some user follows, ids 0..count-1 in time
+/// order, so the dispatcher routes every one: the workload's stream
+/// generated longer, less the posts nobody follows.
+PostStream FollowedPosts(const Workload& w, size_t count) {
+  std::set<AuthorId> followed;
+  for (const User& user : w.users) {
+    followed.insert(user.subscriptions.begin(), user.subscriptions.end());
+  }
+  StreamGenOptions options;
+  options.posts_per_author = 80.0;
+  options.seed = 11;
+  const SimHasher hasher;
+  PostStream posts;
+  for (Post& post : GenerateStream(w.graph, hasher, options)) {
+    if (posts.size() == count) break;
+    if (followed.count(post.author) == 0) continue;
+    post.id = static_cast<PostId>(posts.size());
+    posts.push_back(std::move(post));
+  }
+  return posts;
+}
+
+TEST_F(NetServeTest, AFullInboxHoldsTheDispatcherUntilItsWorkerMoves) {
+  // A shard's inbox holds at most 4,096 routed posts, and the dispatcher
+  // waits while it is full. Hold the one worker inside its first
+  // decision, with a batch of one post: the dispatcher then fills the
+  // inbox, receives one post more, which it cannot place, and reads
+  // nothing after it. Released, the worker decides every post in order.
+  constexpr size_t kPosts = 5000;
+  constexpr uint64_t kInboxBound = 4096;
+  workload_.stream = FollowedPosts(workload_, kPosts);
+  ASSERT_EQ(workload_.stream.size(), kPosts);
+  // A frame of a page leaves the client on its own.
+  workload_.stream[0].text.assign(kFlushThresholdBytes, 'x');
+  GateClock gate;
+  const auto flight = std::make_unique<obs::FlightRecorder>(&gate);
+  ServeOptions options = Options(1);
+  options.flight = flight.get();
+  Server server(options, &workload_.graph);
+  const ReleaseAtExit release{&gate};
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+  SealUsers(client);
+  ASSERT_TRUE(client.SendPost(workload_.stream[0])) << client.last_error();
+  ASSERT_TRUE(gate.AwaitHeld());
+  ASSERT_EQ(server.stats().posts_received, 1u);  // the held batch
+
+  bool sent = true;
+  uint64_t ingested = 0;
+  std::thread sender([&] {
+    for (size_t i = 1; i < kPosts && sent; ++i) {
+      sent = client.SendPost(workload_.stream[i]);
+    }
+    sent = sent && client.Flush(&ingested);
+  });
+  const uint64_t bound = 1 + kInboxBound + 1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().posts_received < bound &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Long enough for the rest of the stream to arrive, were it read.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(server.stats().posts_received, bound);
+  gate.Release();
+  sender.join();
+  ASSERT_TRUE(sent) << client.last_error();
+  EXPECT_EQ(ingested, kPosts);
+  ExpectServedTimelinesMatch(
+      client, ExpectedTimelines(workload_, Algorithm::kCliqueBin,
+                                DiversityThresholds{}));
+  client.Disconnect();
+  server.Stop();
+}
+
+TEST_F(NetServeTest, AWorkerStuckInADecisionTripsTheWatchdog) {
+  // A worker held inside a decision has taken the post out of its inbox,
+  // but has not decided it: its task keeps a depth of 1, so once the
+  // stall time passes without progress the watchdog trips, and /healthz
+  // names the shard until the worker moves and the watchdog polls.
+  constexpr uint64_t kStallNanos = 5ull * 1000 * 1000 * 1000;
+  obs::ManualClock clock;
+  obs::Watchdog watchdog(kStallNanos, &clock);
+  obs::DebugServer debug_server;
+  ASSERT_TRUE(debug_server.Start(/*port=*/0));
+  GateClock gate;
+  const auto flight = std::make_unique<obs::FlightRecorder>(&gate);
+  ServeOptions options = Options(1);
+  options.debug = debug_server.state();
+  options.watchdog = &watchdog;
+  options.flight = flight.get();
+  Server server(options, &workload_.graph);
+  const ReleaseAtExit release{&gate};
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+  SealUsers(client);
+  ASSERT_TRUE(client.Flush()) << client.last_error();  // spawns the worker
+  // Each task reads the clock once, to register. A ManualClock is not
+  // thread-safe, so only this thread moves it, after both did.
+  ASSERT_NO_FATAL_FAILURE(AwaitTask(watchdog, "serve-dispatch"));
+  ASSERT_NO_FATAL_FAILURE(AwaitTask(watchdog, "serve-shard"));
+  Post post = FollowedPosts(workload_, 1).at(0);
+  post.text.assign(kFlushThresholdBytes, 'x');  // leaves the client alone
+  ASSERT_TRUE(client.SendPost(post)) << client.last_error();
+  ASSERT_TRUE(gate.AwaitHeld());
+
+  EXPECT_EQ(watchdog.Poll(), 0);
+  clock.AdvanceNanos(kStallNanos);
+  EXPECT_EQ(watchdog.Poll(), 1);
+  AwaitFreshPublication(*debug_server.state());
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGet(debug_server.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 503);
+  EXPECT_EQ(body, "serve-shard stalled (depth 1, progress 0)\n");
+
+  gate.Release();
+  ASSERT_TRUE(client.Flush()) << client.last_error();
+  EXPECT_EQ(watchdog.Poll(), 0);
+  AwaitFreshPublication(*debug_server.state());
+  ASSERT_TRUE(HttpGet(debug_server.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "ok\n");
+  client.Disconnect();
   server.Stop();
   debug_server.Stop();
 }

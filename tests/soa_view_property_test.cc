@@ -75,14 +75,12 @@ TEST(SoaViewPropertyTest, RandomPushEvictInterleavings) {
     PostBin bin;
     int64_t now = 0;
     uint64_t next_id = 0;
-    uint64_t pushes_before = bin.pushes();
     for (int op = 0; op < 300; ++op) {
       if (rng.Bernoulli(0.7)) {
         now += static_cast<int64_t>(rng.UniformInt(50));
         bin.Push(BinEntry{now, rng.Next(),
                           static_cast<AuthorId>(rng.UniformInt(32)),
                           static_cast<PostId>(next_id++)});
-        EXPECT_EQ(bin.pushes(), ++pushes_before);
       } else {
         // Evict a random fraction of the window — sometimes nothing,
         // sometimes everything — to walk the head across the ring.
@@ -91,7 +89,6 @@ TEST(SoaViewPropertyTest, RandomPushEvictInterleavings) {
         const size_t expected = bin.CountOlderThan(cutoff);
         EXPECT_EQ(bin.EvictOlderThan(cutoff), expected);
         EXPECT_EQ(bin.size(), before - expected);
-        EXPECT_EQ(bin.pushes(), pushes_before);  // eviction never decrements
       }
       if (op % 17 == 0) CheckViewInvariants(bin);
     }
@@ -161,9 +158,6 @@ TEST(SoaViewPropertyTest, SaveLoadPreservesViewAndCapacity) {
     for (size_t i = 0; i < original.size(); ++i) {
       EXPECT_TRUE(SameEntry(loaded[i], original[i])) << "i=" << i;
     }
-    // Load resets the push sequence to the live size: external index
-    // accelerators keyed by sequence are invalidated wholesale.
-    EXPECT_EQ(restored.pushes(), restored.size());
     CheckViewInvariants(restored);
   }
 }

@@ -1,16 +1,11 @@
 #ifndef FIREHOSE_TESTS_TSAN_ANNOTATIONS_H_
 #define FIREHOSE_TESTS_TSAN_ANNOTATIONS_H_
 
-// Sanitizer detection, happens-before annotations and stress-test pacing
-// shared by the concurrency tests (race_stress_test.cc). Build any of the
-// `asan`/`ubsan`/`tsan` CMake presets to run the suite instrumented; the
-// tests scale their iteration counts down under instrumentation so the
-// sanitized ctest wall time stays reasonable.
-
-#include <cstdint>
-#include <thread>
-
-#include "src/util/random.h"
+// Sanitizer detection and iteration scaling for the concurrency tests
+// (race_stress_test.cc). Build any of the `asan`/`ubsan`/`tsan` CMake
+// presets to run the suite instrumented; the tests scale their iteration
+// counts down under instrumentation so the sanitized ctest wall time
+// stays reasonable.
 
 // FIREHOSE_TSAN / FIREHOSE_ASAN: 1 when the matching sanitizer is active.
 #if defined(__SANITIZE_THREAD__)
@@ -35,27 +30,6 @@
 #define FIREHOSE_ASAN 0
 #endif
 
-// Happens-before annotations for synchronization TSan cannot see through
-// (none in the library today — the SPSC protocol is plain release/acquire
-// — but stress tests for intentionally-racy monitoring reads need them).
-// No-ops outside TSan builds; under TSan they map to the dynamic
-// annotations the runtime exports.
-#if FIREHOSE_TSAN
-extern "C" {
-void AnnotateHappensBefore(const char* file, int line,
-                           const volatile void* addr);
-void AnnotateHappensAfter(const char* file, int line,
-                          const volatile void* addr);
-}
-#define FIREHOSE_ANNOTATE_HAPPENS_BEFORE(addr) \
-  AnnotateHappensBefore(__FILE__, __LINE__, addr)
-#define FIREHOSE_ANNOTATE_HAPPENS_AFTER(addr) \
-  AnnotateHappensAfter(__FILE__, __LINE__, addr)
-#else
-#define FIREHOSE_ANNOTATE_HAPPENS_BEFORE(addr) ((void)(addr))
-#define FIREHOSE_ANNOTATE_HAPPENS_AFTER(addr) ((void)(addr))
-#endif
-
 namespace firehose {
 namespace testing_util {
 
@@ -67,37 +41,6 @@ constexpr int kStressScale = (FIREHOSE_TSAN || FIREHOSE_ASAN) ? 6 : 1;
 constexpr int ScaledIterations(int base) {
   return base / kStressScale > 0 ? base / kStressScale : 1;
 }
-
-/// Deterministic randomized backoff: each call spins, yields or proceeds
-/// immediately with seed-derived probabilities. Injecting irregular timing
-/// into producer/consumer loops shakes out interleavings a uniform
-/// spin-loop never reaches (e.g. full-queue wraparound immediately
-/// followed by empty-queue drain).
-class RandomBackoff {
- public:
-  explicit RandomBackoff(uint64_t seed) : rng_(seed) {}
-
-  void Pause() {
-    const uint64_t choice = rng_.UniformInt(8);
-    if (choice == 0) {
-      std::this_thread::yield();
-    } else if (choice < 3) {
-      Spin(static_cast<int>(rng_.UniformInt(64)));
-    }
-    // else: no pause — hammer the queue back-to-back.
-  }
-
- private:
-  static void Spin(int laps) {
-    // volatile sink (not a volatile induction variable — deprecated in
-    // C++20) keeps the loop from being optimized away.
-    volatile int sink = 0;
-    for (int i = 0; i < laps; ++i) sink = i;
-    (void)sink;
-  }
-
-  Rng rng_;
-};
 
 }  // namespace testing_util
 }  // namespace firehose
