@@ -145,15 +145,16 @@ void SharedBinTable::Offer(const Post& post, std::vector<uint32_t>* admitted) {
             !graph_.IsNeighbor(post.author, stored.author)) {
           continue;
         }
-        // Both lists ascend: one merge marks the components on both.
-        const std::span<const uint32_t> hit_components(
-            &admitted_.at(stored.admitted_begin), stored.num_admitted);
+        // Both lists ascend: one merge marks the components on both. The
+        // hit's list is read by position, as admitted_ is no array.
+        const uint64_t hit_end = stored.admitted_begin + stored.num_admitted;
         size_t i = 0;
-        size_t k = 0;
-        while (i < components.size() && k < hit_components.size()) {
-          if (components[i] < hit_components[k]) {
+        uint64_t k = stored.admitted_begin;
+        while (i < components.size() && k < hit_end) {
+          const uint32_t hit_component = admitted_.at(k);
+          if (components[i] < hit_component) {
             ++i;
-          } else if (hit_components[k] < components[i]) {
+          } else if (hit_component < components[i]) {
             ++k;
           } else {
             uncovered -= covered_[i] == 0 ? 1 : 0;

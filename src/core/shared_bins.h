@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -45,6 +46,11 @@ class SharedBinTable {
                  const AuthorGraph& graph,
                  std::vector<SharedComponent> components);
 
+  // A deque's move may throw, so a copyable table would be copied when a
+  // vector of tables grows; the bins cannot be copied.
+  SharedBinTable(const SharedBinTable&) = delete;
+  SharedBinTable(SharedBinTable&&) = default;
+
   /// Indices of the components containing `author`, ascending; empty when
   /// no component does.
   std::span<const uint32_t> ComponentsOf(AuthorId author) const {
@@ -79,32 +85,27 @@ class SharedBinTable {
   size_t BinnedPostsBy(AuthorId author) const;
 
  private:
-  /// A queue over one vector whose live part stays contiguous, so a
-  /// stored post's admitted list reads as one span: Push appends,
-  /// PopFront advances the head, and the dead prefix is erased once it is
-  /// as long as the live part, so both are amortized O(1). Elements keep
-  /// their absolute position: the n-th ever pushed is at n.
+  /// A queue whose elements keep their absolute position: the n-th ever
+  /// pushed is at n. A deque frees each block once the front leaves it,
+  /// so no dead prefix is kept.
   template <typename T>
   class Fifo {
    public:
     void Push(const T& value) { items_.push_back(value); }
     void PopFront() {
-      if (++head_ * 2 < items_.size()) return;
-      items_.erase(items_.begin(), items_.begin() + head_);
-      base_ += head_;
-      head_ = 0;
+      items_.pop_front();
+      ++popped_;
     }
-    size_t size() const { return items_.size() - head_; }
-    bool empty() const { return size() == 0; }
-    const T& front() const { return items_[head_]; }
+    size_t size() const { return items_.size(); }
+    bool empty() const { return items_.empty(); }
+    const T& front() const { return items_.front(); }
     /// Position the next Push takes.
-    uint64_t end() const { return base_ + items_.size(); }
-    const T& at(uint64_t position) const { return items_[position - base_]; }
+    uint64_t end() const { return popped_ + items_.size(); }
+    const T& at(uint64_t position) const { return items_[position - popped_]; }
 
    private:
-    std::vector<T> items_;
-    size_t head_ = 0;    // index of the oldest live element
-    uint64_t base_ = 0;  // absolute position of items_[0]
+    std::deque<T> items_;
+    uint64_t popped_ = 0;  // elements popped so far: the front's position
   };
 
   /// A bin: the circular array of §4 ("Handling Time Diversity") over

@@ -56,7 +56,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/obs/watchdog.h"
-#include "src/runtime/introspect.h"
 #include "src/runtime/pipeline.h"
 #include "src/runtime/sharded.h"
 #include "src/gen/social_graph_gen.h"

@@ -35,29 +35,6 @@ void FreeNow(std::vector<T>* v) {
   std::vector<T>().swap(*v);
 }
 
-/// What /healthz reports: the WAL writes refused, then every task of
-/// `watchdog` (null: none) tripped right now, that is, with posts queued
-/// and no progress for the stall time; empty when healthy. A task clears
-/// at the watchdog's first Poll after it moves again.
-std::string HealthProblem(uint64_t wal_failures,
-                          const obs::Watchdog* watchdog) {
-  std::string problem;
-  if (wal_failures > 0) {
-    problem = "wal failed (" + std::to_string(wal_failures) + " refused)";
-  }
-  if (watchdog == nullptr) return problem;
-  obs::Watchdog::TaskInfo tasks[obs::Watchdog::kMaxTasks];
-  const int count = watchdog->SnapshotTasks(tasks, obs::Watchdog::kMaxTasks);
-  for (int i = 0; i < count; ++i) {
-    if (!tasks[i].tripped) continue;
-    if (!problem.empty()) problem += "; ";
-    problem += std::string(tasks[i].name) + " stalled (depth " +
-               std::to_string(tasks[i].depth) + ", progress " +
-               std::to_string(tasks[i].progress) + ")";
-  }
-  return problem;
-}
-
 }  // namespace
 
 // ShardWorker is declared in the header, so its helpers live in
@@ -281,10 +258,12 @@ class ShardWorker {
               watchdog_task, static_cast<int64_t>(batch.size() - i));
         }
         Ingest(batch[i]);
-        finished_.fetch_add(1, std::memory_order_release);
+        // Progress first, so the watchdog has seen every post a flush's
+        // ack covers: a Poll after the ack never finds this one stalled.
         if (watchdog_task >= 0) {
           options_.watchdog->ReportProgress(watchdog_task, ++processed);
         }
+        finished_.fetch_add(1, std::memory_order_release);
       }
     }
   }
@@ -509,8 +488,11 @@ void Server::BuildShards(std::vector<std::pair<UserId, AuthorId>> follows) {
   }
   FreeNow(&subscriptions);
 
+  DiversityThresholds thresholds;
+  thresholds.lambda_c = options_.lambda_c;
+  thresholds.lambda_t_ms = options_.lambda_t_ms;
   std::vector<SharedComponent> components =
-      ComputeSharedComponents(options_.thresholds, *graph_, users);
+      ComputeSharedComponents(thresholds, *graph_, users);
   FreeNow(&users);
   const uint64_t components_ns = clock->NowNanos();
 
@@ -527,7 +509,7 @@ void Server::BuildShards(std::vector<std::pair<UserId, AuthorId>> follows) {
   author_shards_.clear();
   shards_.clear();
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    SharedBinTable table(options_.algorithm, options_.thresholds, *graph_,
+    SharedBinTable table(options_.algorithm, thresholds, *graph_,
                          std::move(placed[s]));
     for (AuthorId a = 0; a < table.author_bound(); ++a) {
       if (table.ComponentsOf(a).empty()) continue;
@@ -856,8 +838,11 @@ void Server::PublishIntrospection() {
   options_.debug->PublishMetrics(obs::ExportPrometheus(registry),
                                  obs::ExportJson(registry));
   options_.debug->PublishStatus(std::move(status));
+  // The debug server adds the watchdog's tripped tasks when asked.
   options_.debug->PublishHealth(
-      HealthProblem(s.wal_failures, options_.watchdog));
+      s.wal_failures == 0
+          ? ""
+          : "wal failed (" + std::to_string(s.wal_failures) + " refused)");
 }
 
 }  // namespace net

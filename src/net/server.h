@@ -60,7 +60,10 @@ struct ServeOptions {
   /// shard's components share (SharedBinTable). Every layout serves the
   /// S_* engines' timelines.
   Algorithm algorithm = Algorithm::kCliqueBin;
-  DiversityThresholds thresholds;
+  /// λc and λt. λa is baked into the author graph, and both coverage
+  /// dimensions are always on.
+  int lambda_c = 18;
+  int64_t lambda_t_ms = 30 * 60 * 1000;
 
   /// Root of the durable state; empty disables durability. The one
   /// server WAL lives in `<data_dir>/wal`. It records no placement, so a
@@ -69,10 +72,11 @@ struct ServeOptions {
   std::string wal_sync = "none";  ///< "none" | "always" | "every=N"
 
   /// Optional introspection hooks. `debug` receives periodic /varz +
-  /// /statusz + /healthz publications from the dispatcher; `watchdog`
-  /// gets one task per shard worker plus the dispatcher, and /healthz
-  /// names each of its tasks tripped at a publication (its owner runs
-  /// Poll); `flight` records offer spans.
+  /// /statusz publications from the dispatcher, and its health problem
+  /// once a WAL write was refused; `watchdog` gets one task per shard
+  /// worker plus the dispatcher (its owner runs Poll, and a DebugServer
+  /// given it names the tripped tasks in /healthz); `flight` records
+  /// offer spans.
   obs::DebugState* debug = nullptr;
   obs::Watchdog* watchdog = nullptr;
   obs::FlightRecorder* flight = nullptr;

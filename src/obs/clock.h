@@ -44,8 +44,8 @@ const Clock* RealClock();
 ///
 /// Not thread-safe: inject it only into single-threaded runs, paced
 /// pipeline runs included. Pace one with a nonzero `auto_advance_nanos`:
-/// a paced wait sleeps only while its release is over 2 ms away, and
-/// spins on the clock for the rest, which a frozen clock never ends.
+/// a paced wait sleeps only until its release is 100 us away, and spins
+/// on the clock for the rest, which a frozen clock never ends.
 class ManualClock final : public Clock {
  public:
   explicit ManualClock(uint64_t start_nanos = 0,

@@ -64,7 +64,22 @@ bool DebugServer::Start(int port) {
 HttpResponse DebugServer::Handle(const HttpRequest& request) {
   HttpResponse response;
   if (request.path == "/healthz") {
-    const std::string problem = state_.health();
+    // The runtime's own problem, then each task tripped right now: with
+    // work queued and no progress for the stall time. A task clears at
+    // the watchdog's first Poll after it moves again.
+    std::string problem = state_.health();
+    if (options_.watchdog != nullptr) {
+      Watchdog::TaskInfo tasks[Watchdog::kMaxTasks];
+      const int n =
+          options_.watchdog->SnapshotTasks(tasks, Watchdog::kMaxTasks);
+      for (int i = 0; i < n; ++i) {
+        if (!tasks[i].tripped) continue;
+        if (!problem.empty()) problem += "; ";
+        problem += std::string(tasks[i].name) + " stalled (depth " +
+                   std::to_string(tasks[i].depth) + ", progress " +
+                   std::to_string(tasks[i].progress) + ")";
+      }
+    }
     if (!problem.empty()) response.status = 503;
     response.body = (problem.empty() ? "ok" : problem) + "\n";
     return response;

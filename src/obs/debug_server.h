@@ -35,8 +35,9 @@ class DebugState {
   /// object: queue depths, WAL position, shard progress...).
   void PublishStatus(std::string status_json);
 
-  /// Owning-thread side: replaces the health verdict /healthz serves.
-  /// Empty means healthy; anything else is why the runtime is not.
+  /// Owning-thread side: replaces the runtime's own health problem,
+  /// which /healthz serves ahead of the watchdog's tripped tasks. Empty
+  /// means healthy; anything else is why the runtime is not.
   void PublishHealth(std::string problem);
 
   /// Responder side: copies of the latest publications (empty string
@@ -63,19 +64,22 @@ class DebugState {
 ///   /varz      firehose.metrics.v1 JSON   (same snapshot)
 ///   /statusz   build stamp, uptime, and the runtime's status block
 ///   /tracez    flight-recorder dump (Chrome trace JSON); ?window_s=N
-///   /healthz   "ok", or 503 with the published health problem
+///   /healthz   "ok", or 503 with the published health problem, then
+///              every watchdog task tripped when the request arrives
 ///
 /// Binds 127.0.0.1 only (this is an operator port, not a service port).
 /// Start with port 0 to let the kernel pick; the chosen port is in
 /// port(). The server owns no runtime state: everything it serves comes
 /// from the DebugState mailbox, the flight recorder's lock-free rings,
-/// and static build info, so it can never block the hot path.
+/// the watchdog's atomic task slots and static build info, so it can
+/// never block the hot path, and a runtime that stops publishing still
+/// shows its tripped tasks.
 class DebugServer {
  public:
   struct Options {
     const Clock* clock = nullptr;        // uptime source; null = real
     FlightRecorder* flight = nullptr;    // /tracez; null = global recorder
-    Watchdog* watchdog = nullptr;        // task table in /statusz
+    Watchdog* watchdog = nullptr;        // /statusz tasks, /healthz trips
     uint64_t default_trace_window_nanos = 30ull * 1000 * 1000 * 1000;
   };
 

@@ -1,19 +1,36 @@
 #include "src/runtime/pipeline.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
 
+#include "src/core/engine.h"
 #include "src/core/kernels/dispatch.h"
+#include "src/obs/export.h"
 #include "src/obs/log.h"
-#include "src/runtime/introspect.h"
 
 namespace firehose {
 
 namespace {
 
-// A paced wait spins while its release is at most this far off, so the
-// post is released on time, and sleeps a millisecond at a time before.
-constexpr uint64_t kSpinNanos = 2'000'000;
-constexpr uint64_t kSleepNanos = 1'000'000;
+// A paced wait sleeps in one call until this long before its release and
+// spins on the clock for the rest, so the post is released on time: a
+// sleep overshoots by tens of microseconds.
+constexpr uint64_t kSpinNanos = 100'000;
+
+/// Appends `"key": value` to the JSON object `*json`, after a comma
+/// unless it is the first field.
+void AppendStatusField(std::string* json, const char* key, uint64_t value) {
+  if (json->size() > 1) json->append(", ");
+  *json += '"' + std::string(key) + "\": " + std::to_string(value);
+}
+
+void AppendStatusField(std::string* json, const char* key,
+                       const char* value) {
+  if (json->size() > 1) json->append(", ");
+  *json += '"' + std::string(key) + "\": \"" + value + '"';
+}
 
 }  // namespace
 
@@ -35,7 +52,6 @@ PipelineReport Pipeline::Run(const PostStream& stream, const PipelineObs& o,
   obs::LogHistogram lateness;
   const uint64_t pruned_at_start = diversifier_->stats().pruned;
   const uint64_t run_start = clock->NowNanos();
-  DebugPublisher publisher(o.debug, o.publish_interval_nanos);
   const int watchdog_task =
       o.watchdog != nullptr ? o.watchdog->RegisterTask("pipeline") : -1;
 
@@ -55,21 +71,37 @@ PipelineReport Pipeline::Run(const PostStream& stream, const PipelineObs& o,
 
   const char* mode =
       paced ? "live" : d.session != nullptr ? "durable" : "batch";
-  auto publish = [&](uint64_t now) {
+  // A publication renders a scratch registry, the run registry merged and
+  // the diversifier's stats exported into it, and never writes the run
+  // registry: the final --metrics_out snapshot is byte-identical with or
+  // without a scraper, and every scraped counter is <= its final value.
+  // With a DebugState the first check is due; without one, none is.
+  uint64_t publish_due = o.debug != nullptr ? run_start : UINT64_MAX;
+  auto publish = [&](uint64_t now, bool drained) {
+    publish_due = now + o.publish_interval_nanos;
+    obs::MetricsRegistry snapshot;
+    if (o.metrics != nullptr) snapshot.MergeFrom(*o.metrics);
+    ExportDiversifierMetrics(*diversifier_, &snapshot);
+    obs::ExportOptions options;
+    options.include_timing = true;  // scrapes are live views, not artifacts
+    o.debug->PublishMetrics(obs::ExportPrometheus(snapshot, options),
+                            obs::ExportJson(snapshot, options));
     std::string status = "{";
-    AppendStatusField(&status, "mode", mode);
+    AppendStatusField(&status, "mode", drained ? "drained" : mode);
     AppendStatusField(&status, "posts_in", report.posts_in);
     AppendStatusField(&status, "posts_out", report.posts_out);
-    AppendStatusField(&status, "comparisons",
-                      diversifier_->stats().comparisons);
-    if (paced) AppendStatusField(&status, "backlog", backlog);
+    if (!drained) {
+      AppendStatusField(&status, "comparisons",
+                        diversifier_->stats().comparisons);
+      if (paced) AppendStatusField(&status, "backlog", backlog);
+    }
     AppendStatusField(&status, "kernel",
                       kernels::GetKernelDispatchReport().active);
-    if (d.session != nullptr) {
+    if (!drained && d.session != nullptr) {
       AppendStatusField(&status, "wal_next_seq", d.session->next_seq());
     }
     status.push_back('}');
-    publisher.Publish(now, o.metrics, diversifier_, {}, std::move(status));
+    o.debug->PublishStatus(std::move(status));
   };
 
   for (size_t i = first; i < stream.size(); ++i) {
@@ -84,10 +116,14 @@ PipelineReport Pipeline::Run(const PostStream& stream, const PipelineObs& o,
         backlog = 0;
         if (watchdog_task >= 0) o.watchdog->SetQueueDepth(watchdog_task, 0);
       }
-      // One clock read per iteration: the gap below is never negative.
+      // One clock read per turn, so the gaps below are never negative.
+      // The wait sleeps until kSpinNanos before the release, waking for
+      // each publication due before then, and spins for the rest.
       for (; now < release; now = clock->NowNanos()) {
-        if (publisher.Due(now)) publish(now);
-        if (release - now > kSpinNanos) clock->SleepNanos(kSleepNanos);
+        if (now >= publish_due) publish(now, false);
+        if (release - now > kSpinNanos) {
+          clock->SleepNanos(std::min(release - kSpinNanos, publish_due) - now);
+        }
       }
     }
     ++report.posts_in;
@@ -144,7 +180,7 @@ PipelineReport Pipeline::Run(const PostStream& stream, const PipelineObs& o,
       // wait and the end of the stream reset it.
       o.watchdog->SetQueueDepth(watchdog_task, 1);
     }
-    if (publisher.Due(end)) publish(end);
+    if (end >= publish_due) publish(end, false);
   }
   if (watchdog_task >= 0) o.watchdog->SetQueueDepth(watchdog_task, 0);
   const uint64_t wall_nanos = clock->NowNanos() - run_start;
@@ -168,19 +204,8 @@ PipelineReport Pipeline::Run(const PostStream& stream, const PipelineObs& o,
     o.metrics->GetCounter("pipeline.candidates_pruned")
         ->Add(diversifier_->stats().pruned - pruned_at_start);
   }
-  if (publisher.enabled()) {
-    // Final snapshot: a post-drain scrape now matches the end-of-run
-    // registry exactly.
-    std::string status = "{";
-    AppendStatusField(&status, "mode", "drained");
-    AppendStatusField(&status, "posts_in", report.posts_in);
-    AppendStatusField(&status, "posts_out", report.posts_out);
-    AppendStatusField(&status, "kernel",
-                      kernels::GetKernelDispatchReport().active);
-    status.push_back('}');
-    publisher.Publish(clock->NowNanos(), o.metrics, diversifier_, {},
-                      std::move(status));
-  }
+  // Final snapshot: a post-drain scrape matches the end-of-run registry.
+  if (o.debug != nullptr) publish(clock->NowNanos(), /*drained=*/true);
   return report;
 }
 

@@ -11,9 +11,9 @@
 // follows synced once at the seal),
 // the gap-encoded timelines at every varint width, the introspection of
 // the shards' shared bins (kept live while a client stays busy), of
-// each flush's stages and of a stalled watchdog task, the bound of a
-// shard's inbox and a worker stuck in a decision, and protocol error
-// handling.
+// each flush's stages and of a stalled watchdog task (named by /healthz
+// even while a flush waits on it), the bound of a shard's inbox and a
+// worker stuck in a decision, and protocol error handling.
 
 #include <gtest/gtest.h>
 
@@ -486,12 +486,14 @@ void AwaitTask(const obs::Watchdog& watchdog, std::string_view name) {
 
 TEST_F(NetServeTest, HealthzNamesAStalledWatchdogTask) {
   // A task with a post queued and no progress for the stall time trips
-  // at the watchdog's next Poll, and the dispatcher's next publication
-  // turns /healthz to 503 until the task moves and a Poll clears it.
+  // at the watchdog's next Poll, and /healthz, which reads the watchdog
+  // it was given, answers 503 until the task moves and a Poll clears it.
   constexpr uint64_t kStallNanos = 5ull * 1000 * 1000 * 1000;
   obs::ManualClock clock;
   obs::Watchdog watchdog(kStallNanos, &clock);
-  obs::DebugServer debug_server;
+  obs::DebugServer::Options debug_options;
+  debug_options.watchdog = &watchdog;
+  obs::DebugServer debug_server(debug_options);
   ASSERT_TRUE(debug_server.Start(/*port=*/0));
   ServeOptions options = Options(1);
   options.debug = debug_server.state();
@@ -654,7 +656,9 @@ TEST_F(NetServeTest, AWorkerStuckInADecisionTripsTheWatchdog) {
   constexpr uint64_t kStallNanos = 5ull * 1000 * 1000 * 1000;
   obs::ManualClock clock;
   obs::Watchdog watchdog(kStallNanos, &clock);
-  obs::DebugServer debug_server;
+  obs::DebugServer::Options debug_options;
+  debug_options.watchdog = &watchdog;
+  obs::DebugServer debug_server(debug_options);
   ASSERT_TRUE(debug_server.Start(/*port=*/0));
   GateClock gate;
   const auto flight = std::make_unique<obs::FlightRecorder>(&gate);
@@ -693,6 +697,65 @@ TEST_F(NetServeTest, AWorkerStuckInADecisionTripsTheWatchdog) {
   ASSERT_TRUE(client.Flush()) << client.last_error();
   EXPECT_EQ(watchdog.Poll(), 0);
   AwaitFreshPublication(*debug_server.state());
+  ASSERT_TRUE(HttpGet(debug_server.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "ok\n");
+  client.Disconnect();
+  server.Stop();
+  debug_server.Stop();
+}
+
+TEST_F(NetServeTest, HealthzNamesAShardStalledUnderAWaitingFlush) {
+  // A flush waits until every shard decided, so while its worker is held
+  // inside a decision the dispatcher publishes nothing. /healthz reads
+  // the watchdog when asked, so it still names the stalled shard.
+  constexpr uint64_t kStallNanos = 5ull * 1000 * 1000 * 1000;
+  obs::ManualClock clock;
+  obs::Watchdog watchdog(kStallNanos, &clock);
+  obs::DebugServer::Options debug_options;
+  debug_options.watchdog = &watchdog;
+  obs::DebugServer debug_server(debug_options);
+  ASSERT_TRUE(debug_server.Start(/*port=*/0));
+  GateClock gate;
+  const auto flight = std::make_unique<obs::FlightRecorder>(&gate);
+  ServeOptions options = Options(1);
+  options.debug = debug_server.state();
+  options.watchdog = &watchdog;
+  options.flight = flight.get();
+  Server server(options, &workload_.graph);
+  const ReleaseAtExit release{&gate};
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+  SealUsers(client);
+  ASSERT_TRUE(client.Flush()) << client.last_error();  // spawns the worker
+  // Each task reads the clock once, to register. A ManualClock is not
+  // thread-safe, so only this thread moves it, after both did.
+  ASSERT_NO_FATAL_FAILURE(AwaitTask(watchdog, "serve-dispatch"));
+  ASSERT_NO_FATAL_FAILURE(AwaitTask(watchdog, "serve-shard"));
+  Post post = FollowedPosts(workload_, 1).at(0);
+  post.text.assign(kFlushThresholdBytes, 'x');  // leaves the client alone
+  ASSERT_TRUE(client.SendPost(post)) << client.last_error();
+  ASSERT_TRUE(gate.AwaitHeld());
+
+  // No assertion may return while the flusher runs: it must be joined.
+  bool flushed = false;
+  std::thread flusher([&] { flushed = client.Flush(); });
+  // Long enough for the flush to reach the dispatcher's wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  clock.AdvanceNanos(kStallNanos);
+  EXPECT_EQ(watchdog.Poll(), 1);
+  int status = 0;
+  std::string body;
+  EXPECT_TRUE(HttpGet(debug_server.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 503);
+  EXPECT_EQ(body, "serve-shard stalled (depth 1, progress 0)\n");
+
+  gate.Release();
+  flusher.join();
+  ASSERT_TRUE(flushed) << client.last_error();
+  EXPECT_EQ(watchdog.Poll(), 0);
   ASSERT_TRUE(HttpGet(debug_server.port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
   EXPECT_EQ(body, "ok\n");

@@ -64,6 +64,48 @@ TEST(DebugServerTest, HealthzAndUnknownRoute) {
   server.Stop();
 }
 
+TEST(DebugServerTest, HealthzJoinsThePublishedProblemAndTrippedTasks) {
+  ManualClock clock(0);
+  Watchdog watchdog(1'000'000'000, &clock);
+  const int task = watchdog.RegisterTask("consumer");
+  watchdog.ReportProgress(task, 12);
+  watchdog.SetQueueDepth(task, 3);
+  EXPECT_EQ(watchdog.Poll(), 0);  // the progress moved: re-armed
+  clock.AdvanceNanos(1'000'000'000);
+  EXPECT_EQ(watchdog.Poll(), 1);
+
+  DebugServer::Options options;
+  options.watchdog = &watchdog;
+  DebugServer server(options);
+  DebugServer unwatched;
+  ASSERT_TRUE(server.Start(0));
+  ASSERT_TRUE(unwatched.Start(0));
+  int status = 0;
+  EXPECT_EQ(Fetch(server, "/healthz", &status),
+            "consumer stalled (depth 3, progress 12)\n");
+  EXPECT_EQ(status, 503);
+
+  // The published problem comes first; a server without a watchdog
+  // serves only it.
+  server.state()->PublishHealth("wal failed (2 refused)");
+  unwatched.state()->PublishHealth("wal failed (2 refused)");
+  EXPECT_EQ(Fetch(server, "/healthz", &status),
+            "wal failed (2 refused); consumer stalled (depth 3, progress 12)\n");
+  EXPECT_EQ(status, 503);
+  EXPECT_EQ(Fetch(unwatched, "/healthz", &status), "wal failed (2 refused)\n");
+  EXPECT_EQ(status, 503);
+
+  // The task clears at the first Poll after it moves again.
+  watchdog.ReportProgress(task, 13);
+  EXPECT_EQ(watchdog.Poll(), 0);
+  EXPECT_EQ(Fetch(server, "/healthz", &status), "wal failed (2 refused)\n");
+  server.state()->PublishHealth("");
+  EXPECT_EQ(Fetch(server, "/healthz", &status), "ok\n");
+  EXPECT_EQ(status, 200);
+  server.Stop();
+  unwatched.Stop();
+}
+
 TEST(DebugServerTest, MetricszAndVarzServeLatestPublish) {
   DebugServer server;
   ASSERT_TRUE(server.Start(0));

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <utility>
+
 #include "src/core/engine.h"
+#include "src/io/http.h"
 #include "src/obs/clock.h"
 #include "src/obs/debug_server.h"
 #include "src/obs/watchdog.h"
@@ -57,6 +66,99 @@ TEST(PipelineTest, EmptyStream) {
   EXPECT_EQ(report.posts_in, 0u);
   EXPECT_EQ(report.posts_out, 0u);
   EXPECT_EQ(sink.count(), 0u);
+}
+
+/// Decides as `inner` does, but holds its second Offer until Release.
+class HoldingDiversifier final : public Diversifier {
+ public:
+  explicit HoldingDiversifier(std::unique_ptr<Diversifier> inner)
+      : inner_(std::move(inner)) {}
+
+  bool Offer(const Post& post) override {
+    if (++offers_ == 2) {
+      std::unique_lock<std::mutex> lock(mu_);
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    return inner_->Offer(post);
+  }
+  const IngestStats& stats() const override { return inner_->stats(); }
+  size_t ApproxBytes() const override { return inner_->ApproxBytes(); }
+  std::string_view name() const override { return inner_->name(); }
+
+  /// True once the second Offer is held; false after 10 s without it.
+  bool AwaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return held_; });
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::unique_ptr<Diversifier> inner_;
+  int offers_ = 0;  // the run's thread only
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool released_ = false;
+};
+
+TEST(PipelineTest, HealthzNamesAHeldDecision) {
+  // After its first decision an unpaced run's task reads depth 1, so a
+  // second decision that never ends trips the watchdog, and /healthz,
+  // which reads the watchdog it was given, names the run until it moves.
+  // (A paced run sets depth 0 before each release, so it is not used.)
+  constexpr uint64_t kStallNanos = 2'000'000'000;
+  const AuthorGraph graph = PaperExampleGraph();
+  HoldingDiversifier diversifier(
+      MakeDiversifier(Algorithm::kUniBin, PaperExampleThresholds(), &graph));
+  obs::ManualClock clock;
+  obs::Watchdog watchdog(kStallNanos, &clock);
+  obs::DebugServer::Options debug_options;
+  debug_options.watchdog = &watchdog;
+  obs::DebugServer debug_server(debug_options);
+  ASSERT_TRUE(debug_server.Start(/*port=*/0));
+  PipelineObs o;
+  o.watchdog = &watchdog;
+  o.debug = debug_server.state();
+  CountingSink sink;
+  Pipeline pipeline(&diversifier, &sink);
+  const PostStream stream = PaperExamplePosts();
+
+  // No assertion may return while the run's thread lives: it must be
+  // joined. The run registers its task, reading the ManualClock, before
+  // its first Offer, so this thread moves the clock only once held.
+  std::thread run([&] { pipeline.Run(stream, o); });
+  const bool held = diversifier.AwaitHeld();
+  EXPECT_TRUE(held);
+  if (held) {
+    EXPECT_EQ(watchdog.Poll(), 0);
+    clock.AdvanceNanos(kStallNanos);
+    EXPECT_EQ(watchdog.Poll(), 1);
+    int status = 0;
+    std::string body;
+    EXPECT_TRUE(HttpGet(debug_server.port(), "/healthz", &status, &body));
+    EXPECT_EQ(status, 503);
+    EXPECT_EQ(body, "pipeline stalled (depth 1, progress 1)\n");
+  }
+  diversifier.Release();
+  run.join();
+
+  EXPECT_EQ(watchdog.Poll(), 0);
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGet(debug_server.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "ok\n");
+  debug_server.Stop();
 }
 
 /// `num_posts` posts by four authors, `spacing_ms` apart.

@@ -17,7 +17,8 @@
 //
 // Introspection: --debug_port serves /metricsz /varz /statusz /tracez
 // /healthz on 127.0.0.1 with serve.* counters published by the
-// dispatcher; /healthz answers 503 once a WAL write has failed.
+// dispatcher; /healthz answers 503 once a WAL write has failed, and
+// while a watchdog task is stalled.
 //
 // FIREHOSE_CRASH_AFTER=N in the environment SIGKILLs the process after
 // N posts received (the kill-loop harness's deterministic kill switch).
@@ -89,8 +90,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown algorithm\n");
     return 2;
   }
-  options.thresholds.lambda_c = static_cast<int>(flags.GetInt("lambda_c", 18));
-  options.thresholds.lambda_t_ms = flags.GetInt("lambda_t_min", 30) * 60 * 1000;
+  options.lambda_c = static_cast<int>(flags.GetInt("lambda_c", 18));
+  options.lambda_t_ms = flags.GetInt("lambda_t_min", 30) * 60 * 1000;
   options.data_dir = flags.GetString("data_dir", "");
   options.wal_sync = flags.GetString("wal_sync", "none");
   if (const char* env = std::getenv("FIREHOSE_CRASH_AFTER")) {
