@@ -17,20 +17,23 @@ SharedBinTable::SharedBinTable(Algorithm algorithm,
   for (const SharedComponent& c : components) {
     for (AuthorId a : c.authors) bound = std::max(bound, size_t{a} + 1);
   }
-  author_components_.resize(bound);
-  users_.reserve(components.size());
-  for (uint32_t i = 0; i < components.size(); ++i) {
-    for (AuthorId a : components[i].authors) {
-      author_components_[a].push_back(i);
-    }
-    // Indexed, the list is never read again: its memory goes back before
-    // the layout below allocates.
-    std::vector<AuthorId>().swap(components[i].authors);
-    users_.push_back(std::move(components[i].users));
-  }
+  author_components_ =
+      FlatLists<uint32_t>::ByCounting(bound, [&](const auto& emit) {
+        for (uint32_t i = 0; i < components.size(); ++i) {
+          for (AuthorId a : components[i].authors) emit(a, i);
+        }
+      });
+  users_ = FlatLists<UserId>::ByCounting(
+      components.size(), [&](const auto& emit) {
+        for (uint32_t i = 0; i < components.size(); ++i) {
+          for (UserId u : components[i].users) emit(i, u);
+        }
+      });
+  // Indexed, the components are never read again: their memory goes back
+  // before the layout below allocates.
   std::vector<SharedComponent>().swap(components);
   std::vector<AuthorId> authors;  // the union, ascending
-  for (size_t a = 0; a < author_components_.size(); ++a) {
+  for (size_t a = 0; a < bound; ++a) {
     if (!author_components_[a].empty()) {
       authors.push_back(static_cast<AuthorId>(a));
     }
@@ -42,39 +45,54 @@ SharedBinTable::SharedBinTable(Algorithm algorithm,
       graph_ = graph.InducedSubgraph(authors);
       break;
     case Algorithm::kNeighborBin:
-      bins_.resize(author_components_.size());
+      bins_.resize(bound);
       graph_ = graph.InducedSubgraph(authors);
       break;
-    case Algorithm::kCliqueBin:
-      // The cover is all this layout reads, and it is built off `graph`
-      // itself: no subgraph is copied. It equals the cover of the
-      // union's induced subgraph, every edge of each component's included.
-      cover_ = CliqueCover::Greedy(graph, authors);
-      bins_.resize(cover_.num_cliques());
+    case Algorithm::kCliqueBin: {
+      // The cover's Author2Cliques map is all this layout reads: it is
+      // kept by author id, and the cliques' member lists go with the
+      // cover. The cover is built off `graph` itself, with no subgraph
+      // copied; it equals the cover of the union's induced subgraph,
+      // every edge of each component's included.
+      const CliqueCover cover = CliqueCover::Greedy(graph, authors);
+      author_cliques_ =
+          FlatLists<CliqueId>::ByCounting(bound, [&](const auto& emit) {
+            for (CliqueId id = 0; id < cover.num_cliques(); ++id) {
+              for (AuthorId a : cover.cliques()[id]) emit(a, id);
+            }
+          });
+      bins_.resize(cover.num_cliques());
       break;
+    }
   }
 }
 
-size_t SharedBinTable::Bin::Push(uint64_t simhash, uint64_t position) {
+void SharedBinTable::Bin::Resize(size_t capacity) {
+  Bin resized;
+  resized.block_ =
+      std::make_unique_for_overwrite<std::byte[]>(capacity * kSlotBytes);
+  resized.capacity_ = capacity;
+  resized.size_ = size_;
+  // Unwrapped into the new block: the older run, then the newer one.
+  size_t at = 0;
+  for (const Run& run : {older(), newer()}) {
+    std::copy_n(run.simhash, run.size, resized.simhash_lane() + at);
+    std::copy_n(run.position, run.size, resized.position_lane() + at);
+    at += run.size;
+  }
+  *this = std::move(resized);
+}
+
+size_t SharedBinTable::Bin::Push(uint64_t simhash, uint32_t position) {
   size_t grown = 0;
   if (size_ == capacity_) {
     const size_t capacity = capacity_ == 0 ? 2 : 2 * capacity_;
-    auto slots = std::make_unique_for_overwrite<uint64_t[]>(2 * capacity);
-    // Unwrapped into the new block: the older run, then the newer one.
-    size_t at = 0;
-    for (const Run& run : {older(), newer()}) {
-      std::copy_n(run.simhash, run.size, slots.get() + at);
-      std::copy_n(run.position, run.size, slots.get() + capacity + at);
-      at += run.size;
-    }
-    grown = (capacity - capacity_) * 2 * sizeof(uint64_t);
-    slots_ = std::move(slots);
-    capacity_ = capacity;
-    head_ = 0;
+    grown = (capacity - capacity_) * kSlotBytes;
+    Resize(capacity);
   }
   const size_t slot = (head_ + size_) & (capacity_ - 1);
-  slots_[slot] = simhash;
-  slots_[capacity_ + slot] = position;
+  simhash_lane()[slot] = simhash;
+  position_lane()[slot] = position;
   ++size_;
   return grown;
 }
@@ -92,7 +110,7 @@ void SharedBinTable::ForEachBin(AuthorId author, bool read, Fn&& fn) {
       }
       return;
     case Algorithm::kCliqueBin:
-      for (CliqueId clique : cover_.CliquesOf(author)) {
+      for (CliqueId clique : author_cliques_[author]) {
         if (!fn(bins_[clique])) return;
       }
       return;
@@ -104,8 +122,9 @@ void SharedBinTable::Evict(int64_t cutoff_ms) {
   // of every bin it was written to.
   while (!window_.empty() && window_.front().time_ms < cutoff_ms) {
     const StoredPost stored = window_.front();
-    ForEachBin(stored.author, /*read=*/false, [](Bin& bin) {
-      bin.PopFront();
+    ForEachBin(stored.author, /*read=*/false, [&](Bin& bin) {
+      bin_bytes_ -= bin.PopFront();
+      --bin_entries_;
       return true;
     });
     for (uint32_t i = 0; i < stored.num_admitted; ++i) admitted_.PopFront();
@@ -140,7 +159,8 @@ void SharedBinTable::Offer(const Post& post, std::vector<uint32_t>* admitted) {
         }
         comparisons_ += end - hit;
         end = hit;
-        const StoredPost& stored = window_.at(run.position[hit]);
+        const StoredPost& stored =
+            window_[WindowIndex(run.position[hit], window_.begin())];
         if (algorithm_ == Algorithm::kUniBin && stored.author != post.author &&
             !graph_.IsNeighbor(post.author, stored.author)) {
           continue;
@@ -172,12 +192,13 @@ void SharedBinTable::Offer(const Post& post, std::vector<uint32_t>* admitted) {
     if (covered_[i] == 0) admitted->push_back(components[i]);
   }
   if (admitted->empty()) return;
-  const uint64_t position = window_.end();
+  const auto position = static_cast<uint32_t>(window_.end());
   window_.Push(StoredPost{post.time_ms, admitted_.end(), post.author,
                           static_cast<uint32_t>(admitted->size())});
   for (uint32_t component : *admitted) admitted_.Push(component);
   ForEachBin(post.author, /*read=*/false, [&](Bin& bin) {
     bin_bytes_ += bin.Push(post.simhash, position);
+    ++bin_entries_;
     return true;
   });
 }
@@ -187,7 +208,9 @@ size_t SharedBinTable::BinnedPostsBy(AuthorId author) const {
   for (const Bin& bin : bins_) {
     for (const Bin::Run& run : {bin.older(), bin.newer()}) {
       for (size_t i = 0; i < run.size; ++i) {
-        count += window_.at(run.position[i]).author == author ? 1 : 0;
+        const StoredPost& stored =
+            window_[WindowIndex(run.position[i], window_.begin())];
+        count += stored.author == author ? 1 : 0;
       }
     }
   }

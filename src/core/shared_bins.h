@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "src/author/similarity_graph.h"
 #include "src/core/engine.h"
 #include "src/core/multi_user.h"
+#include "src/util/flat_lists.h"
 
 namespace firehose {
 
@@ -76,13 +78,27 @@ class SharedBinTable {
   /// Bin entries tested against an offered post's fingerprint so far.
   uint64_t comparisons() const { return comparisons_; }
 
-  /// Bytes the bins' rings hold: every slot allocated, 16 bytes each,
-  /// whether an entry sits in it or not.
+  /// Entries the bins hold, a stored post counted once per bin it was
+  /// written to.
+  size_t bin_entries() const { return bin_entries_; }
+
+  /// Bytes the bins' rings hold: every slot allocated, 12 bytes each,
+  /// whether an entry sits in it or not. A ring halves once a quarter
+  /// full, so it holds at most max(4, 4 × its entries) slots.
   size_t bin_bytes() const { return bin_bytes_; }
 
   /// Bin entries, over every bin, that hold a post by `author`. O(all
   /// entries): a check, not a hot-path call.
   size_t BinnedPostsBy(AuthorId author) const;
+
+  /// A bin keeps the low 32 bits of each entry's window position. The
+  /// stored post whose position has low bits `low` sits at this index of
+  /// the window (0 = the oldest stored post) when the oldest one's
+  /// position is `front`: exact while the window holds fewer than 2^32
+  /// posts.
+  static constexpr uint32_t WindowIndex(uint32_t low, uint64_t front) {
+    return static_cast<uint32_t>(low - static_cast<uint32_t>(front));
+  }
 
  private:
   /// A queue whose elements keep their absolute position: the n-th ever
@@ -99,9 +115,12 @@ class SharedBinTable {
     size_t size() const { return items_.size(); }
     bool empty() const { return items_.empty(); }
     const T& front() const { return items_.front(); }
-    /// Position the next Push takes.
+    /// The front's position, and the position the next Push takes.
+    uint64_t begin() const { return popped_; }
     uint64_t end() const { return popped_ + items_.size(); }
-    const T& at(uint64_t position) const { return items_[position - popped_]; }
+    const T& at(uint64_t position) const { return (*this)[position - popped_]; }
+    /// The element `index` places behind the front.
+    const T& operator[](size_t index) const { return items_[index]; }
 
    private:
     std::deque<T> items_;
@@ -109,49 +128,79 @@ class SharedBinTable {
   };
 
   /// A bin: the circular array of §4 ("Handling Time Diversity") over
-  /// the posts written to it, oldest first. One power-of-two block holds
-  /// two lanes, the fingerprints (the λc kernel's lane) and then the
-  /// posts' positions in window_, so a bin costs one allocation. Push
-  /// doubles the block only when it is full, and PopFront frees its slot
-  /// at once: no dead prefix is kept.
+  /// the posts written to it, oldest first. One power-of-two block of
+  /// 12-byte slots holds two lanes, the fingerprints (the λc kernel's
+  /// lane) and then the low 32 bits of the posts' positions in window_,
+  /// so a bin costs one allocation. Push doubles the block when it is
+  /// full, and PopFront halves it when it leaves it a quarter full, down
+  /// to 4 slots: the block follows the bin's entries, not the most it
+  /// ever held.
   class Bin {
    public:
+    static constexpr size_t kSlotBytes = sizeof(uint64_t) + sizeof(uint32_t);
+
     /// A contiguous stretch of the ring, oldest first: entry i's
-    /// fingerprint is simhash[i] and its window position position[i].
+    /// fingerprint is simhash[i] and its window position's low bits
+    /// position[i].
     struct Run {
       const uint64_t* simhash = nullptr;
-      const uint64_t* position = nullptr;
+      const uint32_t* position = nullptr;
       size_t size = 0;
     };
 
     /// Appends a post; returns the bytes the block grew by (0 unless it
     /// was full).
-    size_t Push(uint64_t simhash, uint64_t position);
+    size_t Push(uint64_t simhash, uint32_t position);
 
-    /// Drops the oldest entry. Precondition: the bin is not empty.
-    void PopFront() {
+    /// Drops the oldest entry; returns the bytes the block shrank by (0
+    /// unless the pop left it a quarter full). Precondition: the bin is
+    /// not empty.
+    size_t PopFront() {
       head_ = (head_ + 1) & (capacity_ - 1);
       --size_;
+      if (capacity_ <= 4 || 4 * size_ > capacity_) return 0;
+      Resize(capacity_ / 2);
+      return capacity_ * kSlotBytes;
     }
 
     /// The older run: from the oldest entry to the newest or to the end
     /// of the block, whichever comes first.
     Run older() const {
-      return {slots_.get() + head_, slots_.get() + capacity_ + head_,
-              std::min(size_, capacity_ - head_)};
+      return RunAt(head_, std::min(size_, capacity_ - head_));
     }
 
     /// The newer run: the entries wrapped to the start of the block;
     /// empty unless the ring wraps.
     Run newer() const {
-      return {slots_.get(), slots_.get() + capacity_,
-              size_ - std::min(size_, capacity_ - head_)};
+      return RunAt(0, size_ - std::min(size_, capacity_ - head_));
     }
 
    private:
-    std::unique_ptr<uint64_t[]> slots_;  // simhash lane, then position lane
-    size_t capacity_ = 0;                // 0 or a power of two
-    size_t head_ = 0;                    // slot of the oldest entry
+    /// The lanes: arrays of `capacity_` elements. A std::byte block
+    /// implicitly creates the arrays its reads and writes need (C++20
+    /// [intro.object]); std::launder reaches them.
+    uint64_t* simhash_lane() const {
+      return std::launder(reinterpret_cast<uint64_t*>(block_.get()));
+    }
+    uint32_t* position_lane() const {
+      return std::launder(reinterpret_cast<uint32_t*>(
+          block_.get() + capacity_ * sizeof(uint64_t)));
+    }
+
+    /// `size` entries from `slot` on; no lane is read when size is 0, as
+    /// there may be no block.
+    Run RunAt(size_t slot, size_t size) const {
+      if (size == 0) return {};
+      return {simhash_lane() + slot, position_lane() + slot, size};
+    }
+
+    /// Moves the entries, oldest first, into a new block of `capacity`
+    /// slots. Precondition: capacity >= size_.
+    void Resize(size_t capacity);
+
+    std::unique_ptr<std::byte[]> block_;  // simhash lane, then position lane
+    size_t capacity_ = 0;                 // 0 or a power of two
+    size_t head_ = 0;                     // slot of the oldest entry
     size_t size_ = 0;
   };
 
@@ -174,15 +223,17 @@ class SharedBinTable {
 
   Algorithm algorithm_;
   DiversityThresholds thresholds_;
-  std::vector<std::vector<UserId>> users_;                // per component
-  std::vector<std::vector<uint32_t>> author_components_;  // index = author
+  FlatLists<UserId> users_;                // per component
+  FlatLists<uint32_t> author_components_;  // index = author
   AuthorGraph graph_;  // the union's subgraph; empty for kCliqueBin
-  CliqueCover cover_;  // kCliqueBin only
+  // kCliqueBin only: the cover's Author2Cliques map, index = author.
+  FlatLists<CliqueId> author_cliques_;
   std::vector<Bin> bins_;
   Fifo<StoredPost> window_;  // every stored post, in offer order
   Fifo<uint32_t> admitted_;  // the stored posts' admitted lists, in order
   std::vector<uint8_t> covered_;  // Offer: one flag per ComponentsOf entry
   uint64_t comparisons_ = 0;
+  size_t bin_entries_ = 0;
   size_t bin_bytes_ = 0;
 };
 

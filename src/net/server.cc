@@ -1,6 +1,7 @@
 #include "src/net/server.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <csignal>
 #include <mutex>
@@ -128,7 +129,10 @@ class ShardWorker {
     uint64_t comparisons = 0;
     uint64_t window_posts = 0;
     uint64_t timeline_bytes = 0;  ///< gaps held, all users
-    uint64_t bin_bytes = 0;       ///< the table's ring slots, 16 B each
+    uint64_t bin_entries = 0;     ///< entries the table's rings hold
+    /// The table's ring slots, 12 B each; a ring halves once a quarter
+    /// full, so it holds at most max(4, 4 × its entries) slots.
+    uint64_t bin_bytes = 0;
   };
 
   ShardWorker(uint32_t index, const ServeOptions& options,
@@ -162,6 +166,7 @@ class ShardWorker {
     }
     counters_.comparisons = table_.comparisons();
     counters_.window_posts = table_.window_posts();
+    counters_.bin_entries = table_.bin_entries();
     counters_.bin_bytes = table_.bin_bytes();
   }
 
@@ -392,7 +397,7 @@ bool Server::Recover(std::string* error) {
   watermark_ = -1;
   posts_ingested_.store(0, std::memory_order_seq_cst);
   shards_.clear();
-  author_shards_.clear();
+  author_shards_ = {};
 
   wal_sync_ = dur::MakeSyncPolicy(options_.wal_sync);
   if (wal_sync_ == nullptr) {
@@ -505,17 +510,31 @@ void Server::BuildShards(std::vector<std::pair<UserId, AuthorId>> follows) {
   FreeNow(&components);
 
   // The dispatcher sends an author's posts to every shard whose table
-  // routes the author; shards ascend, so each list is sorted and unique.
-  author_shards_.clear();
+  // routes the author, that is every shard holding a component of the
+  // author: bit s of shard_masks[a] (kMaxServeShards is 63). Shards
+  // ascend, so each list is sorted and unique.
+  std::vector<uint64_t> shard_masks;
+  for (uint32_t s = 0; s < options_.num_shards; ++s) {
+    for (const SharedComponent& component : placed[s]) {
+      for (AuthorId a : component.authors) {
+        if (a >= shard_masks.size()) shard_masks.resize(size_t{a} + 1);
+        shard_masks[a] |= uint64_t{1} << s;
+      }
+    }
+  }
+  author_shards_ = FlatLists<uint32_t>::ByCounting(
+      shard_masks.size(), [&](const auto& emit) {
+        for (size_t a = 0; a < shard_masks.size(); ++a) {
+          for (uint64_t mask = shard_masks[a]; mask != 0; mask &= mask - 1) {
+            emit(a, static_cast<uint32_t>(std::countr_zero(mask)));
+          }
+        }
+      });
+  FreeNow(&shard_masks);
   shards_.clear();
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
     SharedBinTable table(options_.algorithm, thresholds, *graph_,
                          std::move(placed[s]));
-    for (AuthorId a = 0; a < table.author_bound(); ++a) {
-      if (table.ComponentsOf(a).empty()) continue;
-      if (a >= author_shards_.size()) author_shards_.resize(a + 1);
-      author_shards_[a].push_back(s);
-    }
     shards_.push_back(std::make_unique<internal::ShardWorker>(
         s, options_, std::move(table), num_users_));
   }
@@ -822,6 +841,7 @@ void Server::PublishIntrospection() {
   std::string depths;
   std::string windows;
   std::string bytes;
+  std::string entries;
   std::string bins;
   for (size_t i = 0; i < shards_.size(); ++i) {
     const std::string sep = i > 0 ? "," : "";
@@ -829,11 +849,13 @@ void Server::PublishIntrospection() {
     depths += sep + std::to_string(shards_[i]->backlog());
     windows += sep + std::to_string(counters.window_posts);
     bytes += sep + std::to_string(counters.timeline_bytes);
+    entries += sep + std::to_string(counters.bin_entries);
     bins += sep + std::to_string(counters.bin_bytes);
   }
   status += "\",\"queue_depths\":[" + depths + "],\"window_posts\":[" +
-            windows + "],\"timeline_bytes\":[" + bytes + "],\"bin_bytes\":[" +
-            bins + "]}";
+            windows + "],\"timeline_bytes\":[" + bytes +
+            "],\"bin_entries\":[" + entries + "],\"bin_bytes\":[" + bins +
+            "]}";
 
   options_.debug->PublishMetrics(obs::ExportPrometheus(registry),
                                  obs::ExportJson(registry));

@@ -20,6 +20,7 @@
 #include "src/obs/log_histogram.h"
 #include "src/obs/metrics.h"
 #include "src/obs/watchdog.h"
+#include "src/util/flat_lists.h"
 #include "src/util/thread_annotations.h"
 
 namespace firehose {
@@ -239,8 +240,8 @@ class Server {
   obs::LogHistogram flush_backlog_ FIREHOSE_THREAD_OWNED(dispatcher);
 
   // Post-seal routing, author -> shards whose table routes the author
-  // (read off the tables at seal/recovery, read-only after).
-  std::vector<std::vector<uint32_t>> author_shards_;
+  // (built from the placed components at seal/recovery, read-only after).
+  FlatLists<uint32_t> author_shards_;
   std::vector<std::unique_ptr<internal::ShardWorker>> shards_;
 
   // The server WAL, and the highest post id it holds (-1 = none yet).

@@ -6,7 +6,8 @@
 // the sharded S_* runtime must reproduce the sequential deliveries for
 // every shard count, and the serve shards' SharedBinTable must deliver
 // S_UniBin's timelines in every bin layout, with the work recorded
-// before its bins became rings and a wrapped ring scanned newest first.
+// before its bins became rings, a wrapped ring scanned newest first and
+// a ring that shrinks with its entries.
 
 #include <algorithm>
 #include <cstdint>
@@ -341,6 +342,67 @@ TEST_P(SharedBinTableFuzzTest, WrappedBinIsScannedNewerRunFirst) {
     EXPECT_EQ(table.BinnedPostsBy(0), 4u);
     EXPECT_EQ(table.BinnedPostsBy(1), 0u);
     EXPECT_EQ(table.window_posts(), 4u);
+  }
+}
+
+TEST_P(SharedBinTableFuzzTest, EvictedBurstLeavesAtMostFourSlotsAnEntry) {
+  // As above, author 0's posts are written to the same bins in every
+  // layout. A burst fills them; a post by author 2, whom no one follows,
+  // then evicts all but the burst's last `kept` posts and is stored
+  // nowhere.
+  const AuthorGraph graph = AuthorGraph::FromEdges({0, 1}, {{0, 1}});
+  const std::vector<User> users = {User(0, {0, 1})};
+  DiversityThresholds t;
+  t.lambda_c = 3;
+  t.lambda_t_ms = 1000;
+  constexpr int kBurst = 64;
+  Rng rng(31);
+  for (size_t kept : {0, 1, 3, 5, 16}) {
+    SCOPED_TRACE(::testing::Message() << "kept " << kept);
+    std::vector<SharedBinTable> tables =
+        PlacedTables(GetParam(), t, graph, users, 1);
+    SharedBinTable& table = tables.front();
+    std::vector<uint32_t> admitted;
+    std::vector<uint64_t> fingerprints;
+    for (int k = 0; k < kBurst; ++k) {
+      fingerprints.push_back(rng.Next());
+      table.Offer(Post{static_cast<PostId>(k), 0, k, fingerprints.back(), {}},
+                  &admitted);
+      ASSERT_EQ(admitted, std::vector<uint32_t>{0}) << "post " << k;
+    }
+    const size_t bins_written = table.bin_entries() / kBurst;
+    ASSERT_GE(bins_written, 1u);
+    EXPECT_EQ(table.bin_entries(), bins_written * kBurst);
+    EXPECT_GE(table.bin_bytes(), bins_written * 12 * kBurst);
+
+    const int64_t evict_at = kBurst - static_cast<int64_t>(kept) + t.lambda_t_ms;
+    table.Offer(Post{kBurst, 2, evict_at, rng.Next(), {}}, &admitted);
+    EXPECT_TRUE(admitted.empty());
+    EXPECT_EQ(table.window_posts(), kept);
+    EXPECT_EQ(table.bin_entries(), bins_written * kept);
+    EXPECT_LE(table.bin_bytes(),
+              bins_written * 12 * std::max<size_t>(4, 4 * kept));
+    // The shrunk rings still find the posts they kept.
+    EXPECT_EQ(table.BinnedPostsBy(0), bins_written * kept);
+    if (kept > 0) {
+      table.Offer(Post{kBurst + 1, 0, evict_at, fingerprints.back(), {}},
+                  &admitted);
+      EXPECT_TRUE(admitted.empty()) << "a repeat of the newest kept post";
+    }
+  }
+}
+
+TEST(SharedBinTableTest, WindowIndexIsExactAcrossTheLow32BitWrap) {
+  constexpr uint64_t k32 = uint64_t{1} << 32;
+  for (uint64_t front : {k32 - 1, k32, k32 + 1}) {
+    for (uint64_t index : {uint64_t{0}, uint64_t{1}, uint64_t{2},
+                           uint64_t{1} << 31, k32 - 1}) {
+      const uint64_t position = front + index;
+      EXPECT_EQ(SharedBinTable::WindowIndex(static_cast<uint32_t>(position),
+                                            front),
+                index)
+          << "front " << front << " position " << position;
+    }
   }
 }
 

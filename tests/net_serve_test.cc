@@ -318,12 +318,17 @@ TEST_F(NetServeTest, StatusAndVarzReportTheSharedWindow) {
     EXPECT_GE(bytes[0] + bytes[1], deliveries) << debug.status_json();
     EXPECT_LE(bytes[0] + bytes[1], 5 * deliveries) << debug.status_json();
     // Every stored post sits in at least one bin, and each ring slot
-    // takes 16 bytes.
+    // takes 12 bytes.
+    const std::vector<uint64_t> entries =
+        JsonArray(debug.status_json(), "bin_entries");
     const std::vector<uint64_t> bins =
         JsonArray(debug.status_json(), "bin_bytes");
+    ASSERT_EQ(entries.size(), 2u) << debug.status_json();
     ASSERT_EQ(bins.size(), 2u) << debug.status_json();
     for (size_t shard = 0; shard < 2; ++shard) {
-      EXPECT_GE(bins[shard], 16 * windows[shard])
+      EXPECT_GE(entries[shard], windows[shard])
+          << "shard " << shard << ": " << debug.status_json();
+      EXPECT_GE(bins[shard], 12 * entries[shard])
           << "shard " << shard << ": " << debug.status_json();
     }
     // The live seal timed both of its steps.
